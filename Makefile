@@ -1,6 +1,6 @@
 # Tier-1 gate and maintenance targets. `make check` is the pre-merge bar
-# (see README.md): full build, vet, race tests on the concurrent executors,
-# then the whole test suite.
+# (see README.md): full build, vet, the whole test suite under the race
+# detector and again without it.
 
 .PHONY: check test bench bench-snapshot bench-diff bench-history cover fuzz timeline-smoke timeline-diff introspect-smoke health-smoke observatory experiments-regen
 

@@ -50,7 +50,7 @@ func JoinPaged(r, s *rtree.PagedTree, cfg Config) (Result, error) {
 		return res, nil
 	}
 
-	perWorker := make([][]join.Candidate, cfg.Workers)
+	out := newCollector(cfg.Workers, cfg.Sorted)
 	falseHits := make([]int, cfg.Workers)
 	workerErrs := make([]error, cfg.Workers)
 	sched := newStealScheduler(cfg.Workers, tasks)
@@ -65,6 +65,7 @@ func JoinPaged(r, s *rtree.PagedTree, cfg Config) (Result, error) {
 			for {
 				p, ok := sched.next(w)
 				if !ok {
+					out.finishWorker(w)
 					return
 				}
 				res.PerWorker[w]++
@@ -80,13 +81,13 @@ func JoinPaged(r, s *rtree.PagedTree, cfg Config) (Result, error) {
 					if cfg.Refiner != nil {
 						for _, c := range cands {
 							if cfg.Refiner(c) {
-								perWorker[w] = append(perWorker[w], c)
+								out.bufs[w].Push(c)
 							} else {
 								falseHits[w]++
 							}
 						}
 					} else {
-						perWorker[w] = append(perWorker[w], cands...)
+						out.bufs[w].Append(cands)
 					}
 				}
 				sched.complete(w, children)
@@ -101,19 +102,9 @@ func JoinPaged(r, s *rtree.PagedTree, cfg Config) (Result, error) {
 		}
 	}
 
-	total := 0
-	for _, cands := range perWorker {
-		total += len(cands)
-	}
 	for _, fh := range falseHits {
 		res.FalseHits += fh
 	}
-	res.Candidates = make([]join.Candidate, 0, total)
-	for _, cands := range perWorker {
-		res.Candidates = append(res.Candidates, cands...)
-	}
-	if cfg.Sorted {
-		sortCandidates(res.Candidates)
-	}
+	res.Candidates = out.assemble()
 	return res, nil
 }

@@ -147,7 +147,7 @@ func Join(r, s *rtree.Tree, cfg Config) Result {
 	if cfg.Metrics != nil || cfg.Trace != nil {
 		met = newNativeMetrics(cfg.Metrics, cfg.Trace, cfg.Workers)
 	}
-	perWorker := make([][]join.Candidate, cfg.Workers)
+	out := newCollector(cfg.Workers, cfg.Sorted)
 	falseHits := make([]int, cfg.Workers)
 	sched := newStealScheduler(cfg.Workers, tasks)
 	sched.met = met
@@ -200,7 +200,7 @@ func Join(r, s *rtree.Tree, cfg Config) Result {
 						}
 						for _, c := range cands {
 							if cfg.Refiner(c) {
-								perWorker[w] = append(perWorker[w], c)
+								out.bufs[w].Push(c)
 							} else {
 								falseHits[w]++
 							}
@@ -210,7 +210,7 @@ func Join(r, s *rtree.Tree, cfg Config) Result {
 								sim.SpanArgs{A: int64(len(cands))})
 						}
 					} else {
-						perWorker[w] = append(perWorker[w], cands...)
+						out.bufs[w].Append(cands)
 					}
 				}
 				if n := len(children); n > 0 {
@@ -219,12 +219,7 @@ func Join(r, s *rtree.Tree, cfg Config) Result {
 				prog.UnitDone(1)
 				sched.complete(w, children)
 			}
-			if cfg.Sorted {
-				// Sort this worker's run while the others still sort
-				// theirs; the single-threaded tail is then only a k-way
-				// merge instead of a full sort of the concatenation.
-				join.SortCandidates(perWorker[w])
-			}
+			out.finishWorker(w)
 			met.flushWorker(w, pairs, comps, candTotal, int64(falseHits[w]))
 			if rec != nil {
 				rec.EndSpan(w, wallSince(epoch), sim.SpanArgs{}, false)
@@ -237,21 +232,10 @@ func Join(r, s *rtree.Tree, cfg Config) Result {
 	res.Steals = int(sched.steals.Load())
 	res.StealAttempts = int(sched.attempts.Load())
 
-	total := 0
-	for _, cands := range perWorker {
-		total += len(cands)
-	}
 	for _, fh := range falseHits {
 		res.FalseHits += fh
 	}
-	res.Candidates = make([]join.Candidate, 0, total)
-	if cfg.Sorted {
-		res.Candidates = join.MergeCandidateRuns(res.Candidates, perWorker)
-	} else {
-		for _, cands := range perWorker {
-			res.Candidates = append(res.Candidates, cands...)
-		}
-	}
+	res.Candidates = out.assemble()
 	res.PhaseNS[timeline.PhaseMerge] = time.Since(t3).Nanoseconds()
 	if rec != nil {
 		rec.Complete(0, wallAt(t3, epoch), wallSince(epoch), timeline.KindPhase,
@@ -272,7 +256,67 @@ func wallAt(t, epoch time.Time) sim.Time {
 	return sim.Time(float64(t.Sub(epoch)) / float64(time.Millisecond))
 }
 
-// sortCandidates orders candidates by (R, S) id for deterministic output.
-func sortCandidates(cands []join.Candidate) {
-	join.SortCandidates(cands)
+// collector is the output path shared by Join and JoinPaged: every worker
+// emits into its own chunked buffer, and assemble builds the exact-size
+// result from them in worker-major order.
+type collector struct {
+	bufs []join.CandidateBuf
+	runs [][]join.Candidate // per-worker sorted runs; nil unless Sorted
+}
+
+func newCollector(workers int, sorted bool) *collector {
+	c := &collector{bufs: make([]join.CandidateBuf, workers)}
+	if sorted {
+		c.runs = make([][]join.Candidate, workers)
+	}
+	return c
+}
+
+// finishWorker runs on worker w after its last emit. With Sorted it
+// flattens the worker's buffer into one contiguous run and sorts it while
+// the others still sort theirs, so the single-threaded tail is only a
+// k-way merge instead of a full sort of the concatenation.
+func (c *collector) finishWorker(w int) {
+	if c.runs == nil {
+		return
+	}
+	run := make([]join.Candidate, c.bufs[w].Len())
+	c.bufs[w].CopyTo(run)
+	join.SortCandidates(run)
+	c.runs[w] = run
+}
+
+// assemble returns the result after every worker has finished: the merged
+// runs with Sorted, otherwise a gather in which a prefix sum over the buffer
+// lengths gives each worker its slice of the result — copied there by one
+// goroutine per non-empty buffer, unless the whole result fits one block
+// and starting goroutines would cost more than the copy.
+func (c *collector) assemble() []join.Candidate {
+	total := 0
+	for w := range c.bufs {
+		total += c.bufs[w].Len()
+	}
+	if c.runs != nil {
+		return join.MergeCandidateRuns(make([]join.Candidate, 0, total), c.runs)
+	}
+	out := make([]join.Candidate, total)
+	parallel := total > join.CandidateBlock
+	var wg sync.WaitGroup
+	off := 0
+	for w := range c.bufs {
+		b := &c.bufs[w]
+		dst := out[off : off+b.Len()]
+		off += len(dst)
+		if !parallel || len(dst) == 0 {
+			b.CopyTo(dst)
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b.CopyTo(dst)
+		}()
+	}
+	wg.Wait()
+	return out
 }

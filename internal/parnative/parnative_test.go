@@ -7,6 +7,7 @@ import (
 	"sort"
 	"spjoin/internal/geom"
 	"testing"
+	"unsafe"
 
 	"path/filepath"
 
@@ -122,7 +123,7 @@ func TestDefaultsApplied(t *testing.T) {
 func TestSortedMatchesSequentialExactly(t *testing.T) {
 	r, s := testTrees(t)
 	want := join.Sequential(r, s, join.Options{})
-	sortCandidates(want)
+	join.SortCandidates(want)
 	for _, workers := range []int{1, 2, 8} {
 		for run := 0; run < 3; run++ {
 			res := Join(r, s, Config{Workers: workers, Sorted: true})
@@ -429,5 +430,89 @@ func TestJoinTimelinePhaseSpans(t *testing.T) {
 		phases[timeline.PhaseMerge] != 1 {
 		t.Errorf("owner phase spans prep=%d partition=%d merge=%d, want 1 each",
 			phases[timeline.PhasePrep], phases[timeline.PhasePartition], phases[timeline.PhaseMerge])
+	}
+}
+
+// bigRectTrees builds the replication-regime workload of the planner corpus
+// (3,000 rects a side, each an eighth of the world wide): few rectangles,
+// about half a million pairs — an output of over a hundred buffer blocks.
+func bigRectTrees(tb testing.TB) (*rtree.Tree, *rtree.Tree) {
+	tb.Helper()
+	side := func(seed int64) *rtree.Tree {
+		items := tiger.Uniform(3000, 1, seed)
+		for i := range items {
+			items[i].Rect.MaxX = items[i].Rect.MinX + tiger.World/8
+			items[i].Rect.MaxY = items[i].Rect.MinY + tiger.World/8
+		}
+		return rtree.BulkLoadSTR(rtree.DefaultParams(), items, 0.73)
+	}
+	return side(5), side(6)
+}
+
+// TestJoinOutputAllocationBounded pins the output path's allocation
+// contract so the append-growth ladder cannot come back: collecting the
+// candidates costs their buffer blocks plus the exact-size result — in
+// count, blocks + O(workers); in bytes, what those hold — where a slice
+// grown by append allocates about five times the result. The traversal's
+// own allocations are measured by a run whose Refiner rejects every
+// candidate and subtracted.
+func TestJoinOutputAllocationBounded(t *testing.T) {
+	r, s := bigRectTrees(t)
+	const workers = 3
+	measure := func(cfg Config) (res Result, mallocs, bytes int64) {
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		res = Join(r, s, cfg)
+		runtime.ReadMemStats(&m1)
+		return res, int64(m1.Mallocs - m0.Mallocs), int64(m1.TotalAlloc - m0.TotalAlloc)
+	}
+	_, baseN, baseB := measure(Config{Workers: workers,
+		Refiner: func(join.Candidate) bool { return false }})
+	res, n, b := measure(Config{Workers: workers})
+
+	const candBytes = int64(unsafe.Sizeof(join.Candidate{}))
+	pairs := int64(len(res.Candidates))
+	blocks := pairs/join.CandidateBlock + workers // each worker's last block is partial
+	if pairs < 100*join.CandidateBlock {
+		t.Fatalf("%d pairs, want over a hundred blocks — test premise broken", pairs)
+	}
+	// Per worker: the first block's doubling and the block list's own (log2
+	// of the block size and count), a gather goroutine, and the parking
+	// structures the runtime re-allocates after each collection the output
+	// triggers; once: the result and the collector.
+	if limit := blocks + 48*workers + 32; n-baseN > limit {
+		t.Errorf("output path made %d allocations for %d blocks on %d workers, want <= %d",
+			n-baseN, blocks, workers, limit)
+	}
+	// The blocks, the result, under one more block a worker for its doubling
+	// first one, and 1 MiB for what the two traversals allocate differently
+	// (which worker grows which scratch depends on the schedule).
+	if limit := ((blocks+workers)*join.CandidateBlock+pairs)*candBytes + 1<<20; b-baseB > limit {
+		t.Errorf("output path allocated %d B for a %d B result (%.1fx), want <= %d B",
+			b-baseB, pairs*candBytes, float64(b-baseB)/float64(pairs*candBytes), limit)
+	}
+	t.Logf("%d pairs, %d blocks: %d allocations, %.1f B/pair (traversal alone: %d allocations, %d B)",
+		pairs, blocks, n-baseN, float64(b-baseB)/float64(pairs), baseN, baseB)
+}
+
+// TestSortedMatchesSortedUnsorted pins the two output paths against each
+// other on a multi-block result: the sorted path (flatten, per-worker sort,
+// k-way merge) returns exactly SortCandidates of the unsorted path's
+// parallel gather — same pairs, same rectangles.
+func TestSortedMatchesSortedUnsorted(t *testing.T) {
+	r, s := bigRectTrees(t)
+	for _, workers := range []int{1, 3} {
+		want := Join(r, s, Config{Workers: workers}).Candidates
+		join.SortCandidates(want)
+		got := Join(r, s, Config{Workers: workers, Sorted: true}).Candidates
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: sorted %d candidates, unsorted %d", workers, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: candidate %d = %+v, want %+v", workers, i, got[i], want[i])
+			}
+		}
 	}
 }

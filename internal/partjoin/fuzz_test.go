@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spjoin/internal/geom"
+	"spjoin/internal/join"
 	"spjoin/internal/rtree"
 )
 
@@ -108,9 +109,12 @@ func FuzzPartitionJoinPipelined(f *testing.F) {
 		cfg.Sorted = true
 		ref := cfg
 		ref.Barrier = true
-		var jp, jb Joiner
+		gather := cfg
+		gather.Sorted = false
+		var jp, jb, jg Joiner
 		defer jp.Close()
 		defer jb.Close()
+		defer jg.Close()
 		check := func(stage string) {
 			t.Helper()
 			res := jp.Join(r, s, cfg)
@@ -142,6 +146,22 @@ func FuzzPartitionJoinPipelined(f *testing.F) {
 				t.Fatalf("cfg %+v %s: pipelined parts/dups %d/%d vs barrier %d/%d",
 					cfg, stage, res.Partitions, res.Duplicates,
 					bres.Partitions, bres.Duplicates)
+			}
+			// The unsorted output path — the workers' chunked buffers
+			// gathered in parallel into their slices of the result — must
+			// hold exactly the candidates of the sorted one, rects included.
+			gres := jg.Join(r, s, gather)
+			gathered := append([]join.Candidate(nil), gres.Candidates...)
+			join.SortCandidates(gathered)
+			if len(gathered) != len(res.Candidates) {
+				t.Fatalf("cfg %+v %s: gathered %d pairs, merged %d",
+					cfg, stage, len(gathered), len(res.Candidates))
+			}
+			for i := range gathered {
+				if gathered[i] != res.Candidates[i] {
+					t.Fatalf("cfg %+v %s: candidate %d differs: gathered %+v vs merged %+v",
+						cfg, stage, i, gathered[i], res.Candidates[i])
+				}
 			}
 		}
 		check("cold")

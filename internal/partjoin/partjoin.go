@@ -163,13 +163,9 @@ type Result struct {
 func Join(r, s []rtree.Item, cfg Config) Result {
 	var j Joiner
 	defer j.Close()
-	res := j.Join(r, s, cfg)
-	// The one-shot Joiner dies with this call; detach the result views.
-	res.Candidates = append([]join.Candidate(nil), res.Candidates...)
-	res.PerWorker = append([]int(nil), res.PerWorker...)
-	res.TopTiles = append([]TileCost(nil), res.TopTiles...)
-	res.Heat = append([]int64(nil), res.Heat...)
-	return res
+	// The one-shot Joiner dies with this call, so the result views are
+	// handed over as they are: nothing else references them.
+	return j.Join(r, s, cfg)
 }
 
 // phase identifiers: the Joiner runs its parallel phases over one
@@ -185,6 +181,7 @@ const (
 	phaseRefineFill         // fill the refinement-arena coordinate planes
 	phaseJoin               // sweep the work units, largest first
 	phasePipeline           // fused scatter+fill+sweep+refine (see pipeline.go)
+	phaseGather             // copy each worker's candidates into its slice of out
 )
 
 // batchMax is the small-side threshold below which a tile skips the
@@ -232,7 +229,9 @@ func (g *gridSide) unsorted(workers int) bool {
 // workerState is the per-worker scratch and local counters; counters are
 // flushed once after the join phase so the hot loop stays uncontended.
 type workerState struct {
-	cands      []join.Candidate
+	cands      join.CandidateBuf
+	run        []join.Candidate // cands flattened and sorted (Sorted only)
+	outOff     int              // start of this worker's slice of out (phaseGather)
 	hits       []geom.IndexPair
 	mask       []uint64
 	candSorter join.CandidateSorter
@@ -515,7 +514,7 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 	j.ws = growStates(j.ws, workers)
 	for w := range j.ws[:workers] {
 		ws := &j.ws[w]
-		ws.cands = ws.cands[:0]
+		ws.cands.Reset()
 		ws.pairs, ws.dups, ws.comps, ws.parts = 0, 0, 0, 0
 		ws.phaseNS = [timeline.NumPhases]int64{}
 	}
@@ -574,35 +573,41 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 	// (they sort before leaving the join phase), so only a k-way merge
 	// remains on this goroutine.
 	tMerge := time.Now()
-	var spanMerge sim.Time
 	if j.rec != nil {
-		spanMerge = wallSince(j.epoch)
+		j.rec.BeginSpan(0, wallSince(j.epoch), timeline.KindPhase,
+			sim.SpanArgs{A: timeline.PhaseMerge})
 	}
 	j.perWorker = growInts(j.perWorker, workers)
 	total := 0
 	for w := range j.ws[:workers] {
 		ws := &j.ws[w]
-		total += len(ws.cands)
+		ws.outOff = total
+		total += ws.cands.Len()
 		j.perWorker[w] = int(ws.pairs)
 		res.Duplicates += int(ws.dups)
 		res.Comparisons += int(ws.comps)
 		res.Partitions += int(ws.parts)
 		j.met.flushWorker(w, ws.pairs, ws.dups, ws.comps, ws.parts)
 	}
-	if cap(j.out) < total {
-		j.out = make([]join.Candidate, 0, total+total/4)
-	}
-	j.out = j.out[:0]
+	j.out = growCands(j.out, total)
 	if cfg.Sorted {
 		j.runs = growRuns(j.runs, workers)
 		for w := range j.ws[:workers] {
-			j.runs[w] = j.ws[w].cands
+			j.runs[w] = j.ws[w].run
 		}
-		j.out = join.MergeCandidateRuns(j.out, j.runs[:workers])
-	} else {
+		j.out = join.MergeCandidateRuns(j.out[:0], j.runs[:workers])
+	} else if total <= join.CandidateBlock {
+		// Waking the pool costs about what copying one block does, so a
+		// result this small is gathered here.
 		for w := range j.ws[:workers] {
-			j.out = append(j.out, j.ws[w].cands...)
+			j.gather(w)
 		}
+	} else {
+		// Parallel gather: the prefix sum above gave every worker its slice
+		// of out. The phase runs inside the merge bucket timed here, so it
+		// bypasses runPhase's own accrual.
+		j.phase = phaseGather
+		j.pool.Run(j)
 	}
 	res.Candidates = j.out
 	res.GX, res.GY = j.gx, j.gy
@@ -610,8 +615,7 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 	res.PerWorker = j.perWorker
 	j.phaseNS[timeline.PhaseMerge] += time.Since(tMerge).Nanoseconds()
 	if j.rec != nil {
-		j.rec.Complete(0, spanMerge, wallSince(j.epoch), timeline.KindPhase,
-			sim.SpanArgs{A: timeline.PhaseMerge})
+		j.rec.EndSpan(0, wallSince(j.epoch), sim.SpanArgs{}, false)
 	}
 	res.PhaseNS = j.phaseNS
 	res.PipelineNS = j.pipelineNS
@@ -698,6 +702,8 @@ func timelinePhase(phase int32) int {
 		return timeline.PhaseFill
 	case phaseRefineFill:
 		return timeline.PhaseRefine
+	case phaseGather:
+		return timeline.PhaseMerge
 	default:
 		return timeline.PhaseSweep
 	}
@@ -732,10 +738,18 @@ func (j *Joiner) RunWorker(w int) {
 		j.joinTiles(w)
 	case phasePipeline:
 		j.pipeWorker(w)
+	case phaseGather:
+		j.gather(w)
 	}
 	if j.rec != nil {
 		j.rec.EndSpan(w, wallSince(j.epoch), sim.SpanArgs{}, false)
 	}
+}
+
+// gather copies worker w's candidates into its slice of out.
+func (j *Joiner) gather(w int) {
+	ws := &j.ws[w]
+	ws.cands.CopyTo(j.out[ws.outOff:])
 }
 
 // chunkRange splits n into j.workers contiguous chunks.
@@ -1052,7 +1066,7 @@ func (j *Joiner) joinTiles(w int) {
 		if j.rec != nil {
 			t0 = wallSince(j.epoch)
 		}
-		before := len(ws.cands)
+		before := ws.cands.Len()
 		var comps int
 		if u.node < 0 {
 			comps = j.joinTile(ws, t)
@@ -1064,13 +1078,22 @@ func (j *Joiner) joinTiles(w int) {
 		if j.rec != nil {
 			j.rec.Complete(w, t0, wallSince(j.epoch), timeline.KindCPUSweep, sim.SpanArgs{
 				A: int64(t % j.gx), B: int64(t / j.gx),
-				C: int64(len(ws.cands) - before), D: int64(comps),
+				C: int64(ws.cands.Len() - before), D: int64(comps),
 			})
 		}
 	}
-	ws.pairs = int64(len(ws.cands))
+	j.finishWorker(ws)
+}
+
+// finishWorker closes a worker's sweep: it latches the pair count and, with
+// Sorted pending, flattens the buffer into the worker's contiguous run and
+// sorts it there — in parallel with the other workers — for the k-way merge.
+func (j *Joiner) finishWorker(ws *workerState) {
+	ws.pairs = int64(ws.cands.Len())
 	if j.sortRuns {
-		ws.candSorter.Cands = ws.cands
+		ws.run = growCands(ws.run, int(ws.pairs))
+		ws.cands.CopyTo(ws.run)
+		ws.candSorter.Cands = ws.run
 		sort.Sort(&ws.candSorter)
 		ws.candSorter.Cands = nil
 	}
@@ -1087,8 +1110,8 @@ func (j *Joiner) joinTile(ws *workerState, t int) int {
 	return j.joinSegs(ws, rSeg, sSeg, &rView, &sView, t%j.gx, t/j.gx, -1)
 }
 
-// joinSegs joins one work unit's two segments and appends the surviving
-// pairs to ws.cands, returning the comparison count. The sweep runs in
+// joinSegs joins one work unit's two segments and pushes the surviving
+// pairs onto ws.cands, returning the comparison count. The sweep runs in
 // segment position space over the contiguous plane views; hit positions
 // map back to rect indices through the idx segments for the dedup and
 // emit. node < 0 is a root tile; otherwise the refNode whose ownership
@@ -1175,7 +1198,7 @@ func (j *Joiner) emit(ws *workerState, rIdx, sIdx int32, tx, ty int, node int32)
 		ws.dups++
 		return
 	}
-	ws.cands = append(ws.cands, join.Candidate{
+	ws.cands.Push(join.Candidate{
 		R: j.rIDs[rIdx], S: j.sIDs[sIdx], RRect: *a, SRect: *b,
 	})
 }
@@ -1416,6 +1439,21 @@ func growStates(s []workerState, n int) []workerState {
 		return out
 	}
 	return s[:n]
+}
+
+// growCands sizes a resident candidate slice to n. The first allocation is
+// exact — a one-shot join hands it to the caller, who should not inherit
+// slack — while regrowth keeps a quarter of headroom, so a re-join that
+// returns a few more pairs than the last one does not reallocate the whole
+// result.
+func growCands(s []join.Candidate, n int) []join.Candidate {
+	switch {
+	case cap(s) >= n:
+		return s[:n]
+	case cap(s) == 0:
+		return make([]join.Candidate, n)
+	}
+	return make([]join.Candidate, n, n+n/4)
 }
 
 func growRuns(s [][]join.Candidate, n int) [][]join.Candidate {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"spjoin/internal/geom"
@@ -178,6 +179,66 @@ func TestPartitionJoinSorted(t *testing.T) {
 			if !reflect.DeepEqual(res.Candidates, want) {
 				t.Fatalf("workers=%d run %d: sorted output differs", workers, run)
 			}
+		}
+	}
+}
+
+// TestPartitionJoinSortedMatchesUnsorted pins the two output paths against
+// each other on a result spanning several buffer blocks per worker: the
+// sorted path (flatten, per-worker sort, k-way merge) must return exactly
+// SortCandidates of what the unsorted path (parallel gather) returns —
+// same pairs, same rectangles.
+func TestPartitionJoinSortedMatchesUnsorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	r := items(randomRects(rng, 1500, 100, 14), 0)
+	s := items(randomRects(rng, 1500, 100, 14), 10000)
+	for _, workers := range []int{1, 3} {
+		unsorted := Join(r, s, Config{Workers: workers})
+		if len(unsorted.Candidates) < 3*join.CandidateBlock {
+			t.Fatalf("workers=%d: %d pairs, want several buffer blocks", workers, len(unsorted.Candidates))
+		}
+		want := append([]join.Candidate(nil), unsorted.Candidates...)
+		join.SortCandidates(want)
+		sorted := Join(r, s, Config{Workers: workers, Sorted: true})
+		if !reflect.DeepEqual(sorted.Candidates, want) {
+			t.Fatalf("workers=%d: sorted result differs from the sorted unsorted result", workers)
+		}
+	}
+}
+
+// TestJoinOneShotResultDetached pins the one-shot hand-over: Join returns
+// the dying Joiner's own result slices instead of copies, so nothing else
+// may alias them. The result is held across a second one-shot join on other
+// inputs and a collection, then re-checked pair by pair.
+func TestJoinOneShotResultDetached(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	r := items(randomRects(rng, 600, 100, 10), 0)
+	s := items(randomRects(rng, 600, 100, 10), 10000)
+	for _, cfg := range []Config{
+		{Workers: 3, Introspect: true},
+		{Workers: 3, Sorted: true},
+	} {
+		held := Join(r, s, cfg)
+		if cap(held.Candidates) != len(held.Candidates) {
+			t.Errorf("cfg %+v: one-shot result carries %d slots of slack",
+				cfg, cap(held.Candidates)-len(held.Candidates))
+		}
+		perWorker := append([]int(nil), held.PerWorker...)
+
+		r2 := items(randomRects(rng, 600, 100, 10), 50000)
+		s2 := items(randomRects(rng, 600, 100, 10), 60000)
+		other := Join(r2, s2, cfg)
+		runtime.GC()
+
+		got := toSet(t, held.Candidates)
+		if want := bruteSet(r, s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cfg %+v: held result changed: %d pairs, want %d", cfg, len(got), len(want))
+		}
+		if !reflect.DeepEqual(held.PerWorker, perWorker) {
+			t.Errorf("cfg %+v: held PerWorker changed: %v, was %v", cfg, held.PerWorker, perWorker)
+		}
+		if !reflect.DeepEqual(toSet(t, other.Candidates), bruteSet(r2, s2)) {
+			t.Fatalf("cfg %+v: second one-shot join is wrong", cfg)
 		}
 	}
 }

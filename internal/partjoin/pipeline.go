@@ -247,14 +247,9 @@ func (j *Joiner) pipeWorker(w int) {
 		}
 	}
 
-	ws.pairs = int64(len(ws.cands))
-	if j.sortRuns {
-		tS := time.Now()
-		ws.candSorter.Cands = ws.cands
-		sort.Sort(&ws.candSorter)
-		ws.candSorter.Cands = nil
-		ws.phaseNS[timeline.PhaseSweep] += time.Since(tS).Nanoseconds()
-	}
+	tS := time.Now()
+	j.finishWorker(ws)
+	ws.phaseNS[timeline.PhaseSweep] += time.Since(tS).Nanoseconds()
 }
 
 // pipeScatter is the fused scatter+fill over this worker's chunks: one
@@ -436,7 +431,7 @@ func (j *Joiner) pipeJoinUnit(ws *workerState, w, t int, node int32, cost int64)
 	if j.rec != nil {
 		t0 = wallSince(j.epoch)
 	}
-	before := len(ws.cands)
+	before := ws.cands.Len()
 	var comps int
 	if node < 0 {
 		comps = j.joinTile(ws, t)
@@ -448,7 +443,7 @@ func (j *Joiner) pipeJoinUnit(ws *workerState, w, t int, node int32, cost int64)
 	if j.rec != nil {
 		j.rec.Complete(w, t0, wallSince(j.epoch), timeline.KindCPUSweep, sim.SpanArgs{
 			A: int64(t % j.gx), B: int64(t / j.gx),
-			C: int64(len(ws.cands) - before), D: int64(comps),
+			C: int64(ws.cands.Len() - before), D: int64(comps),
 		})
 	}
 	ws.phaseNS[timeline.PhaseSweep] += time.Since(tU).Nanoseconds()

@@ -59,9 +59,9 @@ type Stats struct {
 	Rep    float64 // mean probe tiles overlapped per rectangle (replication factor)
 	Probe  int     // probe grid side the figures were measured on
 	// Selectivity is the estimated pair probability from the §3.4 model
-	// (internal/estimate): expected candidates ≈ NR·NS·Selectivity. It does
-	// not drive Decide yet, but is recorded with every captured plan so the
-	// flight recorder can show estimate-vs-actual drift.
+	// (internal/estimate): expected candidates ≈ NR·NS·Selectivity. Decide
+	// sizes the tree engine's workers from it, and it is recorded with every
+	// captured plan so the flight recorder can show estimate-vs-actual drift.
 	Selectivity float64
 }
 
@@ -122,8 +122,8 @@ func Analyze(r, s []rtree.Item) Stats {
 
 // Tuning thresholds for Decide. They are deliberately coarse: the planner
 // only needs to stay out of each engine's failure mode, not find the
-// optimum — the ≤1.5×-of-best regression test in plan_test.go pins that
-// contract.
+// optimum — TestAutoWithinFactorOfBest pins that contract on the engines'
+// counters, BenchmarkAutoVsFixed times it.
 const (
 	// treeRep is the replication factor above which partitioning is
 	// abandoned: each rectangle landing in >3 probe tiles means the grid
@@ -135,8 +135,9 @@ const (
 	// enabled (auto threshold). Uniform data probes ≈1.3; clustered data
 	// starts around 4 and climbs past 60 — 2.5 splits the two regimes.
 	refineSkew = 2.5
-	// workerShare is the number of rectangles that justifies one more
-	// worker before the maxWorkers cap.
+	// workerShare is the amount of work — rectangles for the partition
+	// engine, rectangles plus expected candidates for the tree engine —
+	// that justifies one more worker before the maxWorkers cap.
 	workerShare = 16 << 10
 )
 
@@ -171,22 +172,20 @@ func (d Decision) String() string {
 //     refinement switched to auto exactly when the probe grid saw a
 //     skewed occupancy (refinement on uniform data is a wasted scan,
 //     refinement on clustered data is worth >1.5× — see
-//     TestRefinedBeatsUnrefinedClustered).
+//     partjoin's BenchmarkRefinedVsUnrefinedClustered).
 func Decide(st Stats, maxWorkers int) Decision {
 	if maxWorkers <= 0 {
 		maxWorkers = 1
 	}
 	n := st.NR + st.NS
-	workers := n / workerShare
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > maxWorkers {
-		workers = maxWorkers
-	}
 	if st.Rep > treeRep {
-		return Decision{Engine: EngineTree, Workers: workers}
+		// The replication regime is few, large rectangles and many pairs:
+		// the tree join's work is in the expected candidates, which the
+		// cardinality alone misses by orders of magnitude there.
+		work := float64(n) + st.Selectivity*float64(st.NR)*float64(st.NS)
+		return Decision{Engine: EngineTree, Workers: clampWorkers(work/workerShare, maxWorkers)}
 	}
+	workers := clampWorkers(float64(n)/workerShare, maxWorkers)
 	// The grid choice is skew-aware: the planner runs before the first
 	// (cold, pipelined) join, where a clustered workload would otherwise
 	// start from the uniform-data grid and lean entirely on refinement to
@@ -201,6 +200,17 @@ func Decide(st Stats, maxWorkers int) Decision {
 		d.RefineThreshold = 0 // auto: fair-share trigger, sweet-spot recursion
 	}
 	return d
+}
+
+// clampWorkers truncates a work/workerShare quotient to [1, maxWorkers].
+func clampWorkers(share float64, maxWorkers int) int {
+	if !(share >= 1) { // also catches a NaN selectivity estimate
+		return 1
+	}
+	if share > float64(maxWorkers) {
+		return maxWorkers
+	}
+	return int(share)
 }
 
 func clampProbe(v int) int {

@@ -2,7 +2,7 @@ package rtree
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"spjoin/internal/geom"
 	"spjoin/internal/storage"
@@ -88,8 +88,11 @@ func (t *Tree) packLevel(entries []Entry, level, maxEntries int) []*Node {
 	sliceCount := int(math.Ceil(math.Sqrt(float64(p))))
 	sliceSize := sliceCount * maxEntries
 
-	sort.SliceStable(entries, func(i, j int) bool {
-		return entries[i].Rect.CenterX() < entries[j].Rect.CenterX()
+	// slices.SortStableFunc, not sort.SliceStable: same algorithm and so the
+	// same (unique) stable order, without the reflection-based swapper
+	// moving 48-byte entries.
+	slices.SortStableFunc(entries, func(a, b Entry) int {
+		return cmpLess(a.Rect.CenterX(), b.Rect.CenterX())
 	})
 
 	var nodes []*Node
@@ -99,8 +102,8 @@ func (t *Tree) packLevel(entries []Entry, level, maxEntries int) []*Node {
 			end = len(entries)
 		}
 		slice := entries[start:end]
-		sort.SliceStable(slice, func(i, j int) bool {
-			return slice[i].Rect.CenterY() < slice[j].Rect.CenterY()
+		slices.SortStableFunc(slice, func(a, b Entry) int {
+			return cmpLess(a.Rect.CenterY(), b.Rect.CenterY())
 		})
 		for s := 0; s < len(slice); s += maxEntries {
 			e := s + maxEntries
@@ -114,6 +117,18 @@ func (t *Tree) packLevel(entries []Entry, level, maxEntries int) []*Node {
 	}
 
 	return t.rebalanceTail(nodes)
+}
+
+// cmpLess is the three-way form of a < b under which NaN keys order exactly
+// as they do with a plain less function: unordered, hence equal.
+func cmpLess(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
+	}
+	return 0
 }
 
 // rebalanceTail fixes up the short tail of a freshly packed level. Only the
