@@ -33,6 +33,7 @@ cover:
 
 fuzz:
 	go test -run='^$$' -fuzz=FuzzSweepSoAOracle -fuzztime=30s ./internal/geom/
+	go test -run='^$$' -fuzz=FuzzRadixOrder -fuzztime=30s ./internal/geom/
 
 # Export the seed-workload Perfetto trace + critical-path report (to
 # artifacts/) and validate the trace against the trace-event schema.

@@ -382,6 +382,20 @@ func BenchmarkPartitionJoinColdSkewed(b *testing.B) {
 	}
 }
 
+// BenchmarkBulkLoadSTRParallel is the tree engine's cold build at paper
+// scale: the 131,443 street MBRs of tiger.Maps(1.0) packed at the fill the
+// repository benchmark uses, workers = GOMAXPROCS. It is dominated by the
+// two keyed radix orderings per level and the entry gather. Declared after
+// ColdSkewed for the same reason that one is declared late.
+func BenchmarkBulkLoadSTRParallel(b *testing.B) {
+	streets, _ := tiger.Maps(1.0, 42)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rtree.BulkLoadSTRParallel(rtree.DefaultParams(), streets, 0.73, 0)
+	}
+}
+
 // --- ablation benches (DESIGN.md: design choices) ------------------------
 
 // BenchmarkAblationRestriction compares the sequential join with and

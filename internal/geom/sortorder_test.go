@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -108,6 +109,70 @@ func TestSortOrderByMinXScratchZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSortOrderByMinXKeyedZeroAlloc is the resident-buffer contract of the
+// full-sort path: with word buffers of the order's length and a scratch of a
+// quarter of it, a re-sort of a heavily disordered order (reversed, so the
+// scan gives up) allocates nothing.
+func TestSortOrderByMinXKeyedZeroAlloc(t *testing.T) {
+	const n = 4096
+	rng := rand.New(rand.NewSource(13))
+	rects := make([]Rect, n)
+	order := make([]int32, n)
+	for i := range rects {
+		rects[i] = randomRect(rng)
+		order[i] = int32(i)
+	}
+	ka, kb := make([]uint64, n), make([]uint64, n)
+	scratch := make([]int32, n/repairMaxFrac+1)
+	if _, d := sortOrderRepair(rects, order, scratch, ka, kb); d != -1 {
+		t.Fatalf("random order: scan extracted %d elements, want the full sort", d)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		slices.Reverse(order)
+		scratch = SortOrderByMinXKeyed(rects, order, scratch, ka, kb)
+	})
+	if allocs != 0 {
+		t.Fatalf("keyed full sort allocated %.1f times per run, want 0", allocs)
+	}
+	if !orderIsSorted(rects, order) {
+		t.Fatal("order not sorted after the keyed full sort")
+	}
+}
+
+// TestRepairScanSingleMove pins the scan's displaced count — not its time —
+// for the two one-rect disturbances: a rect whose key shrank and a rect
+// whose key grew each cost at most two extracted elements. Before the scan
+// evicted a kept outlier, the second classed everything between the rect's
+// old and new position as displaced and fell to a full sort.
+func TestRepairScanSingleMove(t *testing.T) {
+	const n = 4096
+	rng := rand.New(rand.NewSource(19))
+	rects := make([]Rect, n)
+	order := make([]int32, n)
+	for i := range rects {
+		rects[i] = randomRect(rng)
+		order[i] = int32(i)
+	}
+	quickSortOrder(rects, order)
+	for name, move := range map[string][2]int{"key grew": {100, 3000}, "key shrank": {3000, 100}} {
+		moved := append([]Rect(nil), rects...)
+		from, to := order[move[0]], order[move[1]]
+		w := moved[from].MaxX - moved[from].MinX
+		moved[from].MinX = moved[to].MinX
+		moved[from].MaxX = moved[from].MinX + w
+		got := append([]int32(nil), order...)
+		_, d := sortOrderRepair(moved, got, nil, nil, nil)
+		if d < 1 || d > 2 {
+			t.Errorf("%s: scan extracted %d elements, want 1 or 2", name, d)
+		}
+		want := append([]int32(nil), order...)
+		quickSortOrder(moved, want)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: repaired order differs from the comparison sort's", name)
+		}
+	}
+}
+
 func TestSortOrderByMinXLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{0, 1, 2, 47, 48, 49, 100, 1000, 5000} {
@@ -136,5 +201,29 @@ func TestSortOrderByMinXLarge(t *testing.T) {
 			rev[i] = sorted[n-1-i]
 		}
 		checkSortOrder(t, rects, rev)
+	}
+}
+
+// paperScaleN is the larger side of the paper's join (131,443 street MBRs).
+const paperScaleN = 131443
+
+// BenchmarkSortOrderCold is the cold join's global sort of one side at paper
+// scale: identity order over unsorted rects, resident buffers.
+func BenchmarkSortOrderCold(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	rects := make([]Rect, paperScaleN)
+	for i := range rects {
+		rects[i] = randomRect(rng)
+	}
+	order := make([]int32, len(rects))
+	ka, kb := make([]uint64, len(rects)), make([]uint64, len(rects))
+	var scratch []int32
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range order {
+			order[j] = int32(j)
+		}
+		scratch = SortOrderByMinXKeyed(rects, order, scratch, ka, kb)
 	}
 }

@@ -67,42 +67,73 @@ func SortOrderByMinX(rects []Rect, order []int32) {
 // beats quicksort partitioning (node-sized lists sit below it).
 const orderSortCutoff = 48
 
-// repairMaxFrac bounds the repair path of SortOrderByMinXScratch: with more
+// repairMaxFrac bounds the repair path of SortOrderByMinXKeyed: with more
 // than 1/repairMaxFrac of the elements displaced the extract-and-merge
-// repair loses to a straight quicksort, so the function falls back.
+// repair loses to a full sort, so the function falls back.
 const repairMaxFrac = 4
 
-// SortOrderByMinXScratch is SortOrderByMinX with a caller-provided scratch
-// buffer that enables a repair strategy for nearly-sorted inputs: one scan
-// compacts the leading ascending run in place and extracts the displaced
-// elements into scratch; the (few) displaced elements are sorted on their
-// own and merged back from the tail, so a k-element disturbance of an
-// n-element order costs O(n + k log k) instead of a full O(n log n) sort.
-// This is the partition join's order-maintenance workhorse — a mutated
-// input typically displaces a handful of rectangles out of an otherwise
-// intact sweep order. Inputs with more than a quarter of their elements
-// displaced fall back to quicksort. Returns the (possibly grown) scratch
-// buffer for reuse; passing nil scratch is allowed.
+// SortOrderByMinXKeyed is SortOrderByMinX with caller-provided buffers that
+// enable a repair strategy for nearly-sorted inputs: one scan compacts an
+// ascending subsequence in place and extracts the d elements that broke it
+// into scratch; those are sorted on their own and merged back from the
+// tail, for O(n + d log d) in total. A rect whose key shrank is extracted
+// alone, and so is one whose key grew (the scan evicts it when its successor
+// still fits behind its predecessor), so k isolated disturbances give
+// d <= k; only a run of two or more adjacent rects whose keys all grew still
+// drags the elements up to their new position into d. This is the partition
+// join's order-maintenance workhorse — a mutated input typically displaces a
+// handful of rectangles out of an otherwise intact sweep order.
+//
+// Once more than a quarter of the elements are displaced the scan stops and
+// the whole order is sorted: by the keyed radix sort over the word buffers
+// ka and kb (see radix.go), or by quicksort when the keys cannot be
+// quantised. With len(ka), len(kb) >= len(order) and a scratch of
+// len(order)/4+1 nothing is allocated; shorter (or nil) buffers are replaced.
+// The word buffers' contents are scratch — the partition join lends its
+// tile-code array as one of them. Returns the (possibly grown) scratch
+// buffer for reuse.
+func SortOrderByMinXKeyed(rects []Rect, order, scratch []int32, ka, kb []uint64) []int32 {
+	scratch, _ = sortOrderRepair(rects, order, scratch, ka, kb)
+	return scratch
+}
+
+// SortOrderByMinXScratch is SortOrderByMinXKeyed for callers without
+// resident word buffers: a full sort allocates them.
 func SortOrderByMinXScratch(rects []Rect, order []int32, scratch []int32) []int32 {
+	return SortOrderByMinXKeyed(rects, order, scratch, nil, nil)
+}
+
+// sortOrderRepair implements SortOrderByMinXKeyed and reports the number of
+// displaced elements its scan extracted (-1 when it took the full sort).
+func sortOrderRepair(rects []Rect, order, scratch []int32, ka, kb []uint64) ([]int32, int) {
 	n := len(order)
 	if n <= orderSortCutoff {
 		insertionSortOrder(rects, order)
-		return scratch
+		return scratch, 0
 	}
-	if cap(scratch) < n {
-		scratch = make([]int32, n)
+	limit := n / repairMaxFrac
+	if cap(scratch) <= limit {
+		scratch = make([]int32, limit+1)
 	}
-	scratch = scratch[:n]
+	scratch = scratch[:cap(scratch)]
 	// Split scan: order[:k] accumulates the kept ascending subsequence,
 	// scratch[:d] the elements that broke it. Reads stay ahead of writes
 	// (k+d == i), so the compaction is safe in place.
 	k, d := 0, 0
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && d <= limit; i++ {
 		v := order[i]
 		if k > 0 {
 			p := order[k-1]
 			if rectLess(rects[v], rects[p], int(v), int(p)) {
-				scratch[d] = v
+				// A descent. If v still fits behind p's predecessor, p is
+				// the outlier (its key grew): evict it and keep v, or every
+				// element up to p's key would be classed displaced.
+				if k == 1 || !rectLess(rects[v], rects[order[k-2]], int(v), int(order[k-2])) {
+					scratch[d] = p
+					order[k-1] = v
+				} else {
+					scratch[d] = v
+				}
 				d++
 				continue
 			}
@@ -111,19 +142,18 @@ func SortOrderByMinXScratch(rects []Rect, order []int32, scratch []int32) []int3
 		k++
 	}
 	if d == 0 {
-		return scratch // already sorted
+		return scratch, 0 // already sorted
 	}
-	if d > n/repairMaxFrac {
-		// Heavily disordered: restore the permutation and sort outright.
-		copy(order[k:], scratch[:d])
-		quickSortOrder(rects, order)
-		return scratch
+	if d > limit {
+		// Heavily disordered: put the extracted elements back into the gap
+		// the compaction left (order[k+d:] is still unread) and sort outright.
+		copy(order[k:k+d], scratch[:d])
+		if !radixSortOrder(rects, order, ka, kb) {
+			quickSortOrder(rects, order)
+		}
+		return scratch, -1
 	}
-	if d <= orderSortCutoff {
-		insertionSortOrder(rects, scratch[:d])
-	} else {
-		quickSortOrder(rects, scratch[:d])
-	}
+	quickSortOrder(rects, scratch[:d])
 	// Backward merge of order[:k] and scratch[:d] into order[:n]: writing
 	// from the tail never clobbers an unread kept element because the write
 	// position stays at least d slots ahead of the read position.
@@ -137,7 +167,7 @@ func SortOrderByMinXScratch(rects []Rect, order []int32, scratch []int32) []int3
 			jd--
 		}
 	}
-	return scratch
+	return scratch, d
 }
 
 // insertionSortOrder is a binary-insertion sort over the order slice.

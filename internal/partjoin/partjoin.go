@@ -256,9 +256,10 @@ type Joiner struct {
 	rItems, sItems []rtree.Item
 	rRects, sRects []geom.Rect
 	rIDs, sIDs     []rtree.EntryID
-	rOrd, sOrd     []int32 // global sweep orders, persisted across joins
-	rTile, sTile   []int64 // per-sweep-position packed tile ranges
-	rScr, sScr     []int32 // repair-sort scratch (geom.SortOrderByMinXScratch)
+	rOrd, sOrd     []int32  // global sweep orders, persisted across joins
+	rTile, sTile   []uint64 // per-sweep-position packed tile ranges
+	rScr, sScr     []int32  // repair-sort scratch (geom.SortOrderByMinXKeyed)
+	rKey, sKey     []uint64 // full-sort word buffer; the side's tile codes are the other
 
 	// Count-phase controls: countMask selects the sides phaseCount walks
 	// (bit 1 = R, bit 2 = S) and countVerify whether the pass doubles as the
@@ -484,6 +485,12 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 			// them; an intact side keeps its first-pass counts and codes.
 			// The abandoned partial count is the cold-path price for the
 			// steady state's free check.
+			if j.redoR {
+				j.rKey = growCodes(j.rKey, len(r))
+			}
+			if j.redoS {
+				j.sKey = growCodes(j.sKey, len(s))
+			}
 			j.runPhase(phaseSort)
 			mask := uint8(0)
 			if j.redoR {
@@ -800,24 +807,17 @@ func unionFast(m geom.Rect, r geom.Rect) geom.Rect {
 // sortSides brings the out-of-order sides (per the count pass's disorder
 // flags, latched into redoR/redoS) into sweep order, using the repair sort
 // so a lightly disturbed persisted order costs a scan plus a small merge
-// rather than a full quicksort. With two or more workers the sides sort
-// concurrently (the other workers idle — the phase is bounded by the
-// larger side either way).
+// rather than a full sort. A full sort is the keyed radix sort over the
+// side's word buffer and its tile-code array — the abandoned count's codes
+// are dead, the recount rewrites every one. With two or more workers the
+// sides sort concurrently (the other workers idle — the phase is bounded
+// by the larger side either way).
 func (j *Joiner) sortSides(w int) {
-	if j.workers >= 2 {
-		if w == 0 && j.redoR {
-			j.rScr = geom.SortOrderByMinXScratch(j.rRects[:len(j.rItems)], j.rOrd, j.rScr)
-		}
-		if w == 1 && j.redoS {
-			j.sScr = geom.SortOrderByMinXScratch(j.sRects[:len(j.sItems)], j.sOrd, j.sScr)
-		}
-		return
+	if j.redoR && (w == 0 || j.workers < 2) {
+		j.rScr = geom.SortOrderByMinXKeyed(j.rRects[:len(j.rItems)], j.rOrd, j.rScr, j.rTile, j.rKey)
 	}
-	if j.redoR {
-		j.rScr = geom.SortOrderByMinXScratch(j.rRects[:len(j.rItems)], j.rOrd, j.rScr)
-	}
-	if j.redoS {
-		j.sScr = geom.SortOrderByMinXScratch(j.sRects[:len(j.sItems)], j.sOrd, j.sScr)
+	if j.redoS && (w == 1 || j.workers < 2) {
+		j.sScr = geom.SortOrderByMinXKeyed(j.sRects[:len(j.sItems)], j.sOrd, j.sScr, j.sTile, j.sKey)
 	}
 }
 
@@ -836,7 +836,7 @@ func (j *Joiner) bucketChunk(w int, scatter bool) {
 		part  *gridSide
 		rects []geom.Rect
 		ord   []int32
-		codes []int64
+		codes []uint64
 	}{
 		{&j.rPart, j.rRects, j.rOrd, j.rTile},
 		{&j.sPart, j.sRects, j.sOrd, j.sTile},
@@ -1003,7 +1003,7 @@ func (j *Joiner) verifyChunk(w int) {
 		part  *gridSide
 		rects []geom.Rect
 		ord   []int32
-		codes []int64
+		codes []uint64
 	}{
 		{&j.rPart, j.rRects, j.rOrd, j.rTile},
 		{&j.sPart, j.sRects, j.sOrd, j.sTile},
@@ -1038,14 +1038,14 @@ func (j *Joiner) verifyChunk(w int) {
 	}
 }
 
-// packTiles/unpackTiles encode a rect's inclusive tile range in one int64
+// packTiles/unpackTiles encode a rect's inclusive tile range in one uint64
 // (10 bits per coordinate fits the 1024 grid cap), so the scatter pass
 // reuses the count pass's tileOf work.
-func packTiles(x0, y0, x1, y1 int) int64 {
-	return int64(x0) | int64(y0)<<10 | int64(x1)<<20 | int64(y1)<<30
+func packTiles(x0, y0, x1, y1 int) uint64 {
+	return uint64(x0) | uint64(y0)<<10 | uint64(x1)<<20 | uint64(y1)<<30
 }
 
-func unpackTiles(c int64) (x0, y0, x1, y1 int) {
+func unpackTiles(c uint64) (x0, y0, x1, y1 int) {
 	return int(c & 1023), int(c >> 10 & 1023), int(c >> 20 & 1023), int(c >> 30 & 1023)
 }
 
@@ -1409,9 +1409,9 @@ func prepOrder(ord []int32, n int) []int32 {
 	return ord
 }
 
-func growCodes(s []int64, n int) []int64 {
+func growCodes(s []uint64, n int) []uint64 {
 	if cap(s) < n {
-		return make([]int64, n)
+		return make([]uint64, n)
 	}
 	return s[:n]
 }

@@ -265,6 +265,46 @@ func TestJoinerReuseZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestJoinerFullResortZeroAlloc pins the resident-buffer contract of the
+// keyed radix sort inside a Joiner: a re-join whose R side arrives mirrored
+// in x (the persisted sweep order is exactly reversed, so the repair scan
+// gives up and the side is sorted outright) allocates nothing once both
+// states have been seen.
+func TestJoinerFullResortZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	r := items(randomRects(rng, 2000, 100, 2), 0)
+	s := items(randomRects(rng, 2000, 100, 2), 10000)
+	flipped := append([]rtree.Item(nil), r...)
+	for i := range flipped {
+		rc := &flipped[i].Rect
+		rc.MinX, rc.MaxX = 100-rc.MaxX, 100-rc.MinX
+	}
+	for _, workers := range []int{1, 2} {
+		cfg := Config{Workers: workers}
+		var j Joiner
+		sides := [2][]rtree.Item{r, flipped}
+		k := 0
+		rejoin := func() {
+			res := j.Join(sides[k%2], s, cfg)
+			if res.PhaseNS[timeline.PhaseSort] == 0 {
+				t.Error("join over a mirrored side did not run the sort phase")
+			}
+			k++
+		}
+		for k < 4 { // warm both states' buffers
+			rejoin()
+		}
+		allocs := testing.AllocsPerRun(10, rejoin)
+		if !reflect.DeepEqual(toSet(t, j.Join(flipped, s, cfg).Candidates), bruteSet(flipped, s)) {
+			t.Errorf("workers=%d: join after full re-sorts is wrong", workers)
+		}
+		j.Close()
+		if allocs != 0 {
+			t.Errorf("workers=%d: %.1f allocs per full-resort re-join, want 0", workers, allocs)
+		}
+	}
+}
+
 // TestJoinerReuseMutatedInputs drives one Joiner through every cache
 // transition of the steady-state fast path: unchanged re-joins (cursor
 // snapshot reuse), a within-tile move (codes still match — the fused

@@ -266,7 +266,7 @@ func (j *Joiner) pipeScatter(w int) {
 		part  *gridSide
 		rects []geom.Rect
 		ord   []int32
-		codes []int64
+		codes []uint64
 	}{
 		{&j.rPart, j.rRects, j.rOrd, j.rTile},
 		{&j.sPart, j.sRects, j.sOrd, j.sTile},

@@ -14,7 +14,6 @@ package plan
 
 import (
 	"fmt"
-	"math"
 
 	"spjoin/internal/estimate"
 	"spjoin/internal/partjoin"
@@ -65,36 +64,24 @@ type Stats struct {
 	Selectivity float64
 }
 
-// Analyze computes Stats with a single pass over both inputs: the joint
-// finite MBR, then per-cell center-point occupancy (for Skew) and the
-// count of probe cells each rectangle overlaps (for Rep). Rectangles with
-// NaN coordinates or inverted extents are skipped — they join with
-// nothing and should not distort the plan.
+// Analyze computes Stats in two passes over each input: estimate.AnalyzeSet
+// for the side's cardinality, mean extents and MBR — whose union is the
+// joint MBR the probe grid spans — then per-cell center-point occupancy
+// (for Skew) and the count of probe cells each rectangle overlaps (for
+// Rep). Rectangles with NaN coordinates or inverted extents are skipped —
+// they join with nothing and should not distort the plan.
 func Analyze(r, s []rtree.Item) Stats {
 	st := Stats{NR: len(r), NS: len(s), Probe: probeGrid}
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	valid := 0
-	var sides [2]estimate.SetStats
-	for k, side := range [2][]rtree.Item{r, s} {
-		sides[k] = estimate.AnalyzeSet(side)
-		for i := range side {
-			rc := &side[i].Rect
-			if !(rc.MinX <= rc.MaxX && rc.MinY <= rc.MaxY) {
-				continue // NaN or empty: joins with nothing
-			}
-			valid++
-			minX = math.Min(minX, rc.MinX)
-			minY = math.Min(minY, rc.MinY)
-			maxX = math.Max(maxX, rc.MaxX)
-			maxY = math.Max(maxY, rc.MaxY)
-		}
-	}
-	st.Selectivity = estimate.Selectivity(sides[0], sides[1])
+	sr, ss := estimate.AnalyzeSet(r), estimate.AnalyzeSet(s)
+	st.Selectivity = estimate.Selectivity(sr, ss)
+	valid := sr.N + ss.N
 	if valid == 0 {
 		st.Skew, st.Rep = 1, 1
 		return st
 	}
+	// An empty side's MBR is (+Inf, -Inf) and drops out of min and max.
+	minX, minY := min(sr.MBR.MinX, ss.MBR.MinX), min(sr.MBR.MinY, ss.MBR.MinY)
+	maxX, maxY := max(sr.MBR.MaxX, ss.MBR.MaxX), max(sr.MBR.MaxY, ss.MBR.MaxY)
 	invW := safeProbeInv(maxX - minX)
 	invH := safeProbeInv(maxY - minY)
 	counts := make([]float64, probeGrid*probeGrid)

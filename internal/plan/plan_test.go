@@ -205,6 +205,46 @@ func TestAnalyzeDegenerate(t *testing.T) {
 	}
 }
 
+// TestAnalyzeMatchesThreePassForm pins Analyze's Stats bit for bit against
+// the form it replaced (AnalyzeThreePass, export_test.go) on the planner
+// corpus and on the inputs where an open-coded min/max could part ways with
+// math.Min/Max: invalid rects, an empty side, signed zeros on the MBR edge,
+// infinite extents.
+func TestAnalyzeMatchesThreePassForm(t *testing.T) {
+	cases := fullCorpus()
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	odd := []rtree.Item{
+		{ID: 0, Rect: geom.NewRect(nan, nan, nan, nan)},
+		{ID: 1, Rect: geom.Rect{MinX: 5, MinY: 5, MaxX: 1, MaxY: 1}},
+		{ID: 2, Rect: geom.Rect{MinX: 0, MinY: negZero, MaxX: 3, MaxY: 4}},
+		{ID: 3, Rect: geom.Rect{MinX: negZero, MinY: 0, MaxX: 2, MaxY: 9}},
+		{ID: 4, Rect: geom.Rect{MinX: negZero, MinY: negZero, MaxX: negZero, MaxY: 0}},
+	}
+	inf := append([]rtree.Item{{ID: 9, Rect: geom.Rect{MinX: math.Inf(-1), MinY: 0, MaxX: math.Inf(1), MaxY: 1}}},
+		tiger.Uniform(100, 0.5, 3)...)
+	cases = append(cases, []struct {
+		name string
+		r, s []rtree.Item
+	}{
+		{"empty", nil, nil},
+		{"empty-r", nil, tiger.Uniform(500, 0.5, 1)},
+		{"odd", odd, tiger.Uniform(500, 0.5, 2)},
+		{"odd-only", odd[:2], odd[:1]},
+		{"zeros", odd[2:], odd[2:]},
+		{"infinite", inf, odd},
+	}...)
+	bits := func(st plan.Stats) [5]uint64 {
+		return [5]uint64{uint64(st.NR), uint64(st.NS),
+			math.Float64bits(st.Skew), math.Float64bits(st.Rep), math.Float64bits(st.Selectivity)}
+	}
+	for _, c := range cases {
+		got, want := plan.Analyze(c.r, c.s), plan.AnalyzeThreePass(c.r, c.s)
+		if bits(got) != bits(want) || got.Probe != want.Probe {
+			t.Errorf("%s: Analyze = %+v, three-pass form = %+v", c.name, got, want)
+		}
+	}
+}
+
 // TestAutoWithinFactorOfBest is the planner's contract — on every corpus
 // workload the auto plan stays out of each engine's failure mode — pinned on
 // counters the engines return and that repeat exactly, not on wall time

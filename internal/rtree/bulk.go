@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"math"
-	"slices"
 
 	"spjoin/internal/geom"
 	"spjoin/internal/storage"
@@ -24,6 +23,15 @@ type Item struct {
 // Insert while STR serves as a faster alternative and as the ablation
 // baseline BenchmarkAblationSTR.
 func BulkLoadSTR(params Params, items []Item, fill float64) *Tree {
+	return bulkLoadSTR(params, items, fill, 1)
+}
+
+// bulkLoadSTR is the loader behind BulkLoadSTR and BulkLoadSTRParallel.
+// Everything that decides the tree — the two orderings per level, the node
+// boundaries, the page numbering — is independent of workers; the goroutines
+// only share out key computation, per-slab sorts, entry copies and the sweep
+// caches.
+func bulkLoadSTR(params Params, items []Item, fill float64, workers int) *Tree {
 	params.validate()
 	if fill <= 0 || fill > 1 {
 		panic("rtree: STR fill factor out of (0, 1]")
@@ -40,11 +48,13 @@ func BulkLoadSTR(params Params, items []Item, fill float64) *Tree {
 		leafCap = 1
 	}
 	entries := make([]Entry, len(items))
-	for i, it := range items {
-		entries[i] = Entry{Rect: it.Rect, Child: storage.InvalidPage, Obj: it.ID}
-	}
+	parallelRanges(workers, len(items), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			entries[i] = Entry{Rect: items[i].Rect, Child: storage.InvalidPage, Obj: items[i].ID}
+		}
+	})
 	level := 0
-	nodes := t.packLevel(entries, level, leafCap)
+	nodes := t.packLevel(entries, level, leafCap, workers)
 
 	// Pack directory levels until a single node remains.
 	dirCap := int(float64(params.MaxDirEntries) * fill)
@@ -64,7 +74,7 @@ func BulkLoadSTR(params Params, items []Item, fill float64) *Tree {
 		if len(parentEntries) <= params.MaxDirEntries {
 			levelCap = params.MaxDirEntries
 		}
-		parents := t.packLevel(parentEntries, level, levelCap)
+		parents := t.packLevel(parentEntries, level, levelCap, workers)
 		for _, p := range parents {
 			for i := range p.Entries {
 				t.Node(p.Entries[i].Child).Parent = p.Page
@@ -76,59 +86,77 @@ func BulkLoadSTR(params Params, items []Item, fill float64) *Tree {
 	t.size = len(items)
 	// Build time is the one moment every node is known immutable: precompute
 	// the join sweep caches so the first join never sorts.
-	t.PrepareSweep()
+	t.prepareSweep(workers)
 	return t
 }
 
-// packLevel tiles entries into nodes of the given level: sort by center x,
-// cut into ceil(sqrt(p)) vertical slices of slice*cap entries, sort each
-// slice by center y, emit runs of cap entries.
-func (t *Tree) packLevel(entries []Entry, level, maxEntries int) []*Node {
-	p := (len(entries) + maxEntries - 1) / maxEntries // number of nodes
+// packLevel tiles entries into nodes of the given level: order by center x,
+// cut into ceil(sqrt(p)) vertical slabs of sliceCount*maxEntries entries,
+// order each slab by center y, emit runs of maxEntries entries. sliceSize
+// is a multiple of maxEntries, so node k holds positions [k*maxEntries,
+// (k+1)*maxEntries) of the final order.
+//
+// Both orderings are stable sorts of an index permutation by one float key
+// (geom.StableOrderByKey: keyed radix sort with an exact fix-up); the
+// entries themselves move once, from their input position into their node.
+// A stable sort's result is unique, so the tree is the one the textbook
+// "stable-sort the entries by x, then each slab by y" produces.
+func (t *Tree) packLevel(entries []Entry, level, maxEntries, workers int) []*Node {
+	n := len(entries)
+	if n < parallelPackMinEntries {
+		workers = 1
+	}
+	p := (n + maxEntries - 1) / maxEntries // number of nodes
 	sliceCount := int(math.Ceil(math.Sqrt(float64(p))))
 	sliceSize := sliceCount * maxEntries
 
-	// slices.SortStableFunc, not sort.SliceStable: same algorithm and so the
-	// same (unique) stable order, without the reflection-based swapper
-	// moving 48-byte entries.
-	slices.SortStableFunc(entries, func(a, b Entry) int {
-		return cmpLess(a.Rect.CenterX(), b.Rect.CenterX())
+	keys := make([]float64, n)
+	xOrd, ord := make([]int32, n), make([]int32, n)
+	ka, kb := make([]uint64, n), make([]uint64, n)
+
+	parallelRanges(workers, n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			keys[i] = entries[i].Rect.CenterX()
+		}
+	})
+	geom.StableOrderByKey(keys, xOrd, ka, kb)
+
+	// Slabs are disjoint position ranges, so each sorts inside its own
+	// window of the level's buffers.
+	slabs := (n + sliceSize - 1) / sliceSize
+	parallelRanges(workers, slabs, func(lo, hi int) {
+		for slab := lo; slab < hi; slab++ {
+			start := slab * sliceSize
+			end := min(start+sliceSize, n)
+			xo, yo, ky := xOrd[start:end], ord[start:end], keys[start:end]
+			for j, o := range xo {
+				ky[j] = entries[o].Rect.CenterY()
+			}
+			geom.StableOrderByKey(ky, yo, ka[start:end], kb[start:end])
+			for j, o := range yo {
+				yo[j] = xo[o] // slab position -> entry index
+			}
+		}
 	})
 
-	var nodes []*Node
-	for start := 0; start < len(entries); start += sliceSize {
-		end := start + sliceSize
-		if end > len(entries) {
-			end = len(entries)
-		}
-		slice := entries[start:end]
-		slices.SortStableFunc(slice, func(a, b Entry) int {
-			return cmpLess(a.Rect.CenterY(), b.Rect.CenterY())
-		})
-		for s := 0; s < len(slice); s += maxEntries {
-			e := s + maxEntries
-			if e > len(slice) {
-				e = len(slice)
+	// allocNode on the calling goroutine, in order: page numbers are dense
+	// and ascending along the final order whatever the worker count.
+	nodes := make([]*Node, p)
+	for k := range nodes {
+		nodes[k] = t.allocNode(level)
+	}
+	parallelRanges(workers, p, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			s := k * maxEntries
+			run := ord[s:min(s+maxEntries, n)]
+			ne := make([]Entry, len(run))
+			for i, o := range run {
+				ne[i] = entries[o]
 			}
-			n := t.allocNode(level)
-			n.Entries = append([]Entry(nil), slice[s:e]...)
-			nodes = append(nodes, n)
+			nodes[k].Entries = ne
 		}
-	}
-
+	})
 	return t.rebalanceTail(nodes)
-}
-
-// cmpLess is the three-way form of a < b under which NaN keys order exactly
-// as they do with a plain less function: unordered, hence equal.
-func cmpLess(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case b < a:
-		return 1
-	}
-	return 0
 }
 
 // rebalanceTail fixes up the short tail of a freshly packed level. Only the

@@ -1,27 +1,20 @@
 package rtree
 
 import (
-	"math"
 	"runtime"
-	"sort"
 	"sync"
-
-	"spjoin/internal/storage"
 )
 
-// Parallel STR bulk load. The sequential loader's per-level work — one
-// global stable sort by center x, per-slab stable sorts by center y, and
-// entry copies into nodes — is embarrassingly parallel, and because a
-// stable sort's output is a unique sequence (equal keys keep input order),
-// a chunked stable sort + stable merge produces exactly the permutation
-// sort.SliceStable would. Page numbers are assigned by the owner goroutine
-// in the same dense order allocNode uses, so the parallel loader's trees
-// are byte-identical to BulkLoadSTR's under WriteTo.
-//
-// The identity argument requires the comparators to be strict weak orders,
-// which holds for any input without NaN coordinates (NaN centers make
-// "stable sort" itself ambiguous; such rects are rejected by
-// CheckIntegrity anyway).
+// Parallel STR bulk load. bulkLoadSTR (bulk.go) decides nothing by worker
+// count: each level's center-x order is one keyed radix sort on the calling
+// goroutine (≈2 ms at 131k entries — a barrier per radix pass would cost
+// more than it shares out), and the slabs' center-y orders, the key
+// computation, the entry copies and the sweep caches fan out over disjoint
+// ranges. Both orderings are stable sorts, whose result is a unique
+// sequence (equal keys keep input order, NaN keys go first — see
+// geom.StableOrderByKey), and page numbers are assigned on the calling
+// goroutine in final order, so the trees are byte-identical to
+// BulkLoadSTR's under WriteTo for every input and every worker count.
 
 // Thresholds below which the parallel paths fall back to the sequential
 // code: goroutine fan-out costs more than it saves on small inputs.
@@ -32,122 +25,17 @@ var (
 )
 
 // BulkLoadSTRParallel builds the same tree as BulkLoadSTR — byte-identical
-// under WriteTo — using the given number of goroutines for the sort, pack,
-// and sweep-cache phases. workers <= 0 means GOMAXPROCS. Small inputs and
-// workers == 1 fall back to the sequential loader.
+// under WriteTo — using the given number of goroutines for the key, slab
+// sort, pack, and sweep-cache phases. workers <= 0 means GOMAXPROCS. Small
+// inputs run on the calling goroutine alone.
 func BulkLoadSTRParallel(params Params, items []Item, fill float64, workers int) *Tree {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 || len(items) < parallelBulkMinItems {
-		return BulkLoadSTR(params, items, fill)
+	if len(items) < parallelBulkMinItems {
+		workers = 1
 	}
-	params.validate()
-	if fill <= 0 || fill > 1 {
-		panic("rtree: STR fill factor out of (0, 1]")
-	}
-	t := &Tree{params: params, root: storage.InvalidPage}
-	if len(items) == 0 {
-		t.root = t.allocNode(0).Page
-		return t
-	}
-
-	leafCap := int(float64(params.MaxDataEntries) * fill)
-	if leafCap < 1 {
-		leafCap = 1
-	}
-	entries := make([]Entry, len(items))
-	parallelRanges(workers, len(items), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			entries[i] = Entry{Rect: items[i].Rect, Child: storage.InvalidPage, Obj: items[i].ID}
-		}
-	})
-	level := 0
-	nodes := t.packLevelParallel(entries, level, leafCap, workers)
-
-	dirCap := int(float64(params.MaxDirEntries) * fill)
-	if dirCap < 2 {
-		dirCap = 2
-	}
-	for len(nodes) > 1 {
-		level++
-		parentEntries := make([]Entry, len(nodes))
-		for i, n := range nodes {
-			parentEntries[i] = Entry{Rect: n.MBR(), Child: n.Page, Obj: -1}
-		}
-		levelCap := dirCap
-		if len(parentEntries) <= params.MaxDirEntries {
-			levelCap = params.MaxDirEntries
-		}
-		parents := t.packLevelParallel(parentEntries, level, levelCap, workers)
-		for _, p := range parents {
-			for i := range p.Entries {
-				t.Node(p.Entries[i].Child).Parent = p.Page
-			}
-		}
-		nodes = parents
-	}
-	t.root = nodes[0].Page
-	t.size = len(items)
-	parallelRanges(workers, len(t.nodes), func(lo, hi int) {
-		for _, n := range t.nodes[lo:hi] {
-			if n != nil {
-				n.ensureSweep()
-			}
-		}
-	})
-	return t
-}
-
-// packLevelParallel is packLevel with the sorts and entry copies spread
-// over workers goroutines. The node boundaries are identical to the
-// sequential tiling: sliceSize is a multiple of maxEntries, so every run
-// of maxEntries entries starts at a global multiple of maxEntries and
-// node k holds entries [k*maxEntries, (k+1)*maxEntries).
-func (t *Tree) packLevelParallel(entries []Entry, level, maxEntries, workers int) []*Node {
-	if workers == 1 || len(entries) < parallelPackMinEntries {
-		return t.packLevel(entries, level, maxEntries)
-	}
-	p := (len(entries) + maxEntries - 1) / maxEntries
-	sliceCount := int(math.Ceil(math.Sqrt(float64(p))))
-	sliceSize := sliceCount * maxEntries
-
-	parallelStableSort(entries, workers, func(a, b *Entry) bool {
-		return a.Rect.CenterX() < b.Rect.CenterX()
-	})
-
-	slabs := (len(entries) + sliceSize - 1) / sliceSize
-	parallelRanges(workers, slabs, func(lo, hi int) {
-		for slab := lo; slab < hi; slab++ {
-			start := slab * sliceSize
-			end := start + sliceSize
-			if end > len(entries) {
-				end = len(entries)
-			}
-			slice := entries[start:end]
-			sort.SliceStable(slice, func(i, j int) bool {
-				return slice[i].Rect.CenterY() < slice[j].Rect.CenterY()
-			})
-		}
-	})
-
-	// allocNode sequentially so page numbering matches the sequential
-	// loader exactly; only the entry copies fan out.
-	nodes := make([]*Node, p)
-	for k := range nodes {
-		nodes[k] = t.allocNode(level)
-	}
-	parallelRanges(workers, p, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			s := k * maxEntries
-			e := s + maxEntries
-			if e > len(entries) {
-				e = len(entries)
-			}
-			nodes[k].Entries = append([]Entry(nil), entries[s:e]...)
-		}
-	})
-	return t.rebalanceTail(nodes)
+	return bulkLoadSTR(params, items, fill, workers)
 }
 
 // parallelRanges splits [0, n) into one contiguous range per worker and
@@ -173,88 +61,4 @@ func parallelRanges(workers, n int, f func(lo, hi int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// parallelStableSort sorts entries exactly as sort.SliceStable(entries,
-// less) would: contiguous chunks are stable-sorted concurrently, then
-// adjacent runs are merged pairwise with ties taken from the left run.
-// Chunks partition the input in order, so left-priority merging preserves
-// the original order of equal keys — the defining property of the (unique)
-// stable sort result.
-func parallelStableSort(entries []Entry, workers int, less func(a, b *Entry) bool) {
-	n := len(entries)
-	if n == 0 {
-		return
-	}
-	chunks := workers
-	if chunks > n {
-		chunks = n
-	}
-	bounds := make([]int, chunks+1)
-	for i := 0; i <= chunks; i++ {
-		bounds[i] = n * i / chunks
-	}
-	var wg sync.WaitGroup
-	for c := 0; c < chunks; c++ {
-		s := entries[bounds[c]:bounds[c+1]]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sort.SliceStable(s, func(i, j int) bool { return less(&s[i], &s[j]) })
-		}()
-	}
-	wg.Wait()
-
-	scratch := make([]Entry, n)
-	src, dst := entries, scratch
-	for len(bounds) > 2 {
-		merged := make([]int, 1, len(bounds)/2+2)
-		var wg sync.WaitGroup
-		runs := len(bounds) - 1
-		for r := 0; r < runs; r += 2 {
-			lo := bounds[r]
-			if r+1 == runs { // odd run out: carry it into dst unchanged
-				hi := bounds[r+1]
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					copy(dst[lo:hi], src[lo:hi])
-				}()
-				merged = append(merged, hi)
-				continue
-			}
-			mid, hi := bounds[r+1], bounds[r+2]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				mergeStable(dst[lo:hi], src[lo:mid], src[mid:hi], less)
-			}()
-			merged = append(merged, hi)
-		}
-		wg.Wait()
-		bounds = merged
-		src, dst = dst, src
-	}
-	if &src[0] != &entries[0] {
-		copy(entries, src)
-	}
-}
-
-// mergeStable merges sorted runs a and b into dst (len(dst) == len(a) +
-// len(b)), taking from a on ties so stability is preserved when a precedes
-// b in the original order.
-func mergeStable(dst, a, b []Entry, less func(x, y *Entry) bool) {
-	k := 0
-	for len(a) > 0 && len(b) > 0 {
-		if less(&b[0], &a[0]) {
-			dst[k] = b[0]
-			b = b[1:]
-		} else {
-			dst[k] = a[0]
-			a = a[1:]
-		}
-		k++
-	}
-	copy(dst[k:], a)
-	copy(dst[k+len(a):], b)
 }

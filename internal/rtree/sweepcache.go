@@ -150,10 +150,16 @@ func rectOrderOK(a, b geom.Rect, ia, ib int) bool {
 // PrepareSweep precomputes the sweep cache of every live node. Call it once
 // before joining a tree from multiple goroutines: afterwards SweepView only
 // reads, so concurrent joins need no synchronization on the tree.
-func (t *Tree) PrepareSweep() {
-	for _, n := range t.nodes {
-		if n != nil {
-			n.ensureSweep()
+func (t *Tree) PrepareSweep() { t.prepareSweep(1) }
+
+// prepareSweep is PrepareSweep spread over workers goroutines; each node's
+// cache is built by exactly one of them.
+func (t *Tree) prepareSweep(workers int) {
+	parallelRanges(workers, len(t.nodes), func(lo, hi int) {
+		for _, n := range t.nodes[lo:hi] {
+			if n != nil {
+				n.ensureSweep()
+			}
 		}
-	}
+	})
 }

@@ -107,8 +107,8 @@ diff_suite() {
 
 diff_suite BENCH_kernel.json \
     . '^(BenchmarkKernelExpand|BenchmarkSequentialJoin$)' \
-    ./internal/geom/ '^(BenchmarkIntersectBatchPlanes(Quant)?$|BenchmarkSweepPairsPlanes(Dense)?$)'
+    ./internal/geom/ '^(BenchmarkIntersectBatchPlanes(Quant)?$|BenchmarkSweepPairsPlanes(Dense)?$|BenchmarkSortOrderCold$)'
 diff_suite BENCH_partjoin.json \
-    . '^(BenchmarkPartitionJoin(Cold|ColdSkewed|Skewed|SkewedRefined|Introspected|Health)?$|BenchmarkNativeTreeJoin$)'
+    . '^(BenchmarkPartitionJoin(Cold|ColdSkewed|Skewed|SkewedRefined|Introspected|Health)?$|BenchmarkNativeTreeJoin$|BenchmarkBulkLoadSTRParallel$)'
 
 exit "$fail"
