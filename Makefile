@@ -31,9 +31,10 @@ bench-history:
 cover:
 	./scripts/cover.sh
 
+# Run every fuzz target (the list lives in scripts/fuzz.sh; CI calls the same
+# script). FUZZTIME overrides each target's own duration.
 fuzz:
-	go test -run='^$$' -fuzz=FuzzSweepSoAOracle -fuzztime=30s ./internal/geom/
-	go test -run='^$$' -fuzz=FuzzRadixOrder -fuzztime=30s ./internal/geom/
+	./scripts/fuzz.sh $(FUZZTIME)
 
 # Export the seed-workload Perfetto trace + critical-path report (to
 # artifacts/) and validate the trace against the trace-event schema.

@@ -17,6 +17,7 @@ import (
 	"spjoin/internal/exp"
 
 	"spjoin/internal/flight"
+	"spjoin/internal/geom"
 	"spjoin/internal/join"
 	"spjoin/internal/pagefile"
 	"spjoin/internal/parjoin"
@@ -25,6 +26,7 @@ import (
 	"spjoin/internal/rtree"
 	"spjoin/internal/runtimeobs"
 	"spjoin/internal/tiger"
+	"spjoin/internal/timeline"
 	"spjoin/internal/zorder"
 )
 
@@ -264,9 +266,50 @@ func BenchmarkPartitionJoinHealth(b *testing.B) {
 	}
 }
 
+// rebuildRects is how many rects the cold benchmarks displace per
+// iteration: past what the Joiner's delta tier patches in place (64 per
+// join), so every iteration runs the full rebuild.
+const rebuildRects = 96
+
+// displacer toggles rebuildRects rects from the middle of r between their
+// home position and one at half their MinX (inside the data MBR, so the
+// grid geometry stays representative).
+type displacer struct {
+	side []rtree.Item
+	home []geom.Rect
+}
+
+func newDisplacer(r []rtree.Item) *displacer {
+	side := r[len(r)/2:][:rebuildRects]
+	home := make([]geom.Rect, len(side))
+	for i := range side {
+		home[i] = side[i].Rect
+	}
+	return &displacer{side, home}
+}
+
+func (d *displacer) toggle(away bool) {
+	for i, rc := range d.home {
+		if away {
+			w := rc.MaxX - rc.MinX
+			rc.MinX *= 0.5
+			rc.MaxX = rc.MinX + w
+		}
+		d.side[i].Rect = rc
+	}
+}
+
+// rebuildJoin re-joins and insists the full rebuild served it: a cold
+// benchmark that silently landed on a cheaper tier would measure nothing.
+func rebuildJoin(b *testing.B, j *partjoin.Joiner, r, s []rtree.Item, cfg partjoin.Config) {
+	if res := j.Join(r, s, cfg); res.Reuse != partjoin.ReuseRebuild {
+		b.Fatalf("re-join served by the %q tier, want rebuild", res.Reuse)
+	}
+}
+
 // BenchmarkPartitionJoinCold defeats the Joiner's reuse cache by moving
-// one rectangle across the world every iteration (staying inside the data
-// MBR so the grid geometry itself is representative), forcing the
+// rebuildRects rectangles across the world every iteration (staying inside
+// the data MBR so the grid geometry itself is representative), forcing the
 // worst-tier fallback each time: re-sort the disturbed order, recount,
 // re-scatter. This is the honest cost of joining fresh data with a warm
 // Joiner.
@@ -276,18 +319,12 @@ func BenchmarkPartitionJoinCold(b *testing.B) {
 	defer j.Close()
 	cfg := partjoin.Config{}
 	j.Join(streets, mixed, cfg) // warm buffers and pool
-	home := streets[len(streets)/2].Rect
+	d := newDisplacer(streets)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := home
-		if i%2 == 1 {
-			w := r.MaxX - r.MinX
-			r.MinX = home.MinX * 0.5
-			r.MaxX = r.MinX + w
-		}
-		streets[len(streets)/2].Rect = r
-		j.Join(streets, mixed, cfg)
+		d.toggle(i%2 == 0)
+		rebuildJoin(b, &j, streets, mixed, cfg)
 	}
 }
 
@@ -350,9 +387,9 @@ func BenchmarkNativeTreeJoin(b *testing.B) {
 }
 
 // BenchmarkPartitionJoinColdSkewed is the cold path on clustered data at
-// 10x the refinement benchmarks' cardinality: every iteration disturbs
-// one rectangle's order so the pipelined build re-sorts, recounts and
-// re-scatters a workload whose tiles are heavily skewed — hot tiles route
+// 10x the refinement benchmarks' cardinality: every iteration disturbs the
+// order of rebuildRects rectangles so the pipelined build re-sorts, recounts
+// and re-scatters a workload whose tiles are heavily skewed — hot tiles route
 // through the in-pipeline refinement hand-off instead of the uniform
 // sweep. Gates the cold build against the regime where readiness matters
 // most (many tiles, a few huge ones). Declared after the other snapshot
@@ -367,19 +404,116 @@ func BenchmarkPartitionJoinColdSkewed(b *testing.B) {
 	defer j.Close()
 	cfg := partjoin.Config{}
 	j.Join(r, s, cfg) // warm buffers and pool
-	home := r[len(r)/2].Rect
+	d := newDisplacer(r)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rc := home
-		if i%2 == 1 {
-			w := rc.MaxX - rc.MinX
-			rc.MinX = home.MinX * 0.5
-			rc.MaxX = rc.MinX + w
-		}
-		r[len(r)/2].Rect = rc
-		j.Join(r, s, cfg)
+		d.toggle(i%2 == 0)
+		rebuildJoin(b, &j, r, s, cfg)
 	}
+}
+
+// BenchmarkPartitionJoinRejoinMutated is the resident Joiner's reuse tiers
+// at paper scale (tiger.Maps(1.0): 131,443 × 127,312), one sub-benchmark per
+// step kind of the repository benchmark's tiger_rejoin cycle: clean (nothing
+// changed), intile / crosstile / reorder (one rect changed — grown inside
+// its tile, moved two tile rows, mirrored across the world), restore3 (all
+// three put back at once) — and hottile, the in-tile growth applied to a rect
+// of the costliest tile, which is refined: the change goes down the tile's
+// refinement subtree and must leave the schedule standing. Only the re-join
+// that meets the change is timed; getting back to the base state happens off
+// the clock. Every tier is allocation-free. Declared after the small snapshot benchmarks, like the
+// other paper-scale ones.
+func BenchmarkPartitionJoinRejoinMutated(b *testing.B) {
+	r, s := tiger.Maps(1.0, 42)
+	var j partjoin.Joiner
+	defer j.Close()
+	cfg := partjoin.Config{}
+	muts, ok := tiger.RejoinMutations(r, s, j.Join(r, s, cfg).GX)
+	if !ok {
+		b.Fatal("no rect qualifies for one of the mutations")
+	}
+	var home [3]geom.Rect
+	for k, m := range muts {
+		home[k] = r[m.Idx].Rect
+	}
+	set := func(mutated bool, ks ...int) {
+		for _, k := range ks {
+			if r[muts[k].Idx].Rect = home[k]; mutated {
+				r[muts[k].Idx].Rect = muts[k].Next
+			}
+		}
+	}
+	join := func(want partjoin.Reuse, rects int) {
+		if res := j.Join(r, s, cfg); res.Reuse != want || res.DeltaRects != rects {
+			b.Fatalf("re-join served by the %q tier patching %d rects, want %q and %d",
+				res.Reuse, res.DeltaRects, want, rects)
+		}
+	}
+	set(true, 0, 1, 2) // warm every state the steps visit
+	join(partjoin.ReuseDelta, 3)
+	set(false, 0, 1, 2)
+	join(partjoin.ReuseDelta, 3)
+	b.Run("clean", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			join(partjoin.ReuseClean, 0)
+		}
+	})
+	for k, name := range []string{"intile", "crosstile", "reorder"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				set(false, k)
+				j.Join(r, s, cfg)
+				set(true, k)
+				b.StartTimer()
+				join(partjoin.ReuseDelta, 1)
+			}
+			b.StopTimer()
+			set(false, k)
+			j.Join(r, s, cfg)
+		})
+	}
+	b.Run("restore3", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			set(true, 0, 1, 2)
+			j.Join(r, s, cfg)
+			set(false, 0, 1, 2)
+			b.StartTimer()
+			join(partjoin.ReuseDelta, 3)
+		}
+	})
+	b.Run("hottile", func(b *testing.B) {
+		res := j.Join(r, s, cfg)
+		if res.RefinedTiles == 0 {
+			b.Fatal("no tile is refined")
+		}
+		hot, ok := tiger.HotTileGrowth(r, s, res.GX)
+		if !ok {
+			b.Fatal("no rect of the costliest tile can grow inside it")
+		}
+		grown, base := hot.Next, r[hot.Idx].Rect
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			// Growing and shrinking back are the same kind of change.
+			r[hot.Idx].Rect = grown
+			if i%2 != 0 {
+				r[hot.Idx].Rect = base
+			}
+			res := j.Join(r, s, cfg)
+			if res.Reuse != partjoin.ReuseDelta || res.PhaseNS[timeline.PhaseRefine] != 0 {
+				b.Fatalf("re-join served by the %q tier with %d ns of schedule rebuild, want delta and none",
+					res.Reuse, res.PhaseNS[timeline.PhaseRefine])
+			}
+		}
+		b.StopTimer()
+		r[hot.Idx].Rect = base
+		j.Join(r, s, cfg)
+	})
 }
 
 // BenchmarkBulkLoadSTRParallel is the tree engine's cold build at paper

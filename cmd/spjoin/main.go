@@ -682,6 +682,7 @@ func runPartition(out io.Writer, r, s []rtree.Item, workers, grid int, refine in
 			Duplicates: res.Duplicates,
 			GX:         res.GX, GY: res.GY, Partitions: res.Partitions,
 			RefinedTiles: res.RefinedTiles, Subtiles: res.Subtiles,
+			Reuse: res.Reuse, DeltaRects: res.DeltaRects,
 			PhaseNS:     res.PhaseNS,
 			PipelineNS:  res.PipelineNS,
 			WorkerPairs: toInt64s(res.PerWorker),

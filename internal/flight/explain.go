@@ -70,6 +70,9 @@ func explainShape(w io.Writer, rec *Record) {
 	case "partition":
 		fmt.Fprintf(w, "partition: grid=%dx%d units=%d refined_tiles=%d subtiles=%d\n",
 			rec.GX, rec.GY, rec.Partitions, rec.RefinedTiles, rec.Subtiles)
+		if rec.Reuse != "" {
+			fmt.Fprintf(w, "reuse: tier=%s delta_rects=%d\n", rec.Reuse, rec.DeltaRects)
+		}
 	case "tree":
 		fmt.Fprintf(w, "tree: tasks=%d steals=%d attempts=%d\n",
 			rec.Tasks, rec.Steals, rec.StealAttempts)

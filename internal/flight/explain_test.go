@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spjoin/internal/metrics"
+	"spjoin/internal/partjoin"
 	"spjoin/internal/timeline"
 )
 
@@ -13,6 +14,7 @@ func TestExplainPartitionReport(t *testing.T) {
 	rec.Seq = 3
 	rec.RefinedTiles = 2
 	rec.Subtiles = 18
+	rec.Reuse, rec.DeltaRects = partjoin.ReuseDelta, 3
 	var sb strings.Builder
 	Explain(&sb, &rec)
 	out := sb.String()
@@ -23,6 +25,7 @@ func TestExplainPartitionReport(t *testing.T) {
 		"est. pairs", "drift",
 		"filter: candidates=300",
 		"partition: grid=24x24", "refined_tiles=2 subtiles=18",
+		"reuse: tier=delta delta_rects=3\n",
 		"phases (measured",
 		"sweep", "prep",
 		"workers (pairs):",

@@ -84,6 +84,11 @@ type Record struct {
 	Partitions   int `json:"partitions,omitempty"`
 	RefinedTiles int `json:"refined_tiles,omitempty"`
 	Subtiles     int `json:"subtiles,omitempty"`
+	// Reuse is the tier of the resident Joiner's cache that served the
+	// join (cold, clean, delta, rebuild); DeltaRects the changed rects the
+	// delta tier patched in place.
+	Reuse      partjoin.Reuse `json:"reuse,omitempty"`
+	DeltaRects int            `json:"delta_rects,omitempty"`
 
 	// Tree-engine shape (zero for the partition engine).
 	Tasks         int `json:"tasks,omitempty"`

@@ -1,6 +1,7 @@
 package partjoin
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -42,9 +43,9 @@ func fuzzJoinInput(data []byte) (r, s []rtree.Item, cfg Config) {
 // oracle on arbitrary rect sets, grid shapes, and worker counts: the
 // candidate set must be exactly the intersecting pairs, with no pair
 // reported twice (toSet fails on duplicates). Each input also drives the
-// Joiner's reuse cache: an identical re-join (segment reuse), then a
-// mutation derived from the payload and a third join, which must track
-// the mutated inputs whichever fallback tier it lands in.
+// Joiner's reuse cache: an identical re-join (clean tier), then a mutation
+// derived from the payload and a third join, which must track the mutated
+// inputs whichever tier serves it.
 func FuzzPartitionJoin(f *testing.F) {
 	f.Add([]byte{2, 4, 1, 0, 0, 0, 4, 4, 1, 1, 4, 4, 3, 3, 2, 2, 8, 8, 1, 1})
 	f.Add([]byte{0, 0, 0, 0})
@@ -91,8 +92,9 @@ func FuzzPartitionJoin(f *testing.F) {
 // stacks) and refinement tiers the refined fuzz covers — the pipeline's
 // per-tile readiness, fused scatter+fill and in-phase refinement hand-off
 // must be invisible in the results. The mutation stages drive the reuse
-// cache back through the pipelined rebuild (a broken sweep order lands in
-// the per-side repair sort; an identity change stays on the fast path).
+// cache through the delta tier (one changed rect: a grown extent, a broken
+// sweep order, an identity change); FuzzPartitionJoinMutateSequence drives
+// the rebuild.
 func FuzzPartitionJoinPipelined(f *testing.F) {
 	f.Add([]byte{2, 1, 1, 0, 0, 0, 4, 4, 1, 1, 4, 4, 3, 3, 2, 2, 8, 8, 1, 1})
 	f.Add([]byte{0, 0, 0, 0})
@@ -285,6 +287,122 @@ func FuzzPartitionJoinRefined(f *testing.F) {
 				r[i].ID += 777
 			}
 			check("mutated")
+		}
+	})
+}
+
+// FuzzPartitionJoinMutateSequence is the mutate-then-rejoin axis: one
+// resident Joiner, at least eight rounds of one to five mutated rects each
+// (both sides, every kind the delta step distinguishes — extent changes,
+// moves, points, whole rows, identity, leaving the world, NaN / infinite /
+// inverted rects and their way back), every round against brute force. Each
+// round is also held against a fresh Joiner's cold build wherever the two
+// grids coincide: whichever tier served it, the cache must then be that
+// build's, element for element.
+//
+// Payload: the four header bytes of fuzzJoinInput, a rect count, that many
+// four-byte rects (fuzzRefinedInput decodes those, threshold selector and
+// 0xF? injections included), then four-byte mutation ops read cyclically.
+func FuzzPartitionJoinMutateSequence(f *testing.F) {
+	f.Add([]byte{2, 4, 1, 0, 5, 0, 0, 4, 4, 1, 1, 4, 4, 3, 3, 2, 2, 8, 8, 1, 1, 20, 20, 3, 3,
+		0, 0, 3, 3, 3, 1, 9, 9, 4, 0, 0, 0})
+	f.Add([]byte{0, 0, 0, 0, 0})
+	// One tile, refine everything, sorted: all kinds in order on both sides.
+	f.Add([]byte{7, 1, 3, 1, 12, 5, 5, 2, 2, 5, 5, 0, 0, 6, 6, 3, 3, 7, 5, 1, 1, 9, 9, 2, 2, 1, 1, 4, 4,
+		12, 3, 2, 2, 3, 12, 4, 4, 20, 20, 1, 1, 8, 8, 8, 8, 30, 2, 1, 1, 2, 30, 1, 1,
+		0, 1, 2, 3, 2, 2, 4, 5, 4, 3, 6, 7, 6, 4, 8, 9, 8, 5, 1, 2, 10, 6, 3, 4, 12, 7, 5, 6, 14, 8, 7, 8,
+		1, 1, 2, 3, 3, 2, 4, 5, 5, 3, 6, 7, 7, 4, 8, 9, 9, 5, 1, 2, 11, 6, 3, 4, 13, 7, 5, 6, 15, 8, 7, 8})
+	// Fine grid, NaN / empty injections in the input, specials and restores.
+	f.Add([]byte{9, 23, 2, 0, 10, 0xF0, 0xF1, 0xF2, 3, 1, 1, 4, 4, 2, 2, 8, 8, 6, 6, 1, 1, 9, 9, 2, 2,
+		16, 16, 7, 7, 24, 24, 7, 7, 0, 8, 8, 8, 8, 0, 8, 8,
+		10, 0, 0, 0, 10, 1, 1, 0, 10, 2, 2, 0, 10, 3, 3, 0, 14, 0, 0, 0, 14, 1, 0, 0, 11, 4, 1, 1, 15, 4, 0, 0})
+	// Boundary lattice, coarse grid: moves along tile borders.
+	f.Add([]byte{6, 2, 2, 1, 8, 0, 0, 8, 8, 8, 8, 8, 8, 16, 16, 8, 8, 0, 8, 8, 8, 8, 0, 8, 8, 16, 0, 8, 8,
+		24, 24, 7, 7, 8, 16, 7, 7, 2, 0, 8, 8, 2, 1, 16, 16, 3, 2, 24, 8, 12, 3, 0, 0, 13, 4, 0, 8})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		n := min(int(data[4])%48, (len(data)-5)/4)
+		head := append(append([]byte(nil), data[:4]...), data[5:5+4*n]...)
+		r, s, cfg := fuzzRefinedInput(head)
+		ops := data[5+4*n:]
+		if len(ops) == 0 {
+			ops = data
+		}
+		pos := 0
+		next := func() byte { // cyclic, varied on every lap
+			b := ops[pos%len(ops)] + byte(7*(pos/len(ops)))
+			pos++
+			return b
+		}
+		orig := [2][]rtree.Item{append([]rtree.Item(nil), r...), append([]rtree.Item(nil), s...)}
+		nan, inf := math.NaN(), math.Inf(1)
+		mutate := func() {
+			sel, at, a, b := next(), int(next()), float64(next()), float64(next())
+			side := [2][]rtree.Item{r, s}[sel&1]
+			if len(side) == 0 {
+				return
+			}
+			it := &side[at%len(side)]
+			rc := &it.Rect
+			switch (sel >> 1) % 8 {
+			case 0: // grow: stays in its tiles or enters new ones
+				rc.MaxX += float64(int(a) % 8)
+				rc.MaxY += float64(int(b) % 8)
+			case 1: // move on the lattice, size kept: the sweep key changes
+				w, h := rc.MaxX-rc.MinX, rc.MaxY-rc.MinY
+				x, y := float64(int(a)%32), float64(int(b)%32)
+				*rc = geom.Rect{MinX: x, MinY: y, MaxX: x + w, MaxY: y + h}
+			case 2: // shrink to its own corner
+				rc.MaxX, rc.MaxY = rc.MinX, rc.MinY
+			case 3: // identity only
+				it.ID += 777
+			case 4: // leave the world on either side
+				d := 40 + float64(int(a)%64)
+				if int(b)&1 != 0 {
+					d = -d
+				}
+				*rc = geom.Rect{MinX: d, MinY: d, MaxX: d + 3, MaxY: d + float64(int(b)%8)}
+			case 5: // what the delta step must decline
+				switch int(a) % 5 {
+				case 0:
+					*rc = geom.Rect{MinX: nan, MinY: nan, MaxX: nan, MaxY: nan}
+				case 1:
+					rc.MaxX = nan
+				case 2:
+					*rc = geom.EmptyRect()
+				case 3:
+					*rc = geom.Rect{MinX: -inf, MinY: -inf, MaxX: -inf, MaxY: -inf}
+				case 4:
+					*rc = geom.Rect{MinX: inf, MinY: inf, MaxX: inf, MaxY: inf}
+				}
+			case 6: // a whole row of the world
+				y := float64(int(b) % 32)
+				*rc = geom.Rect{MinX: 0, MinY: y, MaxX: 39, MaxY: y + float64(int(a)%4)}
+			case 7: // back to what it was
+				*it = orig[sel&1][at%len(side)]
+			}
+		}
+		var j Joiner
+		defer j.Close()
+		check := func(stage string) {
+			t.Helper()
+			res := j.Join(r, s, cfg)
+			requireBrute(t, fmt.Sprintf("cfg %+v %s", cfg, stage), res, r, s)
+			if len(r) == 0 || len(s) == 0 {
+				return
+			}
+			if diff, comparable := freshStateDiff(&j, r, s, cfg); comparable && diff != "" {
+				t.Fatalf("cfg %+v %s (%s): %s", cfg, stage, res.Reuse, diff)
+			}
+		}
+		check("cold")
+		for round := 0; round < 8+int(data[0])%5; round++ {
+			for k := 1 + int(next())%5; k > 0; k-- {
+				mutate()
+			}
+			check(fmt.Sprintf("round %d", round))
 		}
 	})
 }

@@ -26,10 +26,13 @@
 //
 // A Joiner is reusable, and aggressively so: after a warm-up run the whole
 // join performs zero heap allocations, and a re-join over unchanged inputs
-// skips the sort and the bucketing entirely — a sequential compare pass
-// proves the cached tile segments still exact, so only the sweeps and the
-// result assembly run. Mutated inputs degrade gracefully: in-tile changes
-// keep the segments, cross-tile changes recount, reorderings re-sort.
+// skips the sort and the bucketing entirely — a parallel compare pass over
+// the workers' item chunks proves the cached tile segments still exact, so
+// only the sweeps and the result assembly run (the clean tier). The same
+// pass lists which rects changed; a handful of them is patched into the
+// cached sweep orders, tile segments and schedule in work proportional to
+// the changes (the delta tier, see delta.go), anything more rebuilds.
+// Result.Reuse names the tier that served a join.
 package partjoin
 
 import (
@@ -135,10 +138,16 @@ type Result struct {
 	// candidate pairs each worker emitted (view owned by the Joiner).
 	Workers   int
 	PerWorker []int
+	// Reuse names the cache tier that served the join (empty when a side was
+	// empty and nothing ran); DeltaRects is the number of changed rects the
+	// delta tier patched, zero on every other tier.
+	Reuse      Reuse
+	DeltaRects int
 	// PhaseNS is the wall time spent in each pipeline phase, indexed by the
 	// timeline.Phase* constants. Always filled — the cost is a handful of
-	// clock reads — and a phase the run skipped reads zero, so the steady
-	// state's fast path is visible as empty sort/partition buckets.
+	// clock reads — and a phase the run skipped reads zero, so the clean
+	// tier is visible as empty sort/partition buckets. The delta step's wall
+	// time accrues to the partition bucket.
 	PhaseNS [timeline.NumPhases]int64
 	// PipelineNS is the wall time of the fused scatter+fill+sweep pipeline
 	// phase on a cold pipelined build, and zero on warm (fast-path) or
@@ -157,6 +166,24 @@ type Result struct {
 	HeatH    int
 }
 
+// Reuse is the tier of a Joiner's cache a join was served from.
+type Reuse string
+
+const (
+	// ReuseCold: no usable cache (first join, or the cardinalities, grid or
+	// worker count changed) — the full build ran.
+	ReuseCold Reuse = "cold"
+	// ReuseClean: the inputs match the mirrors bit for bit; only the sweeps
+	// and the result assembly ran.
+	ReuseClean Reuse = "clean"
+	// ReuseDelta: a few rects changed and were patched into the cached
+	// structures in place (delta.go).
+	ReuseDelta Reuse = "delta"
+	// ReuseRebuild: the inputs changed and the delta step declined; the
+	// full build ran over the persisted sweep orders.
+	ReuseRebuild Reuse = "rebuild"
+)
+
 // Join buckets the two rectangle sets onto a uniform grid and returns all
 // intersecting pairs. It is the one-shot form of Joiner.Join; callers with
 // repeated joins hold a Joiner to amortize its buffers and worker pool.
@@ -172,12 +199,11 @@ func Join(r, s []rtree.Item, cfg Config) Result {
 // parnative.Pool, dispatching on j.phase in RunWorker.
 const (
 	phaseMirror      = iota // copy items into SoA mirrors, union chunk MBRs
-	phaseMirrorCheck        // compare items against mirrors, copy changes
+	phaseMirrorCheck        // compare items against mirrors, list the changes
 	phaseSort               // sort both sides into global sweep order
 	phaseCount              // count tile occupancy per worker chunk
 	phaseScatter            // scatter rect indices into tile segments
-	phaseFill               // fill the tile-segment coordinate planes
-	phaseVerify             // re-verify sweep order and tile codes in place
+	phaseFill               // fill the tile-segment coordinate planes (Barrier build)
 	phaseRefineFill         // fill the refinement-arena coordinate planes
 	phaseJoin               // sweep the work units, largest first
 	phasePipeline           // fused scatter+fill+sweep+refine (see pipeline.go)
@@ -201,18 +227,9 @@ type gridSide struct {
 	// position space: planes rectangle p is rects[idx[p]]. Replicating the
 	// coordinates here is what makes the per-tile sweep stride-free — both
 	// sides of every tile are contiguous, sweep-sorted runs of the four
-	// plane arrays. Filled by phaseFill after each scatter and refreshed on
-	// the fast path only when the mirror check patched something.
+	// plane arrays. Filled by the scatter (pipelined build) or by phaseFill
+	// (Barrier build); the delta step edits it in place together with idx.
 	planes geom.Planes
-}
-
-// clearFlags resets the disorder flags ahead of a verification pass.
-func (g *gridSide) clearFlags(workers int) {
-	if cap(g.disorder) < workers {
-		g.disorder = make([]uint8, workers)
-	}
-	g.disorder = g.disorder[:workers]
-	clear(g.disorder)
 }
 
 // unsorted reports whether any worker's count pass found its chunk out of
@@ -257,7 +274,7 @@ type Joiner struct {
 	rRects, sRects []geom.Rect
 	rIDs, sIDs     []rtree.EntryID
 	rOrd, sOrd     []int32  // global sweep orders, persisted across joins
-	rTile, sTile   []uint64 // per-sweep-position packed tile ranges
+	rTile, sTile   []uint64 // per-sweep-position packed tile ranges (count → scatter only)
 	rScr, sScr     []int32  // repair-sort scratch (geom.SortOrderByMinXKeyed)
 	rKey, sKey     []uint64 // full-sort word buffer; the side's tile codes are the other
 
@@ -265,8 +282,7 @@ type Joiner struct {
 	// (bit 1 = R, bit 2 = S) and countVerify whether the pass doubles as the
 	// sweep-order verification. The recount after a sort covers only the
 	// sides whose order actually broke (redoR/redoS), with verification off
-	// — the order is freshly sorted, so every rect must be counted even if
-	// a NaN key leaves residual comparison oddities.
+	// — the order is freshly sorted, and every rect must be counted.
 	countMask    uint8
 	countVerify  bool
 	redoR, redoS bool
@@ -277,13 +293,22 @@ type Joiner struct {
 
 	rPart, sPart gridSide
 
-	// Fast-path validity: when true, the tile segments (idx/starts), the
-	// cached tile codes and the grid geometry above all describe the
-	// mirrors as of the last full bucketing, so a join whose inputs still
-	// match the mirrors can skip straight to the sweep phase.
+	// Fast-path validity: when true, the sweep orders, the tile segments
+	// (idx/starts/planes) and the grid geometry above all describe the
+	// mirrors, so a join whose inputs still match the mirrors can skip
+	// straight to the sweep phase.
 	cacheOK                bool
 	cGX, cRLen, cSLen, cWk int
-	mdirty                 []uint8 // per-worker flag: mirror check saw a change
+
+	// Change list of the mirror check: worker w lists the rects of its
+	// chunks whose item differs from the mirror in chg[w*deltaMax:][:chgN[w]];
+	// chgN[w] > deltaMax means the list overflowed. edits, hot and
+	// deltaBudget are the delta step's scratch (see delta.go, refdelta.go).
+	chg         []changeRef
+	chgN        []int32
+	edits       []segEdit
+	hot         []hotTouch
+	deltaBudget int
 
 	bounds []geom.Rect // per-worker chunk MBR unions (phaseMirror)
 
@@ -294,19 +319,24 @@ type Joiner struct {
 	// sorted largest-first. The refinement arenas (refRIdx/refSIdx and
 	// their position-space planes) are the subtile analogue of
 	// gridSide.idx/planes; refNodes holds the frozen split geometry the
-	// emit-time ownership walk re-evaluates. unitsOK + cThr gate the
-	// clean-fast-path reuse of the whole schedule.
+	// emit-time ownership walk re-evaluates. unitsOK + cThr gate the reuse
+	// of the whole schedule on the fast path; trigger/recur are the cost
+	// bounds resolved at the last schedule build, which the delta step holds
+	// frozen until the next one.
 	units                  []workUnit
 	ucost                  []int64
 	refNodes               []refNode
+	refSplits              []refSplit
 	refRIdx                []int32
 	refSIdx                []int32
 	refRPlanes             geom.Planes
 	refSPlanes             geom.Planes
 	refBudget              int
+	refStarved             bool // a split was refused for want of arena budget
 	refinedTiles, subtiles int
 	unitsOK                bool
 	cThr                   int64
+	trigger, recur         int64
 
 	order  tileOrder // reusable sorter over units/ucost
 	cursor atomic.Int64
@@ -315,12 +345,11 @@ type Joiner struct {
 	// Pipelined-build state (see pipeline.go): the cost-descending root
 	// schedule (pOrder indexes j.tiles), its claim table, the per-worker
 	// scatter frontiers and the refinement hand-off.
-	pOrder                 []int32
-	pipeOrd                pipeOrder
-	ready                  parnative.ReadyQueue
-	pipe                   pipeState
-	pipeTrigger, pipeRecur int64
-	pipelineNS             int64
+	pOrder     []int32
+	pipeOrd    pipeOrder
+	ready      parnative.ReadyQueue
+	pipe       pipeState
+	pipelineNS int64
 
 	ws   []workerState
 	runs [][]join.Candidate // per-worker run views for the sorted merge
@@ -347,10 +376,11 @@ func (j *Joiner) Close() {
 }
 
 // Join computes all intersecting pairs between r and s. Rectangles must be
-// finite (NaN/Inf coordinates land in an edge tile and are then subject to
-// the comparison semantics of geom.Rect.Intersects, which never matches
-// NaN). The returned Candidates and PerWorker slices are views owned by
-// the Joiner, valid until the next Join call.
+// finite: an infinite coordinate lands in a border tile and is then subject
+// to the comparison semantics of geom.Rect.Intersects, and a rectangle with
+// a NaN coordinate — which Intersects never matches — is mirrored as
+// geom.EmptyRect (see mirrorForm). The returned Candidates and PerWorker
+// slices are views owned by the Joiner, valid until the next Join call.
 func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -389,23 +419,22 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 	// Phase 1: bring the SoA mirrors (what the sweep kernel consumes) in
 	// sync with the items, as cheaply as the situation allows.
 	//
-	// The tile segments (idx/starts), the cached tile codes and the grid
-	// geometry depend only on the mirrors, the sweep orders and the
-	// cardinalities — so when a cache from a previous full bucketing is
-	// on hand, a sequential compare-and-copy pass settles how much of it
-	// survives:
+	// The sweep orders, the tile segments (idx/starts/planes) and the
+	// work-unit schedule depend only on the mirrors, the cardinalities and
+	// the grid geometry — so when a cache from a previous join is on hand, a
+	// parallel compare pass over the items settles how much of it survives:
 	//
-	//   - nothing changed: the segments are still exact; skip straight to
-	//     the sweep phase. The steady-state join is then one sequential
-	//     scan plus the sweeps — no sort, no bucketing.
-	//   - some items changed: the mirrors were patched in place; a verify
-	//     pass re-derives each rect's tile code and checks the sweep
-	//     order. If every code matches under the cached grid geometry the
-	//     segments remain exact (assignment depends only on the codes)
-	//     and the sweep proceeds; otherwise fall through to a full
-	//     bucketing. The cached geometry stays frozen while the codes
-	//     hold — rects drifting outside the old data MBR clamp into the
-	//     border tiles, which the reference-point dedup handles exactly.
+	//   - clean: nothing changed, the cache is exact; skip straight to the
+	//     sweep phase. The steady-state join is then one scan plus the
+	//     sweeps — no sort, no bucketing.
+	//   - delta: at most deltaMax rects changed; the delta step moves each in
+	//     its side's sweep order, edits the tile segments it leaves, enters
+	//     or stays in, and re-costs the touched work units — under the grid
+	//     geometry frozen at the last full build (rects drifting outside the
+	//     old data MBR clamp into the border tiles, which the reference-point
+	//     dedup handles exactly).
+	//   - rebuild: more changed, or the delta step declined; fall through to
+	//     the full build, which starts from the persisted sweep orders.
 	//
 	// The full (cold) path mirrors unconditionally, unions the data MBR,
 	// derives the grid and runs the two-pass counting sort below.
@@ -419,31 +448,24 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 	}
 	fast := j.cacheOK && j.cGX == g && j.cWk == workers &&
 		j.cRLen == len(r) && j.cSLen == len(s)
-	clean := false     // fast with bit-identical coordinates: schedule reusable
 	pipelined := false // cold build fused into the pipelined phase
+	res.Reuse = ReuseCold
 	if fast {
-		j.mdirty = growFlags(j.mdirty, workers)
+		j.chg = growChanges(j.chg, workers*deltaMax)
+		j.chgN = growCounts(j.chgN, workers)
 		j.runPhase(phaseMirrorCheck)
-		changed := false
-		for _, d := range j.mdirty[:workers] {
-			if d != 0 {
-				changed = true
-				break
-			}
+		changed := 0
+		for _, n := range j.chgN[:workers] {
+			changed += int(n) // an overflowed list counts deltaMax+1
 		}
-		if changed {
-			j.rPart.clearFlags(workers)
-			j.sPart.clearFlags(workers)
-			j.runPhase(phaseVerify)
-			fast = !j.rPart.unsorted(workers) && !j.sPart.unsorted(workers)
-			if fast {
-				// The segments survived the mutation but the segment
-				// planes still hold the old coordinates: re-fill them
-				// from the patched mirrors.
-				j.runPhase(phaseFill)
-			}
+		switch {
+		case changed == 0:
+			res.Reuse = ReuseClean
+		case changed <= deltaMax && j.runDelta():
+			res.Reuse, res.DeltaRects = ReuseDelta, changed
+		default:
+			res.Reuse, fast = ReuseRebuild, false
 		}
-		clean = fast && !changed
 	}
 	if !fast {
 		j.bounds = growRects(j.bounds, workers)
@@ -532,13 +554,14 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 		// schedule is reconstructed afterwards so the reuse tiers see the
 		// exact state a barrier build would have left.
 		j.pipelineRun(cfg)
-	} else if !(clean && j.unitsOK && j.cThr == cfg.RefineThreshold) {
+	} else if !(fast && j.unitsOK && j.cThr == cfg.RefineThreshold) {
 		// Work-unit schedule: non-empty tiles largest-first, hot tiles
 		// refined into leaf subtiles (see refine.go) so one dense cluster
-		// cannot turn into a single straggling sweep. A clean fast-path
-		// join over bit-identical coordinates reuses the previous schedule
-		// outright — assignment and refinement are functions of the
-		// coordinates — while a patched join rebuilds it.
+		// cannot turn into a single straggling sweep. A fast-path join
+		// reuses the previous schedule outright — assignment and refinement
+		// are functions of the coordinates, and the delta step clears
+		// unitsOK when a change reaches a tile whose units it cannot re-cost
+		// in place.
 		// The refine bucket gets this whole block's wall time; runPhase
 		// accrues the inner refine-fill there too, so overwrite the bucket
 		// with the block total instead of double counting.
@@ -560,7 +583,8 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 			j.tiles = append(j.tiles, int32(t))
 			j.cost = append(j.cost, rn*sn+rn+sn)
 		}
-		j.buildUnits(j.resolveThreshold(cfg.RefineThreshold))
+		j.trigger, j.recur = j.resolveThreshold(cfg.RefineThreshold)
+		j.buildUnits(j.trigger, j.recur)
 		j.unitsOK = true
 		j.cThr = cfg.RefineThreshold
 		if j.rec != nil {
@@ -699,7 +723,7 @@ func (j *Joiner) runPhase(phase int32) {
 // phase enumeration shared with the timeline and the flight recorder.
 func timelinePhase(phase int32) int {
 	switch phase {
-	case phaseMirror, phaseMirrorCheck, phaseVerify:
+	case phaseMirror, phaseMirrorCheck:
 		return timeline.PhasePrep
 	case phaseSort:
 		return timeline.PhaseSort
@@ -737,8 +761,6 @@ func (j *Joiner) RunWorker(w int) {
 		j.fillChunk(w)
 	case phaseMirrorCheck:
 		j.mirrorCheckChunk(w)
-	case phaseVerify:
-		j.verifyChunk(w)
 	case phaseRefineFill:
 		j.refineFillChunk(w)
 	case phaseJoin:
@@ -775,6 +797,9 @@ func (j *Joiner) mirrorChunk(w int) {
 	for i := lo; i < hi; i++ {
 		it := &j.rItems[i]
 		j.rRects[i] = it.Rect
+		if !sumOrdered(&it.Rect) {
+			j.rRects[i] = mirrorForm(it.Rect)
+		}
 		j.rIDs[i] = it.ID
 		mbr = unionFast(mbr, it.Rect)
 	}
@@ -782,10 +807,33 @@ func (j *Joiner) mirrorChunk(w int) {
 	for i := lo; i < hi; i++ {
 		it := &j.sItems[i]
 		j.sRects[i] = it.Rect
+		if !sumOrdered(&it.Rect) {
+			j.sRects[i] = mirrorForm(it.Rect)
+		}
 		j.sIDs[i] = it.ID
 		mbr = unionFast(mbr, it.Rect)
 	}
 	j.bounds[w] = mbr
+}
+
+// mirrorForm returns the rect the engine mirrors for an item's rect: the
+// rect itself, or geom.EmptyRect when any coordinate is NaN. Such a rect
+// intersects nothing, but a NaN key has no place in the sweep order — it
+// compares as unordered, so sorts, the order verification and the sweep
+// kernels' scans all go wrong around it. EmptyRect matches nothing either,
+// sorts last, and stops every kernel scan at once.
+func mirrorForm(r geom.Rect) geom.Rect {
+	if r.MinX != r.MinX || r.MinY != r.MinY || r.MaxX != r.MaxX || r.MaxY != r.MaxY {
+		return geom.EmptyRect()
+	}
+	return r
+}
+
+// sumOrdered is the hot loops' screen for mirrorForm: a NaN coordinate makes
+// the sum NaN (so do opposite infinities, which mirrorForm then passes).
+func sumOrdered(r *geom.Rect) bool {
+	s := r.MinX + r.MinY + r.MaxX + r.MaxY
+	return s == s
 }
 
 func unionFast(m geom.Rect, r geom.Rect) geom.Rect {
@@ -828,8 +876,8 @@ func (j *Joiner) sortSides(w int) {
 // reserved by the prefix sum. The per-(worker, tile) cursor cells make
 // the scatter race-free, and because chunks cover ascending sweep
 // positions and the prefix sum is worker-major, every tile segment comes
-// out sorted in sweep order — SweepPairsSoA's precondition — without any
-// per-tile sort.
+// out sorted in sweep order — geom.SweepPairsPlanesDense's precondition —
+// without any per-tile sort.
 func (j *Joiner) bucketChunk(w int, scatter bool) {
 	tiles := j.gx * j.gy
 	sides := [2]struct {
@@ -858,9 +906,7 @@ func (j *Joiner) bucketChunk(w int, scatter bool) {
 			// Position lo with lo == 0 self-compares, which trivially
 			// passes (the index tiebreak is strict). On the first violation
 			// the chunk's counts are abandoned — Join re-sorts and recounts
-			// the side with verification off, so the recount is total even
-			// when NaN keys leave residual comparison oddities after the
-			// sort.
+			// the side with verification off, so the recount is total.
 			verify := j.countVerify
 			pi := side.ord[lo]
 			if lo > 0 {
@@ -884,8 +930,8 @@ func (j *Joiner) bucketChunk(w int, scatter bool) {
 				x1, y1 := j.tileOf(r.MaxX, r.MaxY)
 				// The pipelined scatter's per-tile readiness relies on tile
 				// columns ascending along the chunk; a sorted order
-				// guarantees that except under NaN coordinates (which
-				// compare as ordered but clamp to column 0), so the count
+				// guarantees that except under an infinite MinX (it sorts
+				// last but its conversion clamps to column 0), so the count
 				// detects violations here and the pipeline falls back to
 				// whole-scatter readiness.
 				if x0 < lastX0 {
@@ -926,40 +972,50 @@ func (j *Joiner) bucketChunk(w int, scatter bool) {
 	}
 }
 
-// mirrorCheckChunk is the steady-state fast path's first half: a
-// sequential compare of this worker's item chunks against the SoA
-// mirrors, patching any divergence in place and flagging that something
-// changed (a change triggers the verify pass, and — if the segments
-// survive — a segment-plane refill). On unchanged inputs this pass is
-// the only per-item work before the sweeps, so the compare runs on raw
-// coordinate bits: integer compares beat float compares here, a
-// faithfully mirrored NaN reads as unchanged (it is), and a ±0 sign flip
-// reads as changed (conservative — the verify pass then passes).
+// mirrorCheckChunk is the fast path's first step: a compare of this
+// worker's item chunks against the SoA mirrors that lists every rect whose
+// coordinates or ID differ. The mirrors are left as they are — the delta
+// step needs the old coordinates to find the rect in the cached structures,
+// and a rebuild re-mirrors everything — so a worker whose list overflows
+// simply stops. On unchanged inputs this pass is the only per-item work
+// before the sweeps, so the compare runs on raw coordinate bits: integer
+// compares beat float compares here, and a ±0 sign flip reads as changed
+// (the delta step then overwrites the rect's plane entries with the same
+// order and tiles). A NaN item differs from its EmptyRect mirror on every
+// join; mirrorStale's second look settles those.
 func (j *Joiner) mirrorCheckChunk(w int) {
-	dirty := uint8(0)
+	list := j.chg[w*deltaMax : (w+1)*deltaMax]
+	n := 0
 	lo, hi := j.chunkRange(len(j.rItems), w)
 	for i := lo; i < hi; i++ {
 		it := &j.rItems[i]
-		if rectChanged(&j.rRects[i], &it.Rect) || j.rIDs[i] != it.ID {
-			j.rRects[i] = it.Rect
-			j.rIDs[i] = it.ID
-			dirty = 1
+		if (rectChanged(&j.rRects[i], &it.Rect) && mirrorStale(&j.rRects[i], &it.Rect)) || j.rIDs[i] != it.ID {
+			if n == deltaMax {
+				j.chgN[w] = deltaMax + 1
+				return
+			}
+			list[n] = changeRef{idx: int32(i), side: 0}
+			n++
 		}
 	}
 	lo, hi = j.chunkRange(len(j.sItems), w)
 	for i := lo; i < hi; i++ {
 		it := &j.sItems[i]
-		if rectChanged(&j.sRects[i], &it.Rect) || j.sIDs[i] != it.ID {
-			j.sRects[i] = it.Rect
-			j.sIDs[i] = it.ID
-			dirty = 1
+		if (rectChanged(&j.sRects[i], &it.Rect) && mirrorStale(&j.sRects[i], &it.Rect)) || j.sIDs[i] != it.ID {
+			if n == deltaMax {
+				j.chgN[w] = deltaMax + 1
+				return
+			}
+			list[n] = changeRef{idx: int32(i), side: 1}
+			n++
 		}
 	}
-	j.mdirty[w] = dirty
+	j.chgN[w] = int32(n)
 }
 
-// fillChunk copies this worker's chunk of each side's tile segments into
-// the segment coordinate planes: position p of the planes becomes
+// fillChunk (the Barrier build's fill phase) copies this worker's chunk of
+// each side's tile segments into the segment coordinate planes: position p
+// of the planes becomes
 // rects[idx[p]]. The writes are contiguous streams; the gathered reads
 // are the price of de-striding every subsequent sweep over the segment.
 func (j *Joiner) fillChunk(w int) {
@@ -979,6 +1035,13 @@ func (j *Joiner) fillChunk(w int) {
 	}
 }
 
+// mirrorStale is the second look at an item rect r whose bits differ from
+// its mirror m: stale unless m is r's mirrorForm.
+func mirrorStale(m, r *geom.Rect) bool {
+	c := mirrorForm(*r)
+	return rectChanged(m, &c)
+}
+
 // rectChanged compares a mirror rect against an item rect bit for bit.
 // The XOR-OR accumulation is branchless: in the steady state every rect
 // matches, so one predictable test per rect beats four short-circuit
@@ -989,53 +1052,6 @@ func rectChanged(a, b *geom.Rect) bool {
 	d |= math.Float64bits(a.MaxX) ^ math.Float64bits(b.MaxX)
 	d |= math.Float64bits(a.MaxY) ^ math.Float64bits(b.MaxY)
 	return d != 0
-}
-
-// verifyChunk decides whether the cached tile segments survive an input
-// mutation: walking this worker's chunk of each sweep order, it checks the
-// order still holds and that every rect's tile range (under the frozen
-// grid geometry) still packs to its cached code. Assignment depends only
-// on the codes, so all-match means idx/starts are still exact and no
-// re-bucketing is needed; the first violation flags the side's disorder
-// slot and Join falls back to the full counting sort.
-func (j *Joiner) verifyChunk(w int) {
-	sides := [2]struct {
-		part  *gridSide
-		rects []geom.Rect
-		ord   []int32
-		codes []uint64
-	}{
-		{&j.rPart, j.rRects, j.rOrd, j.rTile},
-		{&j.sPart, j.sRects, j.sOrd, j.sTile},
-	}
-	for _, side := range sides {
-		lo, hi := j.chunkRange(len(side.ord), w)
-		if lo == hi {
-			continue
-		}
-		pi := side.ord[lo]
-		if lo > 0 {
-			pi = side.ord[lo-1]
-		}
-		prev := &side.rects[pi]
-		for pos := lo; pos < hi; pos++ {
-			ci := side.ord[pos]
-			r := &side.rects[ci]
-			if r.MinX < prev.MinX ||
-				(r.MinX == prev.MinX &&
-					(r.MinY < prev.MinY || (r.MinY == prev.MinY && ci < pi))) {
-				side.part.disorder[w] = 1
-				break
-			}
-			prev, pi = r, ci
-			x0, y0 := j.tileOf(r.MinX, r.MinY)
-			x1, y1 := j.tileOf(r.MaxX, r.MaxY)
-			if packTiles(x0, y0, x1, y1) != side.codes[pos] {
-				side.part.disorder[w] = 1
-				break
-			}
-		}
-	}
 }
 
 // packTiles/unpackTiles encode a rect's inclusive tile range in one uint64
@@ -1346,7 +1362,18 @@ func (g *gridSide) prefixSum(workers, tiles int) {
 	} else {
 		g.idx = g.idx[:total]
 	}
-	g.planes.Reset(int(total))
+	resetPlanes(&g.planes, int(total))
+}
+
+// resetPlanes sizes position-space planes for n entries. A first or grown
+// allocation gets tail headroom, as idx and the arenas have: the delta step
+// inserts into the flat layouts in place and declines when an array would
+// have to grow.
+func resetPlanes(p *geom.Planes, n int) {
+	if cap(p.MinX) < n {
+		p.Reset(n + n/16 + 16)
+	}
+	p.Reset(n)
 }
 
 // tileOrder sorts j.units (and the parallel j.ucost) by descending cost,
@@ -1416,9 +1443,16 @@ func growCodes(s []uint64, n int) []uint64 {
 	return s[:n]
 }
 
-func growFlags(s []uint8, n int) []uint8 {
+func growChanges(s []changeRef, n int) []changeRef {
 	if cap(s) < n {
-		return make([]uint8, n)
+		return make([]changeRef, n)
+	}
+	return s[:n]
+}
+
+func growCounts(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
 	}
 	return s[:n]
 }

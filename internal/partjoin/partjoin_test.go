@@ -305,13 +305,11 @@ func TestJoinerFullResortZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestJoinerReuseMutatedInputs drives one Joiner through every cache
-// transition of the steady-state fast path: unchanged re-joins (cursor
-// snapshot reuse), a within-tile move (codes still match — the fused
-// verify keeps the fast path but the sweep must see the new extents), a
-// cross-tile move (code mismatch mid-pass → full recount), an
-// order-breaking move (sort + recount), and a cardinality change. Each
-// join is checked against the brute-force oracle.
+// TestJoinerReuseMutatedInputs drives one Joiner through every cache tier:
+// unchanged re-joins (clean), a within-tile move, a cross-tile move and an
+// order-breaking move (each one changed rect: delta), and a cardinality
+// change (no usable cache: cold). Each join is checked against the
+// brute-force oracle and must report the tier that served it.
 func TestJoinerReuseMutatedInputs(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		rng := rand.New(rand.NewSource(53))
@@ -321,41 +319,45 @@ func TestJoinerReuseMutatedInputs(t *testing.T) {
 		var j Joiner
 		defer j.Close()
 
-		check := func(stage string) {
+		check := func(stage string, wantTier Reuse) {
 			t.Helper()
-			got := toSet(t, j.Join(r, s, cfg).Candidates)
+			res := j.Join(r, s, cfg)
+			got := toSet(t, res.Candidates)
 			want := bruteSet(r, s)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("workers=%d %s: %d pairs, want %d", workers, stage, len(got), len(want))
 			}
+			if res.Reuse != wantTier {
+				t.Fatalf("workers=%d %s: tier %q, want %q", workers, stage, res.Reuse, wantTier)
+			}
 		}
-		check("cold")
-		check("steady")
-		check("steady2")
+		check("cold", ReuseCold)
+		check("steady", ReuseClean)
+		check("steady2", ReuseClean)
 
 		// Within-tile mutation: nudge a rect's extent by less than a tile
-		// (tiles are 20 units wide) without reordering MinX. The cached
-		// codes still match, so the fast path survives — and must join
-		// with the mutated extents, not the old ones.
+		// (tiles are 20 units wide) without reordering MinX. The rect keeps
+		// its segment slots — and must join with the mutated extents, not
+		// the old ones.
 		r[100].Rect.MaxX += 0.5
 		r[100].Rect.MaxY -= 0.25
-		check("within-tile mutation")
+		check("within-tile mutation", ReuseDelta)
 
 		// Cross-tile mutation: stretch a rect across the whole world so
-		// its tile range changes and the verify pass bails out.
+		// it enters every tile up and right of its own.
 		s[7].Rect.MaxX = 99
 		s[7].Rect.MaxY = 99
-		check("cross-tile mutation")
+		check("cross-tile mutation", ReuseDelta)
 
-		// Order-breaking mutation: move a rect's MinX far left so the
-		// persisted sweep order is stale and the sort fallback runs.
+		// Order-breaking mutation: move a rect's MinX far left so its slot
+		// in the persisted sweep order changes.
 		r[300].Rect.MinX = 0.001
-		check("order-breaking mutation")
+		check("order-breaking mutation", ReuseDelta)
 
-		// Cardinality change invalidates the cursor snapshots outright.
+		// Cardinality change invalidates the cache outright.
 		s = append(s, rtree.Item{ID: 99999, Rect: geom.NewRect(1, 1, 90, 90)})
-		check("appended item")
-		check("steady after append")
+		check("appended item", ReuseCold)
+		check("steady after append", ReuseClean)
 	}
 }
 
@@ -457,7 +459,8 @@ func TestPartitionJoinTimeline(t *testing.T) {
 
 // TestPartitionJoinPhaseTimings pins the always-on PhaseNS contract: the
 // sweep and merge buckets are filled on every run, a cold join also pays
-// sort/partition/fill, and a clean steady-state re-join skips them.
+// sort/partition/fill, and a clean steady-state re-join skips them. Which
+// tier served a join is Result.Reuse's to say, not an empty bucket's.
 func TestPartitionJoinPhaseTimings(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	r := items(randomRects(rng, 400, 100, 8), 0)
@@ -467,6 +470,9 @@ func TestPartitionJoinPhaseTimings(t *testing.T) {
 	defer j.Close()
 
 	cold := j.Join(r, s, cfg)
+	if cold.Reuse != ReuseCold || cold.DeltaRects != 0 {
+		t.Errorf("first join: tier %q with %d delta rects, want cold with 0", cold.Reuse, cold.DeltaRects)
+	}
 	for _, p := range []int{timeline.PhasePrep, timeline.PhasePartition,
 		timeline.PhaseSweep, timeline.PhaseMerge} {
 		if cold.PhaseNS[p] <= 0 {
@@ -490,7 +496,13 @@ func TestPartitionJoinPhaseTimings(t *testing.T) {
 		t.Errorf("barrier join: fill=%dns pipeline=%dns, want fill > 0 and pipeline 0",
 			barrier.PhaseNS[timeline.PhaseFill], barrier.PipelineNS)
 	}
+	if barrier.Reuse != ReuseCold {
+		t.Errorf("barrier join: tier %q, want cold", barrier.Reuse)
+	}
 	warm := j.Join(r, s, cfg)
+	if warm.Reuse != ReuseClean {
+		t.Errorf("steady-state join: tier %q, want clean", warm.Reuse)
+	}
 	for _, p := range []int{timeline.PhaseSort, timeline.PhasePartition, timeline.PhaseFill} {
 		if warm.PhaseNS[p] != 0 {
 			t.Errorf("steady-state join: phase %s ran (%dns), want skipped",
@@ -502,6 +514,20 @@ func TestPartitionJoinPhaseTimings(t *testing.T) {
 	}
 	if warm.PipelineNS != 0 {
 		t.Errorf("steady-state join: PipelineNS = %d, want 0", warm.PipelineNS)
+	}
+	// The delta step's wall time lands in the partition bucket; nothing
+	// sorts or fills.
+	r[3].Rect.MaxX += 30
+	patched := j.Join(r, s, cfg)
+	if patched.Reuse != ReuseDelta || patched.DeltaRects != 1 {
+		t.Errorf("one changed rect: tier %q with %d delta rects, want delta with 1", patched.Reuse, patched.DeltaRects)
+	}
+	if patched.PhaseNS[timeline.PhasePartition] <= 0 ||
+		patched.PhaseNS[timeline.PhaseSort] != 0 || patched.PhaseNS[timeline.PhaseFill] != 0 {
+		t.Errorf("delta join: phases %v, want partition only", patched.PhaseNS)
+	}
+	if empty := j.Join(nil, s, cfg); empty.Reuse != "" {
+		t.Errorf("empty join: tier %q, want none", empty.Reuse)
 	}
 }
 

@@ -33,8 +33,9 @@ import (
 // to its frontier cell with an atomic store; a claimer that loads every
 // frontier and sees min > col observes — by the store/load
 // happens-before of sync/atomic — all segment and plane writes for that
-// column. NaN coordinates are the one way column order can break (they
-// compare as ordered but clamp to column 0), so the count pass records a
+// column. An infinite MinX is the one way column order can break (it sorts
+// last — EmptyRect, which is also how a NaN rect is mirrored — yet its tile
+// conversion overflows and clamps to column 0), so the count pass records a
 // per-chunk column-monotonicity flag and a run that trips it publishes no
 // frontiers at all: tiles then become ready only at the whole-scatter
 // rendezvous (the scatDone counter), which degrades the overlap, never
@@ -126,7 +127,7 @@ func (j *Joiner) pipelineRun(cfg Config) {
 		j.tiles = append(j.tiles, int32(t))
 		j.cost = append(j.cost, rn*sn+rn+sn)
 	}
-	j.pipeTrigger, j.pipeRecur = j.resolveThreshold(cfg.RefineThreshold)
+	j.trigger, j.recur = j.resolveThreshold(cfg.RefineThreshold)
 	if cap(j.pOrder) < len(j.tiles) {
 		j.pOrder = make([]int32, len(j.tiles))
 	}
@@ -144,14 +145,16 @@ func (j *Joiner) pipelineRun(cfg Config) {
 	j.units = j.units[:0]
 	j.ucost = j.ucost[:0]
 	j.refNodes = j.refNodes[:0]
+	j.refSplits = j.refSplits[:0]
 	j.refRIdx = j.refRIdx[:0]
 	j.refSIdx = j.refSIdx[:0]
 	j.refinedTiles, j.subtiles = 0, 0
 	j.refBudget = refineBudgetFactor * (len(j.rPart.idx) + len(j.sPart.idx))
+	j.refStarved = false
 	hot := false
-	if j.pipeTrigger >= 0 {
+	if j.trigger >= 0 {
 		for i, c := range j.cost {
-			if c > j.pipeTrigger {
+			if c > j.trigger {
 				j.ready.Defer(i)
 				hot = true
 			}
@@ -200,8 +203,7 @@ func (j *Joiner) pipelineRun(cfg Config) {
 			j.ucost = append(j.ucost, j.cost[i])
 		}
 	}
-	j.order.j = j
-	sort.Sort(&j.order)
+	j.sortUnits()
 	j.unitsOK = true
 	j.cThr = cfg.RefineThreshold
 	if j.rec != nil {
@@ -371,7 +373,7 @@ func (j *Joiner) pipeRefine(ws *workerState, w int) {
 			continue
 		}
 		before := len(j.units)
-		if j.refineRoot(t, j.pipeRecur) {
+		if j.refineRoot(t, j.recur) {
 			j.refinedTiles++
 			j.subtiles += len(j.units) - before
 			committed++
@@ -380,8 +382,7 @@ func (j *Joiner) pipeRefine(ws *workerState, w int) {
 			j.ready.Release(i)
 		}
 	}
-	j.refRPlanes.Reset(len(j.refRIdx))
-	j.refSPlanes.Reset(len(j.refSIdx))
+	j.sizeArenaPlanes()
 	for pos, ri := range j.refRIdx {
 		j.refRPlanes.SetRect(pos, j.rRects[ri])
 	}

@@ -1,6 +1,7 @@
 package partjoin
 
 import (
+	"slices"
 	"sort"
 
 	"spjoin/internal/geom"
@@ -77,6 +78,29 @@ type refNode struct {
 	// but interior nodes keep their ranges for the recursion.
 	rLo, rHi int32
 	sLo, sHi int32
+
+	// split indexes Joiner.refSplits when this node's own segments were
+	// split further (an interior node, or one whose split proved it owns no
+	// pairs); -1 marks a leaf, which the schedule joins as one work unit.
+	split int32
+}
+
+// refSplit records one committed split: what the delta step needs to edit
+// the split's arena block in place and to take again, from the changed
+// counts, every decision a fresh build would take (see refdelta.go). Records
+// are appended in splitSeg order, which is arena order: the arena of a side
+// is the concatenation of the records' blocks, each block the subcells'
+// segments in cell order — dead subcells (one side empty) included.
+type refSplit struct {
+	node   int32 // the node whose segments were split, -1 for the root tile
+	tile   int32
+	depth  int32
+	pruned bool // no subcell holds both sides: no block, no children, no units
+	cell   refCell
+
+	rBase, sBase int32 // where the split's block starts in each arena
+	rCnt, sCnt   [refineK * refineK]int32
+	child        [refineK * refineK]int32 // the live subcells' nodes, -1 elsewhere
 }
 
 // refCell is the geometry with which a cell's contents would be split:
@@ -174,10 +198,12 @@ func (j *Joiner) buildUnits(trigger, recurse int64) {
 	j.units = j.units[:0]
 	j.ucost = j.ucost[:0]
 	j.refNodes = j.refNodes[:0]
+	j.refSplits = j.refSplits[:0]
 	j.refRIdx = j.refRIdx[:0]
 	j.refSIdx = j.refSIdx[:0]
 	j.refinedTiles, j.subtiles = 0, 0
 	j.refBudget = refineBudgetFactor * (len(j.rPart.idx) + len(j.sPart.idx))
+	j.refStarved = false
 	for i, t := range j.tiles {
 		c := j.cost[i]
 		if trigger >= 0 && c > trigger {
@@ -191,13 +217,34 @@ func (j *Joiner) buildUnits(trigger, recurse int64) {
 		j.units = append(j.units, workUnit{tile: t, node: -1})
 		j.ucost = append(j.ucost, c)
 	}
-	j.refRPlanes.Reset(len(j.refRIdx))
-	j.refSPlanes.Reset(len(j.refSIdx))
+	j.sizeArenaPlanes()
 	if len(j.refRIdx)+len(j.refSIdx) > 0 {
 		j.runPhase(phaseRefineFill)
 	}
+	j.sortUnits()
+}
+
+// sizeArenaPlanes sizes the arenas' position-space planes, and gives the
+// arenas the tail headroom the planes get (see resetPlanes).
+func (j *Joiner) sizeArenaPlanes() {
+	for side := uint8(0); side < 2; side++ {
+		a := j.arena(side)
+		n := len(*a.idx)
+		if n > 0 {
+			*a.idx = slices.Grow(*a.idx, n/16+16)
+		}
+		resetPlanes(a.planes, n)
+	}
+}
+
+// sortUnits orders the schedule largest-first and leaves it tail headroom:
+// the delta step schedules a tile's unit in place when the tile gains its
+// first rect of a side, and declines when the schedule would have to grow.
+func (j *Joiner) sortUnits() {
 	j.order.j = j
 	sort.Sort(&j.order)
+	j.units = slices.Grow(j.units, deltaMax)
+	j.ucost = slices.Grow(j.ucost, deltaMax)
 }
 
 // refineRoot splits root tile t. It reports whether a split was committed
@@ -227,36 +274,21 @@ func (j *Joiner) splitSeg(rSeg, sSeg []int32, cell refCell, parent, tile int32, 
 	countCells(j.rRects, rSeg, cell, rCnt[:k])
 	countCells(j.sRects, sSeg, cell, sCnt[:k])
 
-	pn, psn := int64(len(rSeg)), int64(len(sSeg))
-	parentCost := pn*psn + pn + psn
-	var sumCost, maxCost int64
-	live := 0
-	for c := int32(0); c < k; c++ {
-		rn, sn := int64(rCnt[c]), int64(sCnt[c])
-		if rn == 0 || sn == 0 {
-			continue
-		}
-		live++
-		cc := rn*sn + rn + sn
-		sumCost += cc
-		if cc > maxCost {
-			maxCost = cc
-		}
-	}
-	// No subcell holds both sides: the reference point of any intersecting
-	// pair would land in a subcell containing both rects, so the cell owns
-	// no pairs at all — prune it from the schedule entirely.
-	if live == 0 {
-		return true
-	}
-	// Progress rule. A single live subcell is a zoom: commit so the next
-	// level can separate a cluster tighter than this cell (the depth cap
-	// bounds fruitless zooming). Otherwise require strict progress on the
-	// dominant subcell and tolerate a little boundary-replication growth
-	// in the total — a split whose biggest piece shrinks can pay hugely
-	// one level down even when replication nudges the sum past the parent.
-	if live > 1 && (maxCost >= parentCost || sumCost > parentCost+parentCost/8) {
+	commit, live := splitPays(rCnt[:k], sCnt[:k], int64(len(rSeg)), int64(len(sSeg)))
+	if !commit {
 		return false
+	}
+	rec := int32(len(j.refSplits))
+	sp := refSplit{
+		node: parent, tile: tile, depth: int32(depth), pruned: live == 0, cell: cell,
+		rBase: int32(len(j.refRIdx)), sBase: int32(len(j.refSIdx)), rCnt: rCnt, sCnt: sCnt,
+	}
+	for c := range sp.child {
+		sp.child[c] = -1
+	}
+	if live == 0 {
+		j.commitSplit(sp)
+		return true
 	}
 	var rTotal, sTotal int32
 	for c := int32(0); c < k; c++ {
@@ -264,8 +296,10 @@ func (j *Joiner) splitSeg(rSeg, sSeg []int32, cell refCell, parent, tile int32, 
 		sTotal += sCnt[c]
 	}
 	if len(j.refRIdx)+int(rTotal)+len(j.refSIdx)+int(sTotal) > j.refBudget {
+		j.refStarved = true
 		return false
 	}
+	j.commitSplit(sp)
 
 	// Reserve arena ranges and scatter. Walking the parent segment in
 	// order keeps every child segment sweep-sorted (the root segments are,
@@ -305,7 +339,9 @@ func (j *Joiner) splitSeg(rSeg, sSeg []int32, cell refCell, parent, tile int32, 
 				orgX: cell.orgX, orgY: cell.orgY,
 				invW: cell.invW, invH: cell.invH,
 				rLo: rLo, rHi: rLo + crn, sLo: sLo, sHi: sLo + csn,
+				split: -1,
 			})
+			j.refSplits[rec].child[c] = node
 			childCost := int64(crn)*int64(csn) + int64(crn) + int64(csn)
 			if childCost > thr && depth+1 < refineMaxDepth {
 				// Recursion may grow (and move) the arenas, so the child
@@ -321,6 +357,51 @@ func (j *Joiner) splitSeg(rSeg, sSeg []int32, cell refCell, parent, tile int32, 
 		}
 	}
 	return true
+}
+
+// commitSplit appends the record of a split that is now committed and links
+// it from the node it divides.
+func (j *Joiner) commitSplit(sp refSplit) {
+	if sp.node >= 0 {
+		j.refNodes[sp.node].split = int32(len(j.refSplits))
+	}
+	j.refSplits = append(j.refSplits, sp)
+}
+
+// splitPays is the decision rule of a split, from the two sides' per-subcell
+// counts and the parent segments' lengths: whether to commit it, and how
+// many subcells hold both sides.
+func splitPays(rCnt, sCnt []int32, pn, psn int64) (commit bool, live int) {
+	parentCost := pn*psn + pn + psn
+	var sumCost, maxCost int64
+	for c := range rCnt {
+		rn, sn := int64(rCnt[c]), int64(sCnt[c])
+		if rn == 0 || sn == 0 {
+			continue
+		}
+		live++
+		cc := rn*sn + rn + sn
+		sumCost += cc
+		if cc > maxCost {
+			maxCost = cc
+		}
+	}
+	// No subcell holds both sides: the reference point of any intersecting
+	// pair would land in a subcell containing both rects, so the cell owns
+	// no pairs at all — prune it from the schedule entirely.
+	if live == 0 {
+		return true, 0
+	}
+	// Progress rule. A single live subcell is a zoom: commit so the next
+	// level can separate a cluster tighter than this cell (the depth cap
+	// bounds fruitless zooming). Otherwise require strict progress on the
+	// dominant subcell and tolerate a little boundary-replication growth
+	// in the total — a split whose biggest piece shrinks can pay hugely
+	// one level down even when replication nudges the sum past the parent.
+	if live > 1 && (maxCost >= parentCost || sumCost > parentCost+parentCost/8) {
+		return false, live
+	}
+	return true, live
 }
 
 // countCells counts how many rects of seg overlap each subcell of cell.

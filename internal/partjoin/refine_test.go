@@ -172,8 +172,9 @@ func TestRefinedDegenerate(t *testing.T) {
 }
 
 // TestRefinedReuseTiers drives a refined Joiner through the cache tiers
-// (clean rejoin, in-tile patch, cross-tile move, threshold change) and
-// pins each against brute force and the schedule-reuse expectations.
+// (clean rejoin, in-tile and cross-tile deltas, threshold change) and pins
+// each against brute force, the tier it must report and the schedule-reuse
+// expectations.
 func TestRefinedReuseTiers(t *testing.T) {
 	r, s := clusteredItems(3000, 5, 21)
 	rMut := append([]rtree.Item(nil), r...)
@@ -181,15 +182,18 @@ func TestRefinedReuseTiers(t *testing.T) {
 	defer j.Close()
 	cfg := Config{Workers: 4, Sorted: true, RefineThreshold: 0}
 
-	check := func(stage string) Result {
+	check := func(stage string, want Reuse) Result {
 		t.Helper()
 		res := j.Join(rMut, s, cfg)
-		got := toSet(t, res.Candidates)
-		want := bruteSet(rMut, s)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d pairs, want %d", stage, len(got), len(want))
+		if res.Reuse != want {
+			t.Fatalf("%s: tier %q, want %q", stage, res.Reuse, want)
 		}
-		for k := range want {
+		got := toSet(t, res.Candidates)
+		brute := bruteSet(rMut, s)
+		if len(got) != len(brute) {
+			t.Fatalf("%s: %d pairs, want %d", stage, len(got), len(brute))
+		}
+		for k := range brute {
 			if !got[k] {
 				t.Fatalf("%s: missing pair %v", stage, k)
 			}
@@ -197,28 +201,29 @@ func TestRefinedReuseTiers(t *testing.T) {
 		return res
 	}
 
-	cold := check("cold")
+	cold := check("cold", ReuseCold)
 	if cold.Subtiles == 0 {
 		t.Fatal("clustered auto-threshold run did not refine — test premise broken")
 	}
-	clean := check("clean rejoin")
+	clean := check("clean rejoin", ReuseClean)
 	if clean.Subtiles != cold.Subtiles || clean.RefinedTiles != cold.RefinedTiles {
 		t.Fatalf("clean rejoin changed the schedule: %+v vs %+v", clean, cold)
 	}
-	// In-tile nudge: patched fast path must re-derive the refinement.
+	// In-tile nudge: the delta step overwrites the rect in place; if its
+	// tile is a refined one the refinement is re-derived.
 	rMut[0].Rect.MaxX += 1e-9
-	check("in-tile patch")
-	// Cross-tile move: full recount plus re-refinement.
+	check("in-tile patch", ReuseDelta)
+	// Cross-tile move: the rect leaves its tiles and enters others.
 	rMut[1].Rect = geom.NewRect(0.5, 0.5, 1.0, 1.0)
-	check("cross-tile move")
+	check("cross-tile move", ReuseDelta)
 	// Threshold change on otherwise clean inputs must rebuild the schedule.
 	cfg.RefineThreshold = RefineDisabled
-	off := check("refinement disabled")
+	off := check("refinement disabled", ReuseClean)
 	if off.Subtiles != 0 {
 		t.Fatalf("disabled refinement still produced %d subtiles", off.Subtiles)
 	}
 	cfg.RefineThreshold = 0
-	on := check("refinement re-enabled")
+	on := check("refinement re-enabled", ReuseClean)
 	if on.Subtiles == 0 {
 		t.Fatal("re-enabled refinement produced no subtiles")
 	}

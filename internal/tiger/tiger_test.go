@@ -1,6 +1,7 @@
 package tiger
 
 import (
+	"math"
 	"testing"
 
 	"spjoin/internal/geom"
@@ -237,5 +238,96 @@ func TestItemsProjection(t *testing.T) {
 		if items[i].ID != fs[i].ID || items[i].Rect != fs[i].Rect {
 			t.Fatal("Items projection wrong")
 		}
+	}
+}
+
+// TestRejoinMutations pins the three kinds on the seed maps: the grown rect
+// keeps its key and its tile, the shifted one keeps MinX and changes rows,
+// the mirrored one crosses the world, and none touches the data MBR.
+func TestRejoinMutations(t *testing.T) {
+	r, s := Maps(0.05, 7)
+	const grid = 9
+	muts, ok := RejoinMutations(r, s, grid)
+	if !ok {
+		t.Fatal("no rect qualifies on the seed maps")
+	}
+	mbr := geom.EmptyRect()
+	for _, side := range [2][]rtree.Item{r, s} {
+		for i := range side {
+			mbr = mbr.Union(side[i].Rect)
+		}
+	}
+	th := (mbr.MaxY - mbr.MinY) / grid
+	for k, m := range muts {
+		was, now := r[m.Idx].Rect, m.Next
+		if !mbr.Contains(now) || now.MinX == mbr.MinX || now.MaxX == mbr.MaxX {
+			t.Errorf("mutation %d leaves or touches the data MBR: %v", k, now)
+		}
+		switch k {
+		case 0:
+			if now.MinX != was.MinX || now.MinY != was.MinY || !now.Contains(was) || now == was {
+				t.Errorf("grown rect %v -> %v", was, now)
+			}
+		case 1:
+			if now.MinX != was.MinX || math.Abs(math.Abs(now.MinY-was.MinY)-2*th) > 1e-9*th {
+				t.Errorf("shifted rect %v -> %v", was, now)
+			}
+		case 2:
+			if mid := (mbr.MinX + mbr.MaxX) / 2; was.MaxX >= mid || now.MinX <= mid {
+				t.Errorf("mirrored rect %v -> %v", was, now)
+			}
+		}
+	}
+	if muts[0].Idx == muts[1].Idx || muts[1].Idx == muts[2].Idx || muts[0].Idx == muts[2].Idx {
+		t.Errorf("picks collide: %v", muts)
+	}
+}
+
+// TestHotTileGrowth: the pick lies in the tile with the largest product of
+// the two sides' rect counts, and the grown rect keeps its key and stays in
+// that tile.
+func TestHotTileGrowth(t *testing.T) {
+	r, s := Maps(0.05, 7)
+	const grid = 9
+	mut, ok := HotTileGrowth(r, s, grid)
+	if !ok {
+		t.Fatal("no rect qualifies on the seed maps")
+	}
+	mbr := geom.EmptyRect()
+	for _, side := range [2][]rtree.Item{r, s} {
+		for i := range side {
+			mbr = mbr.Union(side[i].Rect)
+		}
+	}
+	tileOf := func(x, y float64) int {
+		tx := int((x - mbr.MinX) / (mbr.MaxX - mbr.MinX) * grid)
+		ty := int((y - mbr.MinY) / (mbr.MaxY - mbr.MinY) * grid)
+		return min(ty, grid-1)*grid + min(tx, grid-1)
+	}
+	var counts [2][grid * grid]int
+	for k, side := range [2][]rtree.Item{r, s} {
+		for i := range side {
+			rc := side[i].Rect
+			lo, hi := tileOf(rc.MinX, rc.MinY), tileOf(rc.MaxX, rc.MaxY)
+			for ty := lo / grid; ty <= hi/grid; ty++ {
+				for tx := lo % grid; tx <= hi%grid; tx++ {
+					counts[k][ty*grid+tx]++
+				}
+			}
+		}
+	}
+	was, now := r[mut.Idx].Rect, mut.Next
+	home := tileOf(was.MinX, was.MinY)
+	if tileOf(was.MaxX, was.MaxY) != home || tileOf(now.MaxX, now.MaxY) != home {
+		t.Fatalf("rect %v -> %v does not stay in tile %d", was, now, home)
+	}
+	for tile := range counts[0] {
+		if counts[0][tile]*counts[1][tile] > counts[0][home]*counts[1][home] {
+			t.Fatalf("tile %d (%d x %d) is costlier than the picked tile %d (%d x %d)",
+				tile, counts[0][tile], counts[1][tile], home, counts[0][home], counts[1][home])
+		}
+	}
+	if now.MinX != was.MinX || now.MinY != was.MinY || !now.Contains(was) || now == was {
+		t.Errorf("grown rect %v -> %v", was, now)
 	}
 }

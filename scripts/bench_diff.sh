@@ -109,6 +109,6 @@ diff_suite BENCH_kernel.json \
     . '^(BenchmarkKernelExpand|BenchmarkSequentialJoin$)' \
     ./internal/geom/ '^(BenchmarkIntersectBatchPlanes(Quant)?$|BenchmarkSweepPairsPlanes(Dense)?$|BenchmarkSortOrderCold$)'
 diff_suite BENCH_partjoin.json \
-    . '^(BenchmarkPartitionJoin(Cold|ColdSkewed|Skewed|SkewedRefined|Introspected|Health)?$|BenchmarkNativeTreeJoin$|BenchmarkBulkLoadSTRParallel$)'
+    . '^(BenchmarkPartitionJoin(Cold|ColdSkewed|Skewed|SkewedRefined|Introspected|Health|RejoinMutated)?$|BenchmarkNativeTreeJoin$|BenchmarkBulkLoadSTRParallel$)'
 
 exit "$fail"

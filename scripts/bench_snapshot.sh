@@ -66,7 +66,7 @@ snapshot BENCH_kernel.json \
     . '^(BenchmarkKernelExpand|BenchmarkSequentialJoin$)' \
     ./internal/geom/ '^(BenchmarkIntersectBatchPlanes(Quant)?$|BenchmarkSweepPairsPlanes(Dense)?$|BenchmarkSortOrderCold$)'
 snapshot BENCH_partjoin.json \
-    . '^(BenchmarkPartitionJoin(Cold|ColdSkewed|Skewed|SkewedRefined|Introspected|Health)?$|BenchmarkNativeTreeJoin$|BenchmarkBulkLoadSTRParallel$)'
+    . '^(BenchmarkPartitionJoin(Cold|ColdSkewed|Skewed|SkewedRefined|Introspected|Health|RejoinMutated)?$|BenchmarkNativeTreeJoin$|BenchmarkBulkLoadSTRParallel$)'
 
 # Append one dated record per snapshot run to the machine-readable bench
 # history (docs/bench_history.jsonl), so the perf trajectory across PRs

@@ -1,0 +1,29 @@
+#!/bin/sh
+# Runs the repository's fuzz targets, one after the other. This list is the
+# only one: `make fuzz` and the CI fuzz job both call this script, so a new
+# target is added here and nowhere else.
+#
+# Usage: scripts/fuzz.sh [fuzztime]   (overrides every target's own time)
+set -eu
+cd "$(dirname "$0")/.."
+
+# target  package  fuzztime
+TARGETS='
+FuzzEncodeDecode                 ./internal/rtree/     30s
+FuzzSweepSoAOracle               ./internal/geom/      30s
+FuzzIntersectBatch               ./internal/geom/      30s
+FuzzIntersectBatchPlanes         ./internal/geom/      30s
+FuzzRadixOrder                   ./internal/geom/      30s
+FuzzSweepPairsPlanes             ./internal/geom/      30s
+FuzzPartitionJoin                ./internal/partjoin/  30s
+FuzzPartitionJoinRefined         ./internal/partjoin/  30s
+FuzzPartitionJoinPipelined       ./internal/partjoin/  30s
+FuzzPartitionJoinMutateSequence  ./internal/partjoin/  30s
+'
+
+echo "$TARGETS" | while read -r target pkg fuzztime; do
+    [ -n "$target" ] || continue
+    echo "== $target ($pkg, ${1:-$fuzztime})"
+    # Anchored: -fuzz takes a regexp and several targets share a prefix.
+    go test -run='^$' -fuzz="^$target\$" -fuzztime="${1:-$fuzztime}" "$pkg"
+done
