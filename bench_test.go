@@ -388,10 +388,10 @@ func BenchmarkNativeTreeJoin(b *testing.B) {
 
 // BenchmarkPartitionJoinColdSkewed is the cold path on clustered data at
 // 10x the refinement benchmarks' cardinality: every iteration disturbs the
-// order of rebuildRects rectangles so the pipelined build re-sorts, recounts
-// and re-scatters a workload whose tiles are heavily skewed — hot tiles route
-// through the in-pipeline refinement hand-off instead of the uniform
-// sweep. Gates the cold build against the regime where readiness matters
+// order of rebuildRects rectangles so the build re-sorts, recounts and
+// re-scatters a workload whose tiles are heavily skewed — hot tiles route
+// through the join phase's refinement hand-off instead of the uniform
+// sweep. Gates the cold build against the regime where the hand-off matters
 // most (many tiles, a few huge ones). Declared after the other snapshot
 // benchmarks on purpose: its 240k-rect working set inflates the GC-paced
 // heap for the rest of the process, so it must run last in a

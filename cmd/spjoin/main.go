@@ -684,11 +684,10 @@ func runPartition(out io.Writer, r, s []rtree.Item, workers, grid int, refine in
 			RefinedTiles: res.RefinedTiles, Subtiles: res.Subtiles,
 			Reuse: res.Reuse, DeltaRects: res.DeltaRects,
 			PhaseNS:     res.PhaseNS,
-			PipelineNS:  res.PipelineNS,
 			WorkerPairs: toInt64s(res.PerWorker),
 			TopTiles:    res.TopTiles,
 			HeatW:       res.HeatW, HeatH: res.HeatH, Heat: res.Heat,
-			Health:      intro.health.End(wall.Nanoseconds(), res.Workers),
+			Health: intro.health.End(wall.Nanoseconds(), res.Workers),
 		}
 		intro.record(out, obs.reg, &frec)
 	}

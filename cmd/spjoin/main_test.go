@@ -148,7 +148,7 @@ func TestPartitionExplainReport(t *testing.T) {
 	for _, want := range []string{
 		"JOIN #1", "engine=partition",
 		"plan (forced): engine=partition",
-		"phases (pipelined:", "pipeline",
+		"phases (measured", "partition", "sweep",
 		"workers (pairs):",
 		"top work units",
 		"tile cost heat",

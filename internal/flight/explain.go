@@ -87,10 +87,6 @@ func explainPhases(w io.Writer, rec *Record) {
 	if total == 0 {
 		return
 	}
-	if rec.PipelineNS > 0 {
-		explainPipelinedPhases(w, rec, total)
-		return
-	}
 	fmt.Fprintf(w, "phases (measured %s of %s wall):\n", fmtDur(total), fmtDur(rec.WallNS))
 	for p := 0; p < timeline.NumPhases; p++ {
 		ns := rec.PhaseNS[p]
@@ -101,36 +97,6 @@ func explainPhases(w io.Writer, rec *Record) {
 		fmt.Fprintf(w, "  %-9s %10s %5.1f%% %s\n",
 			timeline.PhaseName(p), fmtDur(ns), share*100, bar(share, 30))
 	}
-}
-
-// explainPipelinedPhases renders the waterfall for a pipelined cold build.
-// The fused scatter/refine/sweep phases ran concurrently, so their buckets
-// hold per-worker busy time rather than wall slices — shares of the wall
-// would sum past 100%. Instead each row's share is of total busy time
-// (summing to 100% by construction), and a trailing pipeline row reports
-// the fused phase's actual wall time against the busy work it absorbed.
-func explainPipelinedPhases(w io.Writer, rec *Record, busy int64) {
-	fmt.Fprintf(w, "phases (pipelined: %s busy across %s wall):\n",
-		fmtDur(busy), fmtDur(rec.WallNS))
-	for p := 0; p < timeline.NumPhases; p++ {
-		ns := rec.PhaseNS[p]
-		if ns == 0 {
-			continue // phase skipped (fill is fused into partition here)
-		}
-		share := float64(ns) / float64(busy)
-		fmt.Fprintf(w, "  %-9s %10s %5.1f%% %s\n",
-			timeline.PhaseName(p), fmtDur(ns), share*100, bar(share, 30))
-	}
-	fused := rec.PhaseNS[timeline.PhasePartition] +
-		rec.PhaseNS[timeline.PhaseFill] +
-		rec.PhaseNS[timeline.PhaseRefine] +
-		rec.PhaseNS[timeline.PhaseSweep]
-	fmt.Fprintf(w, "  %-9s %10s  wall for %s busy", "pipeline",
-		fmtDur(rec.PipelineNS), fmtDur(fused))
-	if fused > rec.PipelineNS {
-		fmt.Fprintf(w, " (%.2fx overlap)", float64(fused)/float64(rec.PipelineNS))
-	}
-	fmt.Fprintf(w, "\n")
 }
 
 // explainHealth renders the runtime health window (runtimeobs.Sampler)

@@ -53,43 +53,6 @@ func TestExplainPartitionReport(t *testing.T) {
 	}
 }
 
-// A pipelined cold build's phase buckets are per-worker busy time, so the
-// waterfall must switch to busy shares and emit the pipeline-overlap row
-// instead of wall shares that would sum past 100%.
-func TestExplainPipelinedReport(t *testing.T) {
-	rec := sampleRecord(0)
-	rec.WallNS = 1e6
-	// Busy time across 4 workers exceeds the fused phase's wall time.
-	rec.PhaseNS = [timeline.NumPhases]int64{}
-	rec.PhaseNS[timeline.PhasePrep] = 1e5
-	rec.PhaseNS[timeline.PhasePartition] = 6e5
-	rec.PhaseNS[timeline.PhaseRefine] = 2e5
-	rec.PhaseNS[timeline.PhaseSweep] = 1.6e6
-	rec.PipelineNS = 8e5
-	var sb strings.Builder
-	Explain(&sb, &rec)
-	out := sb.String()
-	for _, want := range []string{
-		"phases (pipelined: 2.50ms busy across 1.00ms wall):",
-		"partition",
-		"pipeline", "wall for 2.40ms busy", "(3.00x overlap)",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("pipelined report missing %q\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "phases (measured") {
-		t.Errorf("pipelined record rendered the wall-share header\n%s", out)
-	}
-	// The non-pipelined header and semantics stay intact for barrier runs.
-	rec.PipelineNS = 0
-	var sb2 strings.Builder
-	Explain(&sb2, &rec)
-	if !strings.Contains(sb2.String(), "phases (measured") {
-		t.Errorf("barrier record lost the wall-share header\n%s", sb2.String())
-	}
-}
-
 func TestExplainTreeReport(t *testing.T) {
 	rec := Record{
 		Seq: 1, WallNS: 2e6, Engine: "tree",

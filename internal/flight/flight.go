@@ -96,18 +96,9 @@ type Record struct {
 	StealAttempts int `json:"steal_attempts,omitempty"`
 
 	// PhaseNS is the engine's per-phase attribution, indexed by the
-	// timeline.Phase* constants. For a barrier or steady-state run every
-	// bucket is that phase's wall time; for a pipelined cold build (see
-	// PipelineNS) the overlapped phases report per-worker busy time
-	// instead, so the buckets no longer tile the wall clock.
+	// timeline.Phase* constants: every bucket is that phase's wall time on
+	// the joining goroutine, so the buckets sum to at most WallNS.
 	PhaseNS [timeline.NumPhases]int64 `json:"phase_ns"`
-
-	// PipelineNS is the wall time of the partition engine's fused
-	// scatter+fill+sweep pipeline phase; zero when the build ran with
-	// barriers or on the steady-state fast path. Nonzero means the phase
-	// buckets overlap in time and EXPLAIN renders a busy-time waterfall
-	// with a pipeline-overlap row.
-	PipelineNS int64 `json:"pipeline_ns,omitempty"`
 
 	// Per-worker figures: candidate pairs emitted, and (tree engine)
 	// steals performed as the thief.

@@ -83,8 +83,15 @@ func freshStateDiff(j *Joiner, r, s []rtree.Item, cfg Config) (diff string, comp
 	var f Joiner
 	defer f.Close()
 	f.Join(r, s, cfg)
+	diff, comparable, _ = stateDiff(j, &f)
+	return diff, comparable
+}
+
+// stateDiff is freshStateDiff against a given Joiner f; sched reports
+// whether the schedules were comparable too, and compared.
+func stateDiff(j, f *Joiner) (diff string, comparable, sched bool) {
 	if j.gx != f.gx || j.minX != f.minX || j.minY != f.minY || j.invW != f.invW || j.invH != f.invH {
-		return "", false
+		return "", false, false
 	}
 	sides := []struct {
 		name     string
@@ -98,28 +105,29 @@ func freshStateDiff(j *Joiner, r, s []rtree.Item, cfg Config) (diff string, comp
 		gp, fp := &sd.got.planes, &sd.ref.planes
 		switch {
 		case !slices.Equal(sd.ord, sd.fo):
-			return sd.name + " sweep order differs from a fresh build", true
+			return sd.name + " sweep order differs from a fresh build", true, false
 		case !slices.Equal(sd.got.starts, sd.ref.starts):
-			return sd.name + " starts differ from a fresh build", true
+			return sd.name + " starts differ from a fresh build", true, false
 		case !slices.Equal(sd.got.idx, sd.ref.idx):
-			return sd.name + " idx differs from a fresh build", true
+			return sd.name + " idx differs from a fresh build", true, false
 		case !sameFloats(gp.MinX, fp.MinX) || !sameFloats(gp.MinY, fp.MinY) ||
 			!sameFloats(gp.MaxX, fp.MaxX) || !sameFloats(gp.MaxY, fp.MaxY):
-			return sd.name + " segment planes differ from a fresh build", true
+			return sd.name + " segment planes differ from a fresh build", true, false
 		}
 	}
 	switch {
 	case j.trigger != f.trigger || j.recur != f.recur ||
 		(j.refBudget != f.refBudget && (j.refStarved || f.refStarved)):
+		return "", true, false
 	case !slices.Equal(j.units, f.units) || !slices.Equal(j.ucost, f.ucost):
-		return "work-unit schedule differs from a fresh build", true
+		return "work-unit schedule differs from a fresh build", true, false
 	case !slices.Equal(j.refRIdx, f.refRIdx) || !slices.Equal(j.refSIdx, f.refSIdx) ||
 		!slices.EqualFunc(j.refNodes, f.refNodes, sameNode):
-		return "refinement arenas differ from a fresh build", true
+		return "refinement arenas differ from a fresh build", true, false
 	case !slices.EqualFunc(j.refSplits, f.refSplits, sameSplit):
-		return "split records differ from a fresh build", true
+		return "split records differ from a fresh build", true, false
 	}
-	return "", true
+	return "", true, true
 }
 
 // deltaWorld is the side of the square the delta tests' inputs span: two
@@ -327,7 +335,7 @@ func TestDeltaIdentityOnly(t *testing.T) {
 // element for element): a change in a cold tile re-costs its unit in place,
 // a change inside, into or out of a refined tile is carried down its subtree
 // — all without a schedule rebuild — and only a tile pushed across the
-// trigger goes through buildUnits.
+// trigger rebuilds it.
 func TestDeltaRefinedTiles(t *testing.T) {
 	r, s := clusteredItems(3000, 5, 21)
 	var j Joiner

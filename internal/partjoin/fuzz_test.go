@@ -86,104 +86,6 @@ func FuzzPartitionJoin(f *testing.F) {
 	})
 }
 
-// FuzzPartitionJoinPipelined pins the pipelined cold-path build to the
-// brute-force oracle AND to the pre-pipeline barrier engine's exact sorted
-// pair sequence, over the same degenerate inputs (NaN, empty, duplicate
-// stacks) and refinement tiers the refined fuzz covers — the pipeline's
-// per-tile readiness, fused scatter+fill and in-phase refinement hand-off
-// must be invisible in the results. The mutation stages drive the reuse
-// cache through the delta tier (one changed rect: a grown extent, a broken
-// sweep order, an identity change); FuzzPartitionJoinMutateSequence drives
-// the rebuild.
-func FuzzPartitionJoinPipelined(f *testing.F) {
-	f.Add([]byte{2, 1, 1, 0, 0, 0, 4, 4, 1, 1, 4, 4, 3, 3, 2, 2, 8, 8, 1, 1})
-	f.Add([]byte{0, 0, 0, 0})
-	// All-in-one-tile stack: identical rects, grid 1, threshold 1.
-	f.Add([]byte{7, 1, 3, 1, 5, 5, 0, 0, 5, 5, 0, 0, 5, 5, 0, 0, 5, 5, 0, 0})
-	// NaN + empty + duplicate injections (0xF0/0xF1/0xF2 markers) — NaN
-	// MinX breaks the scatter's column monotonicity, forcing the
-	// whole-scatter readiness fallback.
-	f.Add([]byte{9, 1, 2, 1, 0xF0, 0xF1, 0xF2, 3, 1, 1, 4, 4, 2, 2, 8, 8, 6, 6, 1, 1, 9, 9, 2, 2})
-	// Boundary lattice: rects touching at multiples of 8.
-	f.Add([]byte{6, 2, 2, 1, 0, 0, 8, 8, 8, 8, 8, 8, 16, 16, 8, 8, 0, 8, 8, 8, 8, 0, 8, 8})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, s, cfg := fuzzRefinedInput(data)
-		cfg.Sorted = true
-		ref := cfg
-		ref.Barrier = true
-		gather := cfg
-		gather.Sorted = false
-		var jp, jb, jg Joiner
-		defer jp.Close()
-		defer jb.Close()
-		defer jg.Close()
-		check := func(stage string) {
-			t.Helper()
-			res := jp.Join(r, s, cfg)
-			got := toSet(t, res.Candidates)
-			want := bruteSet(r, s)
-			if len(got) != len(want) {
-				t.Fatalf("cfg %+v %s: %d pairs, want %d", cfg, stage, len(got), len(want))
-			}
-			for k := range want {
-				if !got[k] {
-					t.Fatalf("cfg %+v %s: missing pair %v", cfg, stage, k)
-				}
-			}
-			// Exact pair-sequence equality against the barrier engine.
-			bres := jb.Join(r, s, ref)
-			if len(bres.Candidates) != len(res.Candidates) {
-				t.Fatalf("cfg %+v %s: pipelined %d pairs, barrier %d",
-					cfg, stage, len(res.Candidates), len(bres.Candidates))
-			}
-			for i := range bres.Candidates {
-				if bres.Candidates[i].R != res.Candidates[i].R ||
-					bres.Candidates[i].S != res.Candidates[i].S {
-					t.Fatalf("cfg %+v %s: pair %d differs: pipelined (%d,%d) vs barrier (%d,%d)",
-						cfg, stage, i, res.Candidates[i].R, res.Candidates[i].S,
-						bres.Candidates[i].R, bres.Candidates[i].S)
-				}
-			}
-			if res.Partitions != bres.Partitions || res.Duplicates != bres.Duplicates {
-				t.Fatalf("cfg %+v %s: pipelined parts/dups %d/%d vs barrier %d/%d",
-					cfg, stage, res.Partitions, res.Duplicates,
-					bres.Partitions, bres.Duplicates)
-			}
-			// The unsorted output path — the workers' chunked buffers
-			// gathered in parallel into their slices of the result — must
-			// hold exactly the candidates of the sorted one, rects included.
-			gres := jg.Join(r, s, gather)
-			gathered := append([]join.Candidate(nil), gres.Candidates...)
-			join.SortCandidates(gathered)
-			if len(gathered) != len(res.Candidates) {
-				t.Fatalf("cfg %+v %s: gathered %d pairs, merged %d",
-					cfg, stage, len(gathered), len(res.Candidates))
-			}
-			for i := range gathered {
-				if gathered[i] != res.Candidates[i] {
-					t.Fatalf("cfg %+v %s: candidate %d differs: gathered %+v vs merged %+v",
-						cfg, stage, i, gathered[i], res.Candidates[i])
-				}
-			}
-		}
-		check("cold")
-		check("rejoin")
-		if len(r) > 0 && len(data) >= 4 {
-			i := int(data[2]) % len(r)
-			switch data[3] % 3 {
-			case 0: // grow within the world — may stay in-tile or cross
-				r[i].Rect.MaxX += float64(data[0] % 8)
-				r[i].Rect.MaxY += float64(data[1] % 8)
-			case 1: // move left — typically breaks the sweep order
-				r[i].Rect.MinX = -float64(data[0] % 16)
-			case 2: // change identity only
-				r[i].ID += 777
-			}
-			check("mutated")
-		}
-	})
-}
-
 // fuzzRefinedInput decodes the refined-fuzz payload: the base layout of
 // fuzzJoinInput plus a refinement threshold selector and special-rect
 // injection. Byte 1 (grid) doubles as the threshold source so tiny
@@ -226,8 +128,10 @@ func fuzzRefinedInput(data []byte) (r, s []rtree.Item, cfg Config) {
 // FuzzPartitionJoinRefined pins the refined engine to the brute-force
 // oracle AND to the unrefined engine's exact sorted pair sequence, across
 // skewed/degenerate/duplicate-heavy inputs and the Joiner reuse tiers
-// after mutations. Sorted mode is forced so the two engines' outputs are
-// comparable element by element.
+// after mutations (one changed rect: a grown extent, a broken sweep order,
+// an identity change; FuzzPartitionJoinMutateSequence drives the rebuild).
+// Sorted mode is forced so the two engines' outputs are comparable element
+// by element; a third Joiner runs the unsorted output path beside them.
 func FuzzPartitionJoinRefined(f *testing.F) {
 	f.Add([]byte{2, 1, 1, 0, 0, 0, 4, 4, 1, 1, 4, 4, 3, 3, 2, 2, 8, 8, 1, 1})
 	f.Add([]byte{0, 0, 0, 0})
@@ -242,9 +146,12 @@ func FuzzPartitionJoinRefined(f *testing.F) {
 		cfg.Sorted = true
 		base := cfg
 		base.RefineThreshold = RefineDisabled
-		var jr, ju Joiner
+		gather := cfg
+		gather.Sorted = false
+		var jr, ju, jg Joiner
 		defer jr.Close()
 		defer ju.Close()
+		defer jg.Close()
 		check := func(stage string) {
 			t.Helper()
 			res := jr.Join(r, s, cfg)
@@ -270,6 +177,22 @@ func FuzzPartitionJoinRefined(f *testing.F) {
 					t.Fatalf("cfg %+v %s: pair %d differs: refined (%d,%d) vs unrefined (%d,%d)",
 						cfg, stage, i, res.Candidates[i].R, res.Candidates[i].S,
 						ref.Candidates[i].R, ref.Candidates[i].S)
+				}
+			}
+			// The unsorted output path — the workers' chunked buffers
+			// gathered in parallel into their slices of the result — must
+			// hold exactly the candidates of the sorted one, rects included.
+			gres := jg.Join(r, s, gather)
+			gathered := append([]join.Candidate(nil), gres.Candidates...)
+			join.SortCandidates(gathered)
+			if len(gathered) != len(res.Candidates) {
+				t.Fatalf("cfg %+v %s: gathered %d pairs, merged %d",
+					cfg, stage, len(gathered), len(res.Candidates))
+			}
+			for i := range gathered {
+				if gathered[i] != res.Candidates[i] {
+					t.Fatalf("cfg %+v %s: candidate %d differs: gathered %+v vs merged %+v",
+						cfg, stage, i, gathered[i], res.Candidates[i])
 				}
 			}
 		}

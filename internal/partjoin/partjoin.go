@@ -39,6 +39,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -62,12 +63,6 @@ type Config struct {
 	// Sorted returns the candidates sorted by (R, S) id so results are
 	// deterministic regardless of scheduling.
 	Sorted bool
-	// Barrier forces the pre-pipeline cold-path build: scatter, fill and
-	// sweep run as separate full pool barriers instead of the fused
-	// pipelined phase. The results are bit-identical either way — the flag
-	// exists as the reference engine for the pipelined path's equivalence
-	// tests and as an escape hatch.
-	Barrier bool
 	// RefineThreshold controls adaptive tile refinement (see refine.go):
 	// 0 derives a threshold from the tile cost distribution (the default —
 	// refinement engages only when the grid is skewed), RefineDisabled
@@ -78,9 +73,10 @@ type Config struct {
 	// prefix (partitions joined, duplicates suppressed, per-worker pairs).
 	Metrics *metrics.Registry
 	// Timeline, when set, records one wall-clock cpu-sweep span per tile
-	// join plus one phase span per worker per pipeline phase. Size it with
-	// timeline.NewWallRecorder over the resolved worker count; each worker
-	// writes only its own track.
+	// join plus one phase span per worker per pool phase. Size it with
+	// timeline.NewWallRecorder over the resolved worker count (Join panics
+	// on a mismatch before it touches anything); each worker writes only its
+	// own track.
 	Timeline *timeline.Recorder
 	// Introspect, when true, additionally fills Result.TopTiles and
 	// Result.Heat from the work-unit schedule (one O(units) scan). Off by
@@ -143,19 +139,17 @@ type Result struct {
 	// delta tier patched, zero on every other tier.
 	Reuse      Reuse
 	DeltaRects int
-	// PhaseNS is the wall time spent in each pipeline phase, indexed by the
-	// timeline.Phase* constants. Always filled — the cost is a handful of
-	// clock reads — and a phase the run skipped reads zero, so the clean
-	// tier is visible as empty sort/partition buckets. The delta step's wall
-	// time accrues to the partition bucket.
+	// PhaseNS is the wall time spent in each phase, indexed by the
+	// timeline.Phase* constants. Every bucket is a sum of disjoint intervals
+	// of the calling goroutine's clock, so the buckets never add up to more
+	// than the wall time of the Join call, on any tier. Always filled — the
+	// cost is a handful of clock reads — and a phase the run skipped reads
+	// zero, so the clean tier is visible as empty sort/partition buckets.
+	// The delta step's wall time accrues to the partition bucket; the hot-tile
+	// refinement the caller's goroutine runs inside the join phase accrues to
+	// the refine bucket and is taken out of the sweep bucket. The fill bucket
+	// is always zero: the scatter writes the coordinate planes itself.
 	PhaseNS [timeline.NumPhases]int64
-	// PipelineNS is the wall time of the fused scatter+fill+sweep pipeline
-	// phase on a cold pipelined build, and zero on warm (fast-path) or
-	// Barrier joins. When set, the partition/fill/sweep/refine buckets of
-	// PhaseNS hold per-worker busy time summed across workers rather than
-	// phase wall time — the phases overlap inside the pipeline, so wall
-	// attribution per phase no longer exists.
-	PipelineNS int64
 	// TopTiles and Heat are filled only under Config.Introspect. TopTiles
 	// holds the TopTileK costliest work units of the schedule; Heat is the
 	// schedule's cost mass folded onto a row-major HeatW×HeatH grid
@@ -202,11 +196,8 @@ const (
 	phaseMirrorCheck        // compare items against mirrors, list the changes
 	phaseSort               // sort both sides into global sweep order
 	phaseCount              // count tile occupancy per worker chunk
-	phaseScatter            // scatter rect indices into tile segments
-	phaseFill               // fill the tile-segment coordinate planes (Barrier build)
-	phaseRefineFill         // fill the refinement-arena coordinate planes
+	phaseScatter            // scatter rect indices and coordinates into tile segments
 	phaseJoin               // sweep the work units, largest first
-	phasePipeline           // fused scatter+fill+sweep+refine (see pipeline.go)
 	phaseGather             // copy each worker's candidates into its slice of out
 )
 
@@ -221,19 +212,18 @@ type gridSide struct {
 	starts   []int32 // tiles+1 segment boundaries into idx
 	idx      []int32 // rect indices grouped by tile
 	disorder []uint8 // per-worker flag: chunk out of order or codes stale
-	mono     []uint8 // per-worker flag: chunk's tile columns ascend (see pipeline.go)
 
 	// planes is the coordinate-plane copy of the tile segments, in segment
 	// position space: planes rectangle p is rects[idx[p]]. Replicating the
 	// coordinates here is what makes the per-tile sweep stride-free — both
 	// sides of every tile are contiguous, sweep-sorted runs of the four
-	// plane arrays. Filled by the scatter (pipelined build) or by phaseFill
-	// (Barrier build); the delta step edits it in place together with idx.
+	// plane arrays. Filled by the scatter; the delta step edits it in place
+	// together with idx.
 	planes geom.Planes
 }
 
 // unsorted reports whether any worker's count pass found its chunk out of
-// sweep order (flags set by bucketChunk, cleared by reset).
+// sweep order (flags set by countChunk, cleared by reset).
 func (g *gridSide) unsorted(workers int) bool {
 	for _, d := range g.disorder[:workers] {
 		if d != 0 {
@@ -254,10 +244,6 @@ type workerState struct {
 	candSorter join.CandidateSorter
 
 	pairs, dups, comps, parts int64
-
-	// phaseNS is the worker's busy time per phase inside the fused pipeline
-	// phase, summed into Result.PhaseNS after the run (idle spin excluded).
-	phaseNS [timeline.NumPhases]int64
 }
 
 // Joiner holds the reusable state of the partition-based join: SoA mirrors
@@ -322,7 +308,9 @@ type Joiner struct {
 	// emit-time ownership walk re-evaluates. unitsOK + cThr gate the reuse
 	// of the whole schedule on the fast path; trigger/recur are the cost
 	// bounds resolved at the last schedule build, which the delta step holds
-	// frozen until the next one.
+	// frozen until the next one. hotRoots is the number of root tiles a
+	// build under way has yet to refine: prepSchedule sets it, refineHot
+	// clears it.
 	units                  []workUnit
 	ucost                  []int64
 	refNodes               []refNode
@@ -337,19 +325,20 @@ type Joiner struct {
 	unitsOK                bool
 	cThr                   int64
 	trigger, recur         int64
+	hotRoots               int
 
-	order  tileOrder // reusable sorter over units/ucost
-	cursor atomic.Int64
-	prog   *runtimeobs.Progress // live-progress slot of the current join (may be nil)
+	order tileOrder            // reusable sorter over units/ucost
+	prog  *runtimeobs.Progress // live-progress slot of the current join (may be nil)
 
-	// Pipelined-build state (see pipeline.go): the cost-descending root
-	// schedule (pOrder indexes j.tiles), its claim table, the per-worker
-	// scatter frontiers and the refinement hand-off.
-	pOrder     []int32
-	pipeOrd    pipeOrder
-	ready      parnative.ReadyQueue
-	pipe       pipeState
-	pipelineNS int64
+	// Join-phase hand-out (see joinTiles). The early units are claimable from
+	// the start of the phase; the workers read them through these headers,
+	// captured before the phase starts, because worker 0 appends to units and
+	// ucost while it refines the hot tiles. What it appends are the late
+	// units, units[len(earlyUnits):], readable once late is released.
+	earlyUnits              []workUnit
+	earlyCost               []int64
+	earlyCursor, lateCursor atomic.Int64
+	late                    sync.WaitGroup // held by worker 0 while it refines
 
 	ws   []workerState
 	runs [][]join.Candidate // per-worker run views for the sorted merge
@@ -386,6 +375,11 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	// A mis-sized recorder is a caller bug; say so before the pool, the
+	// progress slot or any cached state is touched.
+	if cfg.Timeline != nil && len(cfg.Timeline.Procs()) != workers {
+		panic("partjoin: Timeline track count does not match Workers (size with NewWallRecorder)")
+	}
 	res := Result{Workers: workers}
 	if len(r) == 0 || len(s) == 0 {
 		j.perWorker = growInts(j.perWorker, workers)
@@ -409,9 +403,6 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 	}
 	j.rec = cfg.Timeline
 	if j.rec != nil {
-		if got := len(j.rec.Procs()); got != workers {
-			panic("partjoin: Timeline track count does not match Workers (size with NewWallRecorder)")
-		}
 		j.epoch = time.Now()
 	}
 	j.phaseNS = [timeline.NumPhases]int64{}
@@ -448,7 +439,6 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 	}
 	fast := j.cacheOK && j.cGX == g && j.cWk == workers &&
 		j.cRLen == len(r) && j.cSLen == len(s)
-	pipelined := false // cold build fused into the pipelined phase
 	res.Reuse = ReuseCold
 	if fast {
 		j.chg = growChanges(j.chg, workers*deltaMax)
@@ -492,7 +482,8 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 
 		// Two-pass counting sort of both sides into tile segments. The
 		// count pass caches each rect's tile range; the scatter pass
-		// walks the sweep order, so tile segments come out sweep-sorted.
+		// walks the sweep order, so tile segments come out sweep-sorted,
+		// and writes each rect's coordinates next to its index.
 		j.rTile = growCodes(j.rTile, len(r))
 		j.sTile = growCodes(j.sTile, len(s))
 		j.rPart.reset(workers, tiles)
@@ -528,76 +519,46 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 		}
 		j.rPart.prefixSum(workers, tiles)
 		j.sPart.prefixSum(workers, tiles)
-		if cfg.Barrier {
-			j.runPhase(phaseScatter)
-			j.runPhase(phaseFill)
-		} else {
-			pipelined = true
-		}
+		j.runPhase(phaseScatter)
 		j.cacheOK = true
 		j.cGX, j.cWk = g, workers
 		j.cRLen, j.cSLen = len(r), len(s)
 	}
-	// Phase 5: schedule and sweep. The per-worker result state resets first
-	// — the pipelined build sweeps inside its fused phase.
+	// Phase 5: schedule and sweep.
 	j.ws = growStates(j.ws, workers)
 	for w := range j.ws[:workers] {
 		ws := &j.ws[w]
 		ws.cands.Reset()
 		ws.pairs, ws.dups, ws.comps, ws.parts = 0, 0, 0, 0
-		ws.phaseNS = [timeline.NumPhases]int64{}
 	}
-	j.pipelineNS = 0
-	if pipelined {
-		// Cold pipelined build: scatter, fill, refinement and the sweeps
-		// run overlapped in one pool phase; the canonical work-unit
-		// schedule is reconstructed afterwards so the reuse tiers see the
-		// exact state a barrier build would have left.
-		j.pipelineRun(cfg)
-	} else if !(fast && j.unitsOK && j.cThr == cfg.RefineThreshold) {
-		// Work-unit schedule: non-empty tiles largest-first, hot tiles
-		// refined into leaf subtiles (see refine.go) so one dense cluster
-		// cannot turn into a single straggling sweep. A fast-path join
-		// reuses the previous schedule outright — assignment and refinement
-		// are functions of the coordinates, and the delta step clears
-		// unitsOK when a change reaches a tile whose units it cannot re-cost
-		// in place.
-		// The refine bucket gets this whole block's wall time; runPhase
-		// accrues the inner refine-fill there too, so overwrite the bucket
-		// with the block total instead of double counting.
-		refBefore := j.phaseNS[timeline.PhaseRefine]
-		tRef := time.Now()
-		if j.rec != nil {
-			j.rec.BeginSpan(0, wallSince(j.epoch), timeline.KindPhase,
-				sim.SpanArgs{A: timeline.PhaseRefine})
-		}
-		tiles := j.gx * j.gy
-		j.tiles = j.tiles[:0]
-		j.cost = j.cost[:0]
-		for t := 0; t < tiles; t++ {
-			rn := int64(j.rPart.starts[t+1] - j.rPart.starts[t])
-			sn := int64(j.sPart.starts[t+1] - j.sPart.starts[t])
-			if rn == 0 || sn == 0 {
-				continue
-			}
-			j.tiles = append(j.tiles, int32(t))
-			j.cost = append(j.cost, rn*sn+rn+sn)
-		}
-		j.trigger, j.recur = j.resolveThreshold(cfg.RefineThreshold)
-		j.buildUnits(j.trigger, j.recur)
-		j.unitsOK = true
-		j.cThr = cfg.RefineThreshold
-		if j.rec != nil {
-			j.rec.EndSpan(0, wallSince(j.epoch), sim.SpanArgs{}, false)
-		}
-		j.phaseNS[timeline.PhaseRefine] = refBefore + time.Since(tRef).Nanoseconds()
-	}
-	if !pipelined {
-		// Join the work units over the pool, workers pulling from the
-		// shared cursor (the pipelined build already swept everything).
+	// A fast-path join reuses the previous schedule outright — assignment and
+	// refinement are functions of the coordinates, and the delta step clears
+	// unitsOK when a change reaches a tile whose units it cannot re-cost in
+	// place. Every other join builds it: the prep here, the hot tiles'
+	// refinement as worker 0's first item of the join phase, and the closing
+	// sort after it.
+	build := !(fast && j.unitsOK && j.cThr == cfg.RefineThreshold)
+	if build {
+		j.timeRefine(func() { j.prepSchedule(cfg.RefineThreshold) })
+	} else {
 		j.prog.SetTotal(int64(len(j.units)), sumCost(j.ucost))
-		j.cursor.Store(0)
-		j.runPhase(phaseJoin)
+	}
+	// Join the work units over the pool. The workers claim the units on hand
+	// — the whole schedule, or on a build the unrefined tiles — through
+	// headers captured here: worker 0 appends to j.units while they run.
+	j.earlyUnits, j.earlyCost = j.units, j.ucost
+	j.earlyCursor.Store(0)
+	j.lateCursor.Store(0)
+	if j.hotRoots > 0 {
+		j.late.Add(1)
+	}
+	refBefore := j.phaseNS[timeline.PhaseRefine]
+	j.runPhase(phaseJoin)
+	// Worker 0 is this goroutine: the refinement it timed inside the phase
+	// is an interval of the phase's wall, not of the sweeps'.
+	j.phaseNS[timeline.PhaseSweep] -= j.phaseNS[timeline.PhaseRefine] - refBefore
+	if build {
+		j.timeRefine(j.sortUnits)
 	}
 
 	// Assemble. With Sorted the workers already left their runs sorted
@@ -649,7 +610,6 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 		j.rec.EndSpan(0, wallSince(j.epoch), sim.SpanArgs{}, false)
 	}
 	res.PhaseNS = j.phaseNS
-	res.PipelineNS = j.pipelineNS
 	if cfg.Introspect {
 		j.fillIntrospection(&res)
 	}
@@ -711,7 +671,7 @@ func (j *Joiner) fillIntrospection(res *Result) {
 }
 
 // runPhase executes one parallel phase over the pool, accruing its wall
-// time into the matching pipeline-phase bucket of Result.PhaseNS.
+// time into the matching bucket of Result.PhaseNS.
 func (j *Joiner) runPhase(phase int32) {
 	j.phase = phase
 	t0 := time.Now()
@@ -729,10 +689,6 @@ func timelinePhase(phase int32) int {
 		return timeline.PhaseSort
 	case phaseCount, phaseScatter:
 		return timeline.PhasePartition
-	case phaseFill:
-		return timeline.PhaseFill
-	case phaseRefineFill:
-		return timeline.PhaseRefine
 	case phaseGather:
 		return timeline.PhaseMerge
 	default:
@@ -754,25 +710,35 @@ func (j *Joiner) RunWorker(w int) {
 	case phaseSort:
 		j.sortSides(w)
 	case phaseCount:
-		j.bucketChunk(w, false)
+		j.countChunk(w)
 	case phaseScatter:
-		j.bucketChunk(w, true)
-	case phaseFill:
-		j.fillChunk(w)
+		j.scatterChunk(w)
 	case phaseMirrorCheck:
 		j.mirrorCheckChunk(w)
-	case phaseRefineFill:
-		j.refineFillChunk(w)
 	case phaseJoin:
 		j.joinTiles(w)
-	case phasePipeline:
-		j.pipeWorker(w)
 	case phaseGather:
 		j.gather(w)
 	}
 	if j.rec != nil {
 		j.rec.EndSpan(w, wallSince(j.epoch), sim.SpanArgs{}, false)
 	}
+}
+
+// timeRefine runs f, a piece of schedule work on the owner goroutine, as a
+// refine-phase span on track 0 and accrues its wall time to the refine
+// bucket.
+func (j *Joiner) timeRefine(f func()) {
+	t0 := time.Now()
+	if j.rec != nil {
+		j.rec.BeginSpan(0, wallSince(j.epoch), timeline.KindPhase,
+			sim.SpanArgs{A: timeline.PhaseRefine})
+	}
+	f()
+	if j.rec != nil {
+		j.rec.EndSpan(0, wallSince(j.epoch), sim.SpanArgs{}, false)
+	}
+	j.phaseNS[timeline.PhaseRefine] += time.Since(t0).Nanoseconds()
 }
 
 // gather copies worker w's candidates into its slice of out.
@@ -869,103 +835,114 @@ func (j *Joiner) sortSides(w int) {
 	}
 }
 
-// bucketChunk is one pass of the counting sort over this worker's chunks
-// of both sides, walking each side's global sweep order: scatter=false
-// counts tile occupancy (caching each rect's tile range as a packed
-// code), scatter=true writes the rect indices into the tile segments
-// reserved by the prefix sum. The per-(worker, tile) cursor cells make
-// the scatter race-free, and because chunks cover ascending sweep
-// positions and the prefix sum is worker-major, every tile segment comes
-// out sorted in sweep order — geom.SweepPairsPlanesDense's precondition —
-// without any per-tile sort.
-func (j *Joiner) bucketChunk(w int, scatter bool) {
-	tiles := j.gx * j.gy
-	sides := [2]struct {
-		part  *gridSide
-		rects []geom.Rect
-		ord   []int32
-		codes []uint64
-	}{
+// bucketSide is the view the two counting-sort passes walk: a side's
+// counting state, mirror, global sweep order and cached tile codes.
+type bucketSide struct {
+	part  *gridSide
+	rects []geom.Rect
+	ord   []int32
+	codes []uint64
+}
+
+func (j *Joiner) bucketSides() [2]bucketSide {
+	return [2]bucketSide{
 		{&j.rPart, j.rRects, j.rOrd, j.rTile},
 		{&j.sPart, j.sRects, j.sOrd, j.sTile},
 	}
-	for si, side := range sides {
-		if !scatter && j.countMask&(1<<si) == 0 {
+}
+
+// countChunk is the counting sort's first pass over this worker's chunks of
+// both sides, walking each side's global sweep order: it counts tile
+// occupancy into the worker's row of the count matrix and caches each
+// rect's tile range as a packed code for the scatter.
+func (j *Joiner) countChunk(w int) {
+	tiles := j.gx * j.gy
+	for si, side := range j.bucketSides() {
+		if j.countMask&(1<<si) == 0 {
 			continue // side kept its previous (completed) count and codes
 		}
 		cur := side.part.counts[w*tiles : (w+1)*tiles]
 		lo, hi := j.chunkRange(len(side.ord), w)
-		if !scatter {
-			if lo == hi {
-				continue
-			}
-			// With countVerify the count pass doubles as the sweep-order
-			// verification: it already gathers every rect in sweep order,
-			// so carrying the previous rect makes the sortedness check free
-			// and spares a dedicated scan phase in the steady state.
-			// Position lo with lo == 0 self-compares, which trivially
-			// passes (the index tiebreak is strict). On the first violation
-			// the chunk's counts are abandoned — Join re-sorts and recounts
-			// the side with verification off, so the recount is total.
-			verify := j.countVerify
-			pi := side.ord[lo]
-			if lo > 0 {
-				pi = side.ord[lo-1]
-			}
-			prev := &side.rects[pi]
-			lastX0 := 0
-			for pos := lo; pos < hi; pos++ {
-				ci := side.ord[pos]
-				r := &side.rects[ci]
-				if verify {
-					if r.MinX < prev.MinX ||
-						(r.MinX == prev.MinX &&
-							(r.MinY < prev.MinY || (r.MinY == prev.MinY && ci < pi))) {
-						side.part.disorder[w] = 1
-						break
-					}
-					prev, pi = r, ci
-				}
-				x0, y0 := j.tileOf(r.MinX, r.MinY)
-				x1, y1 := j.tileOf(r.MaxX, r.MaxY)
-				// The pipelined scatter's per-tile readiness relies on tile
-				// columns ascending along the chunk; a sorted order
-				// guarantees that except under an infinite MinX (it sorts
-				// last but its conversion clamps to column 0), so the count
-				// detects violations here and the pipeline falls back to
-				// whole-scatter readiness.
-				if x0 < lastX0 {
-					side.part.mono[w] = 0
-				}
-				lastX0 = x0
-				side.codes[pos] = packTiles(x0, y0, x1, y1)
-				if x0 == x1 && y0 == y1 { // the common single-tile rect
-					cur[y0*j.gx+x0]++
-					continue
-				}
-				for ty := y0; ty <= y1; ty++ {
-					base := ty * j.gx
-					for tx := x0; tx <= x1; tx++ {
-						cur[base+tx]++
-					}
-				}
-			}
+		if lo == hi {
 			continue
 		}
+		// With countVerify the count pass doubles as the sweep-order
+		// verification: it already gathers every rect in sweep order,
+		// so carrying the previous rect makes the sortedness check free
+		// and spares a dedicated scan phase in the steady state.
+		// Position lo with lo == 0 self-compares, which trivially
+		// passes (the index tiebreak is strict). On the first violation
+		// the chunk's counts are abandoned — Join re-sorts and recounts
+		// the side with verification off, so the recount is total.
+		verify := j.countVerify
+		pi := side.ord[lo]
+		if lo > 0 {
+			pi = side.ord[lo-1]
+		}
+		prev := &side.rects[pi]
 		for pos := lo; pos < hi; pos++ {
-			i := side.ord[pos]
-			x0, y0, x1, y1 := unpackTiles(side.codes[pos])
-			if x0 == x1 && y0 == y1 {
-				c := y0*j.gx + x0
-				side.part.idx[cur[c]] = i
-				cur[c]++
+			ci := side.ord[pos]
+			r := &side.rects[ci]
+			if verify {
+				if r.MinX < prev.MinX ||
+					(r.MinX == prev.MinX &&
+						(r.MinY < prev.MinY || (r.MinY == prev.MinY && ci < pi))) {
+					side.part.disorder[w] = 1
+					break
+				}
+				prev, pi = r, ci
+			}
+			x0, y0 := j.tileOf(r.MinX, r.MinY)
+			x1, y1 := j.tileOf(r.MaxX, r.MaxY)
+			side.codes[pos] = packTiles(x0, y0, x1, y1)
+			if x0 == x1 && y0 == y1 { // the common single-tile rect
+				cur[y0*j.gx+x0]++
 				continue
 			}
 			for ty := y0; ty <= y1; ty++ {
 				base := ty * j.gx
 				for tx := x0; tx <= x1; tx++ {
-					side.part.idx[cur[base+tx]] = i
 					cur[base+tx]++
+				}
+			}
+		}
+	}
+}
+
+// scatterChunk is the counting sort's second pass: one walk of each side's
+// sweep order over this worker's chunks writes every rect's index into the
+// tile segments reserved by the prefix sum AND its coordinates into the
+// segment planes — the rectangle is loaded once for both. The per-(worker,
+// tile) cursor cells make the scatter race-free, and because chunks cover
+// ascending sweep positions and the prefix sum is worker-major, every tile
+// segment comes out sorted in sweep order — geom.SweepPairsPlanesDense's
+// precondition — without any per-tile sort.
+func (j *Joiner) scatterChunk(w int) {
+	tiles := j.gx * j.gy
+	for _, side := range j.bucketSides() {
+		cur := side.part.counts[w*tiles : (w+1)*tiles]
+		idx := side.part.idx
+		planes := &side.part.planes
+		lo, hi := j.chunkRange(len(side.ord), w)
+		for pos := lo; pos < hi; pos++ {
+			i := side.ord[pos]
+			x0, y0, x1, y1 := unpackTiles(side.codes[pos])
+			r := side.rects[i]
+			if x0 == x1 && y0 == y1 { // the common single-tile rect
+				c := y0*j.gx + x0
+				p := cur[c]
+				idx[p] = i
+				planes.SetRect(int(p), r)
+				cur[c] = p + 1
+				continue
+			}
+			for ty := y0; ty <= y1; ty++ {
+				base := ty * j.gx
+				for tx := x0; tx <= x1; tx++ {
+					p := cur[base+tx]
+					idx[p] = i
+					planes.SetRect(int(p), r)
+					cur[base+tx] = p + 1
 				}
 			}
 		}
@@ -1013,28 +990,6 @@ func (j *Joiner) mirrorCheckChunk(w int) {
 	j.chgN[w] = int32(n)
 }
 
-// fillChunk (the Barrier build's fill phase) copies this worker's chunk of
-// each side's tile segments into the segment coordinate planes: position p
-// of the planes becomes
-// rects[idx[p]]. The writes are contiguous streams; the gathered reads
-// are the price of de-striding every subsequent sweep over the segment.
-func (j *Joiner) fillChunk(w int) {
-	sides := [2]struct {
-		part  *gridSide
-		rects []geom.Rect
-	}{
-		{&j.rPart, j.rRects},
-		{&j.sPart, j.sRects},
-	}
-	for _, side := range sides {
-		idx := side.part.idx
-		lo, hi := j.chunkRange(len(idx), w)
-		for pos := lo; pos < hi; pos++ {
-			side.part.planes.SetRect(pos, side.rects[idx[pos]])
-		}
-	}
-}
-
 // mirrorStale is the second look at an item rect r whose bits differ from
 // its mirror m: stale unless m is r's mirrorForm.
 func mirrorStale(m, r *geom.Rect) bool {
@@ -1065,18 +1020,36 @@ func unpackTiles(c uint64) (x0, y0, x1, y1 int) {
 	return int(c & 1023), int(c >> 10 & 1023), int(c >> 20 & 1023), int(c >> 30 & 1023)
 }
 
-// joinTiles pulls work units off the shared cursor (largest first) and
-// joins each; with Sorted pending the worker sorts its run before
-// returning so the merge on the owner goroutine is all that remains
-// single-threaded.
+// joinTiles is the join phase, the one place work units are handed out.
+// Every worker claims early units (largest first) until they run out, waits
+// for the late ones and claims those the same way. When the schedule is being
+// built, worker 0 starts by refining the hot tiles — its first work item,
+// and the others' reason to wait: the leaf units it appends are the late
+// units, published by releasing j.late. With Sorted pending the worker sorts
+// its run before returning so the merge on the owner goroutine is all that
+// remains single-threaded.
 func (j *Joiner) joinTiles(w int) {
 	ws := &j.ws[w]
+	if w == 0 && j.hotRoots > 0 {
+		j.timeRefine(j.refineHot)
+		j.late.Done()
+	}
+	j.sweepUnits(ws, w, &j.earlyCursor, j.earlyUnits, j.earlyCost)
+	j.late.Wait()
+	n := len(j.earlyUnits)
+	j.sweepUnits(ws, w, &j.lateCursor, j.units[n:], j.ucost[n:])
+	j.finishWorker(ws)
+}
+
+// sweepUnits claims units off the shared cursor until it passes the last
+// one, joining each.
+func (j *Joiner) sweepUnits(ws *workerState, w int, cursor *atomic.Int64, units []workUnit, cost []int64) {
 	for {
-		k := int(j.cursor.Add(1)) - 1
-		if k >= len(j.units) {
-			break
+		k := int(cursor.Add(1)) - 1
+		if k >= len(units) {
+			return
 		}
-		u := j.units[k]
+		u := units[k]
 		t := int(u.tile)
 		var t0 sim.Time
 		if j.rec != nil {
@@ -1090,7 +1063,7 @@ func (j *Joiner) joinTiles(w int) {
 			comps = j.joinSub(ws, u.node)
 		}
 		ws.parts++
-		j.prog.UnitDone(j.ucost[k])
+		j.prog.UnitDone(cost[k])
 		if j.rec != nil {
 			j.rec.Complete(w, t0, wallSince(j.epoch), timeline.KindCPUSweep, sim.SpanArgs{
 				A: int64(t % j.gx), B: int64(t / j.gx),
@@ -1098,7 +1071,6 @@ func (j *Joiner) joinTiles(w int) {
 			})
 		}
 	}
-	j.finishWorker(ws)
 }
 
 // finishWorker closes a worker's sweep: it latches the pair count and, with
@@ -1139,7 +1111,7 @@ func (j *Joiner) joinSegs(ws *workerState, rSeg, sSeg []int32, rView, sView *geo
 		return j.joinTileBatch(ws, rSeg, sSeg, rView, sView, tx, ty, node)
 	}
 
-	// Segments are already in sweep order (see bucketChunk; refinement
+	// Segments are already in sweep order (see scatterChunk; refinement
 	// scatters preserve the order level by level).
 	var comps int
 	ws.hits, comps = geom.SweepPairsPlanesDense(rView, sView, ws.hits[:0])
@@ -1261,8 +1233,7 @@ func AutoGrid(n, workers int) int {
 // cold path. Clustered inputs pack most rectangles into few tiles, so the
 // ~160-per-tile default leaves the hot tiles far over budget on the very
 // first join — before the refinement pass has any cost feedback. A
-// modestly finer grid splits those hot tiles up front and gives the
-// pipelined build more ready tiles to overlap with the trailing scatter.
+// modestly finer grid splits those hot tiles up front.
 // skew is the probe-grid occupancy skew (plan.Stats.Skew, max/mean over
 // cells); values at or below 2.5 — the uniform regime, matching the
 // planner's refinement threshold — leave the grid unchanged, and the
@@ -1323,25 +1294,6 @@ func (g *gridSide) reset(workers, tiles int) {
 		g.disorder = g.disorder[:workers]
 		clear(g.disorder)
 	}
-	if cap(g.mono) < workers {
-		g.mono = make([]uint8, workers)
-	} else {
-		g.mono = g.mono[:workers]
-	}
-	for i := range g.mono {
-		g.mono[i] = 1
-	}
-}
-
-// monotone reports whether every worker's chunk had ascending tile columns
-// in the last completed count (the pipelined readiness precondition).
-func (g *gridSide) monotone(workers int) bool {
-	for _, m := range g.mono[:workers] {
-		if m == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // prefixSum turns the count matrix into scatter cursors and fills the tile
@@ -1376,12 +1328,17 @@ func resetPlanes(p *geom.Planes, n int) {
 	p.Reset(n)
 }
 
-// tileOrder sorts j.units (and the parallel j.ucost) by descending cost,
-// ties on ascending (tile, node) for determinism.
-type tileOrder struct{ j *Joiner }
+// tileOrder sorts j.units (and the parallel j.ucost) from position lo on by
+// descending cost, ties on ascending (tile, node) for determinism. lo is
+// zero outside sortUnitsFrom, so Less and Swap take schedule positions.
+type tileOrder struct {
+	j  *Joiner
+	lo int
+}
 
-func (o *tileOrder) Len() int { return len(o.j.units) }
+func (o *tileOrder) Len() int { return len(o.j.units) - o.lo }
 func (o *tileOrder) Less(i, k int) bool {
+	i, k = i+o.lo, k+o.lo
 	if o.j.ucost[i] != o.j.ucost[k] {
 		return o.j.ucost[i] > o.j.ucost[k]
 	}
@@ -1392,6 +1349,7 @@ func (o *tileOrder) Less(i, k int) bool {
 	return a.node < b.node
 }
 func (o *tileOrder) Swap(i, k int) {
+	i, k = i+o.lo, k+o.lo
 	o.j.units[i], o.j.units[k] = o.j.units[k], o.j.units[i]
 	o.j.ucost[i], o.j.ucost[k] = o.j.ucost[k], o.j.ucost[i]
 }

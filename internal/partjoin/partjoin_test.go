@@ -6,11 +6,13 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"spjoin/internal/geom"
 	"spjoin/internal/join"
 	"spjoin/internal/metrics"
 	"spjoin/internal/rtree"
+	"spjoin/internal/runtimeobs"
 	"spjoin/internal/tiger"
 	"spjoin/internal/timeline"
 )
@@ -428,11 +430,10 @@ func TestPartitionJoinTimeline(t *testing.T) {
 	if spans != res.Partitions {
 		t.Fatalf("%d cpu-sweep spans, want one per joined partition (%d)", spans, res.Partitions)
 	}
-	// Every worker contributes one sweep-phase span (the fused pipeline
-	// phase reports as sweep); a cold join also runs prep and partition
-	// phases on every worker — the fill is fused into the pipelined
-	// scatter, so no standalone fill span exists — and the owner adds the
-	// refine (schedule build) and merge spans on track 0.
+	// Every worker contributes one sweep-phase span; a cold join also runs
+	// prep and partition phases on every worker — the scatter fills the
+	// planes itself, so no fill span exists — and the owner adds the refine
+	// (schedule build) and merge spans on track 0.
 	if phases[timeline.PhaseSweep] != workers {
 		t.Errorf("%d sweep phase spans, want %d", phases[timeline.PhaseSweep], workers)
 	}
@@ -442,92 +443,136 @@ func TestPartitionJoinTimeline(t *testing.T) {
 		}
 	}
 	if phases[timeline.PhaseFill] != 0 {
-		t.Errorf("%d fill phase spans on a pipelined cold join, want 0", phases[timeline.PhaseFill])
+		t.Errorf("%d fill phase spans on a cold join, want 0", phases[timeline.PhaseFill])
 	}
 	if phases[timeline.PhaseRefine] < 1 || phases[timeline.PhaseMerge] != 1 {
 		t.Errorf("refine=%d merge=%d owner phase spans, want >=1 and 1",
 			phases[timeline.PhaseRefine], phases[timeline.PhaseMerge])
 	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched timeline track count did not panic")
-		}
-	}()
-	Join(r, s, Config{Workers: workers + 1, Timeline: rec})
 }
 
-// TestPartitionJoinPhaseTimings pins the always-on PhaseNS contract: the
-// sweep and merge buckets are filled on every run, a cold join also pays
-// sort/partition/fill, and a clean steady-state re-join skips them. Which
-// tier served a join is Result.Reuse's to say, not an empty bucket's.
-func TestPartitionJoinPhaseTimings(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	r := items(randomRects(rng, 400, 100, 8), 0)
-	s := items(randomRects(rng, 400, 100, 8), 10000)
-	cfg := Config{Workers: 2, Grid: 6}
+// TestJoinRejectsMissizedTimeline: a recorder with the wrong track count is
+// refused before the join touches anything — the progress slot never opens,
+// and the Joiner joins correctly afterwards.
+func TestJoinRejectsMissizedTimeline(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	r := items(randomRects(rng, 150, 100, 10), 0)
+	s := items(randomRects(rng, 150, 100, 10), 10000)
+	live := runtimeobs.NewLive()
+	prog := live.NewProgress("partition")
 	var j Joiner
 	defer j.Close()
+	cfg := Config{Workers: 2, Grid: 5, Progress: prog}
+	requireBrute(t, "before", j.Join(r, s, cfg), r, s)
 
-	cold := j.Join(r, s, cfg)
-	if cold.Reuse != ReuseCold || cold.DeltaRects != 0 {
-		t.Errorf("first join: tier %q with %d delta rects, want cold with 0", cold.Reuse, cold.DeltaRects)
+	bad := cfg
+	bad.Workers, bad.Timeline = 3, timeline.NewWallRecorder(2)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("mismatched timeline track count did not panic")
+			}
+		}()
+		j.Join(r, s, bad)
+	}()
+	if st, _ := prog.Status(); st.Running || st.Seq != 1 {
+		t.Fatalf("refused join opened the progress slot: %+v", st)
 	}
-	for _, p := range []int{timeline.PhasePrep, timeline.PhasePartition,
-		timeline.PhaseSweep, timeline.PhaseMerge} {
-		if cold.PhaseNS[p] <= 0 {
-			t.Errorf("cold join: phase %s has no time", timeline.PhaseName(p))
+	if got := live.Snapshot(); len(got) != 0 {
+		t.Fatalf("refused join is listed as live: %+v", got)
+	}
+	if j.workers != 2 {
+		t.Fatalf("refused join resized the pool to %d workers", j.workers)
+	}
+	res := j.Join(r, s, cfg)
+	requireBrute(t, "after", res, r, s)
+	if res.Reuse != ReuseClean {
+		t.Fatalf("join after a refused one: tier %q, want clean", res.Reuse)
+	}
+}
+
+// TestPartitionJoinPhaseTimings pins the always-on PhaseNS contract: every
+// bucket is wall time of the calling goroutine, so on every tier and worker
+// count the buckets sum to no more than the wall time around the call (an
+// ordering of clock readings — nothing here depends on how long a phase
+// takes); prep, partition, sweep and merge are filled on a cold join, a clean
+// re-join skips sort and partition, the delta step lands in partition, and
+// the fill bucket is never used. Which tier served a join is Result.Reuse's
+// to say, not an empty bucket's.
+func TestPartitionJoinPhaseTimings(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		// Clustered, with an explicit threshold: worker 0 refines inside
+		// the join phase, the interval the sweep bucket must not keep.
+		r, s := clusteredItems(1500, 0.05, 47)
+		cfg := Config{Workers: workers, Grid: 6, RefineThreshold: 64}
+		var j Joiner
+		timed := func(stage string, want Reuse) Result {
+			t.Helper()
+			t0 := time.Now()
+			res := j.Join(r, s, cfg)
+			wall := time.Since(t0).Nanoseconds()
+			if res.Reuse != want {
+				t.Fatalf("w=%d %s: tier %q, want %q", workers, stage, res.Reuse, want)
+			}
+			var sum int64
+			for p, ns := range res.PhaseNS {
+				if ns < 0 {
+					t.Errorf("w=%d %s: phase %s has negative time %d", workers, stage, timeline.PhaseName(p), ns)
+				}
+				sum += ns
+			}
+			if sum > wall {
+				t.Errorf("w=%d %s: phases sum to %dns, more than the %dns wall: %v",
+					workers, stage, sum, wall, res.PhaseNS)
+			}
+			if res.PhaseNS[timeline.PhaseFill] != 0 {
+				t.Errorf("w=%d %s: fill bucket has %dns, want 0", workers, stage, res.PhaseNS[timeline.PhaseFill])
+			}
+			return res
 		}
-	}
-	// The pipelined cold build fuses the fill into the scatter and reports
-	// the fused phase's wall time separately.
-	if cold.PhaseNS[timeline.PhaseFill] != 0 {
-		t.Errorf("cold join: fill bucket has %dns, want 0 (fused into scatter)",
-			cold.PhaseNS[timeline.PhaseFill])
-	}
-	if cold.PipelineNS <= 0 {
-		t.Errorf("cold join: PipelineNS = %d, want > 0", cold.PipelineNS)
-	}
-	// The Barrier reference engine keeps the pre-pipeline phase structure.
-	var jb Joiner
-	defer jb.Close()
-	barrier := jb.Join(r, s, Config{Workers: 2, Grid: 6, Barrier: true})
-	if barrier.PhaseNS[timeline.PhaseFill] <= 0 || barrier.PipelineNS != 0 {
-		t.Errorf("barrier join: fill=%dns pipeline=%dns, want fill > 0 and pipeline 0",
-			barrier.PhaseNS[timeline.PhaseFill], barrier.PipelineNS)
-	}
-	if barrier.Reuse != ReuseCold {
-		t.Errorf("barrier join: tier %q, want cold", barrier.Reuse)
-	}
-	warm := j.Join(r, s, cfg)
-	if warm.Reuse != ReuseClean {
-		t.Errorf("steady-state join: tier %q, want clean", warm.Reuse)
-	}
-	for _, p := range []int{timeline.PhaseSort, timeline.PhasePartition, timeline.PhaseFill} {
-		if warm.PhaseNS[p] != 0 {
-			t.Errorf("steady-state join: phase %s ran (%dns), want skipped",
-				timeline.PhaseName(p), warm.PhaseNS[p])
+
+		cold := timed("cold", ReuseCold)
+		if cold.DeltaRects != 0 || cold.RefinedTiles == 0 {
+			t.Errorf("w=%d cold: %d delta rects, %d refined tiles, want 0 and some",
+				workers, cold.DeltaRects, cold.RefinedTiles)
 		}
-	}
-	if warm.PhaseNS[timeline.PhaseSweep] <= 0 || warm.PhaseNS[timeline.PhasePrep] <= 0 {
-		t.Errorf("steady-state join: sweep/prep phases missing: %v", warm.PhaseNS)
-	}
-	if warm.PipelineNS != 0 {
-		t.Errorf("steady-state join: PipelineNS = %d, want 0", warm.PipelineNS)
-	}
-	// The delta step's wall time lands in the partition bucket; nothing
-	// sorts or fills.
-	r[3].Rect.MaxX += 30
-	patched := j.Join(r, s, cfg)
-	if patched.Reuse != ReuseDelta || patched.DeltaRects != 1 {
-		t.Errorf("one changed rect: tier %q with %d delta rects, want delta with 1", patched.Reuse, patched.DeltaRects)
-	}
-	if patched.PhaseNS[timeline.PhasePartition] <= 0 ||
-		patched.PhaseNS[timeline.PhaseSort] != 0 || patched.PhaseNS[timeline.PhaseFill] != 0 {
-		t.Errorf("delta join: phases %v, want partition only", patched.PhaseNS)
-	}
-	if empty := j.Join(nil, s, cfg); empty.Reuse != "" {
-		t.Errorf("empty join: tier %q, want none", empty.Reuse)
+		for _, p := range []int{timeline.PhasePrep, timeline.PhasePartition,
+			timeline.PhaseRefine, timeline.PhaseSweep, timeline.PhaseMerge} {
+			if cold.PhaseNS[p] <= 0 {
+				t.Errorf("w=%d cold: phase %s has no time", workers, timeline.PhaseName(p))
+			}
+		}
+		warm := timed("clean", ReuseClean)
+		for _, p := range []int{timeline.PhaseSort, timeline.PhasePartition, timeline.PhaseRefine} {
+			if warm.PhaseNS[p] != 0 {
+				t.Errorf("w=%d clean: phase %s ran (%dns), want skipped",
+					workers, timeline.PhaseName(p), warm.PhaseNS[p])
+			}
+		}
+		if warm.PhaseNS[timeline.PhaseSweep] <= 0 || warm.PhaseNS[timeline.PhasePrep] <= 0 {
+			t.Errorf("w=%d clean: sweep/prep phases missing: %v", workers, warm.PhaseNS)
+		}
+		// The delta step's wall time lands in the partition bucket;
+		// nothing sorts.
+		r[3].Rect.MaxX += 0.01
+		patched := timed("delta", ReuseDelta)
+		if patched.DeltaRects != 1 || patched.PhaseNS[timeline.PhasePartition] <= 0 ||
+			patched.PhaseNS[timeline.PhaseSort] != 0 {
+			t.Errorf("w=%d delta: %d delta rects, phases %v, want 1 and partition without sort",
+				workers, patched.DeltaRects, patched.PhaseNS)
+		}
+		// More changes than the delta tier takes: the full build again.
+		for i := 0; i < 2*deltaMax; i++ {
+			r[i].Rect.MaxY += 0.01
+		}
+		rebuilt := timed("rebuild", ReuseRebuild)
+		if rebuilt.PhaseNS[timeline.PhasePartition] <= 0 || rebuilt.PhaseNS[timeline.PhaseSweep] <= 0 {
+			t.Errorf("w=%d rebuild: partition/sweep phases missing: %v", workers, rebuilt.PhaseNS)
+		}
+		if empty := j.Join(nil, s, cfg); empty.Reuse != "" {
+			t.Errorf("w=%d empty join: tier %q, want none", workers, empty.Reuse)
+		}
+		j.Close()
 	}
 }
 

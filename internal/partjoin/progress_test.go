@@ -40,10 +40,10 @@ func checkProgressSettled(t *testing.T, p *runtimeobs.Progress, res Result, stag
 	}
 }
 
-// TestPartitionJoinProgress drives every build tier of the engine — cold
-// pipelined (with in-phase refinement reshaping the schedule), clean
-// fast-path rejoin, barrier reference build, and refinement disabled —
-// against one reusable progress slot and pins the settled accounting.
+// TestPartitionJoinProgress drives the engine — a cold build (with the
+// in-phase refinement reshaping the schedule), a clean fast-path rejoin, and
+// a rebuild with refinement disabled — against one reusable progress slot
+// and pins the settled accounting.
 func TestPartitionJoinProgress(t *testing.T) {
 	r, s := clusteredItems(1200, 0.02, 7)
 	live := runtimeobs.NewLive()
@@ -62,19 +62,11 @@ func TestPartitionJoinProgress(t *testing.T) {
 		return res
 	}
 
-	cold := run("cold-pipelined", Config{Workers: 4, RefineThreshold: 1})
+	cold := run("cold", Config{Workers: 4, RefineThreshold: 1})
 	if cold.RefinedTiles == 0 {
 		t.Fatal("cold run did not refine; the reshaped-schedule path is untested")
 	}
 	run("clean-rejoin", Config{Workers: 4, RefineThreshold: 1})
-	var jb Joiner
-	defer jb.Close()
-	seqB := uint64(0)
-	barrier := Config{Workers: 4, RefineThreshold: 1, Barrier: true, Progress: prog, Sorted: true}
-	resB := jb.Join(r, s, barrier)
-	seqB = seq + 1
-	checkProgressSettled(t, prog, resB, "barrier", seqB)
-	seq = seqB
 	run("unrefined", Config{Workers: 2, RefineThreshold: RefineDisabled})
 
 	// In-flight visibility: the registry shows nothing once all joins are

@@ -6,8 +6,8 @@ import "spjoin/internal/geom"
 // leaf subtiles of its refinement subtree, so a changed rect in such a tile
 // must reach every arena segment that holds it. editRefined carries the
 // change down the subtree along the split records (refSplit) and leaves the
-// arenas, the nodes, the records and the schedule exactly as a fresh
-// buildUnits under the same trigger, recursion bound and arena budget would:
+// arenas, the nodes, the records and the schedule exactly as a fresh schedule
+// build under the same trigger, recursion bound and arena budget would:
 //
 //   - at every split whose cell the old or the new rect overlaps, the rect is
 //     removed from, inserted into, repositioned in or overwritten in the

@@ -14,7 +14,10 @@ import (
 // estimated sweep cost exceeds a threshold are therefore split recursively
 // into refineK×refineK subtiles, and the per-tile join schedule becomes a
 // schedule of work units: unrefined tiles plus refined leaf subtiles,
-// largest estimated sweep first.
+// largest estimated sweep first. A schedule build is three steps around the
+// one join phase: prepSchedule before it, refineHot inside it on worker 0
+// while the other workers already sweep the unrefined tiles, sortUnits
+// after it.
 //
 // Correctness hinges on the reference-point rule surviving the split. Each
 // split freezes its own geometry (origin + inverse cell extents) in the
@@ -189,12 +192,25 @@ func (j *Joiner) resolveThreshold(raw int64) (trigger, recurse int64) {
 	return trigger, refineMinCost
 }
 
-// buildUnits turns the non-empty tiles (j.tiles/j.cost) into the join
-// phase's work-unit schedule, refining tiles costlier than thr. It runs
-// sequentially on the owner goroutine — splitting is a small counting
-// sort per hot tile — and finishes by filling the refinement planes in
-// parallel and sorting the units largest-first.
-func (j *Joiner) buildUnits(trigger, recurse int64) {
+// prepSchedule starts a build of the work-unit schedule from the tile
+// segments, on the owner goroutine before the join phase: it lists the
+// non-empty tiles with their costs, resolves the cost bounds, empties the
+// refinement state and schedules every tile under the trigger as a root
+// unit, largest first. Those are the join phase's early units. The hotRoots
+// tiles past the trigger are refineHot's.
+func (j *Joiner) prepSchedule(raw int64) {
+	tiles := j.gx * j.gy
+	j.tiles = j.tiles[:0]
+	j.cost = j.cost[:0]
+	for t := 0; t < tiles; t++ {
+		rn := int64(j.rPart.starts[t+1] - j.rPart.starts[t])
+		sn := int64(j.sPart.starts[t+1] - j.sPart.starts[t])
+		if c := unitCost(rn, sn); c > 0 {
+			j.tiles = append(j.tiles, int32(t))
+			j.cost = append(j.cost, c)
+		}
+	}
+	j.trigger, j.recur = j.resolveThreshold(raw)
 	j.units = j.units[:0]
 	j.ucost = j.ucost[:0]
 	j.refNodes = j.refNodes[:0]
@@ -205,23 +221,61 @@ func (j *Joiner) buildUnits(trigger, recurse int64) {
 	j.refBudget = refineBudgetFactor * (len(j.rPart.idx) + len(j.sPart.idx))
 	j.refStarved = false
 	for i, t := range j.tiles {
+		if c := j.cost[i]; !j.isHot(c) {
+			j.units = append(j.units, workUnit{tile: t, node: -1})
+			j.ucost = append(j.ucost, c)
+		}
+	}
+	j.hotRoots = len(j.tiles) - len(j.units)
+	j.sortUnitsFrom(0)
+	j.unitsOK = true
+	j.cThr = raw
+	// Live progress counts every root tile, the hot ones included, until
+	// refineHot trades those for what they became.
+	j.prog.SetTotal(int64(len(j.tiles)), sumCost(j.cost))
+}
+
+// isHot reports whether a root tile of cost c is past the trigger of the
+// schedule build under way.
+func (j *Joiner) isHot(c int64) bool { return j.trigger >= 0 && c > j.trigger }
+
+// refineHot is the other half of a schedule build, worker 0's first item of
+// the join phase: it splits the hot tiles in ascending tile order (the order
+// in which they draw on the arena budget), fills the arena planes, and
+// leaves the late units — the leaf subtiles, or the root unit where a split
+// was refused — appended to the schedule, largest first. The other workers
+// are sweeping early units meanwhile, so everything here is sequential; the
+// caller publishes the result.
+func (j *Joiner) refineHot() {
+	early := len(j.units)
+	var hotCost int64
+	for i, t := range j.tiles {
 		c := j.cost[i]
-		if trigger >= 0 && c > trigger {
-			before := len(j.units)
-			if j.refineRoot(t, recurse) {
-				j.refinedTiles++
-				j.subtiles += len(j.units) - before
-				continue
-			}
+		if !j.isHot(c) {
+			continue
+		}
+		hotCost += c
+		before := len(j.units)
+		if j.refineRoot(t, j.recur) {
+			j.refinedTiles++
+			j.subtiles += len(j.units) - before
+			continue
 		}
 		j.units = append(j.units, workUnit{tile: t, node: -1})
 		j.ucost = append(j.ucost, c)
 	}
 	j.sizeArenaPlanes()
-	if len(j.refRIdx)+len(j.refSIdx) > 0 {
-		j.runPhase(phaseRefineFill)
+	for pos, ri := range j.refRIdx {
+		j.refRPlanes.SetRect(pos, j.rRects[ri])
 	}
-	j.sortUnits()
+	for pos, si := range j.refSIdx {
+		j.refSPlanes.SetRect(pos, j.sRects[si])
+	}
+	j.sortUnitsFrom(early)
+	// Each hot root leaves the progress total and the units it became
+	// (possibly none, when the split proved every rect dead) enter it.
+	j.prog.AddTotal(int64(len(j.units)-early-j.hotRoots), sumCost(j.ucost[early:])-hotCost)
+	j.hotRoots = 0
 }
 
 // sizeArenaPlanes sizes the arenas' position-space planes, and gives the
@@ -237,14 +291,22 @@ func (j *Joiner) sizeArenaPlanes() {
 	}
 }
 
-// sortUnits orders the schedule largest-first and leaves it tail headroom:
-// the delta step schedules a tile's unit in place when the tile gains its
-// first rect of a side, and declines when the schedule would have to grow.
+// sortUnits closes a schedule build once the join phase is over: it orders
+// the whole schedule largest-first — the canonical order every re-join
+// reuses — and leaves it tail headroom: the delta step schedules a tile's
+// unit in place when the tile gains its first rect of a side, and declines
+// when the schedule would have to grow.
 func (j *Joiner) sortUnits() {
-	j.order.j = j
-	sort.Sort(&j.order)
+	j.sortUnitsFrom(0)
 	j.units = slices.Grow(j.units, deltaMax)
 	j.ucost = slices.Grow(j.ucost, deltaMax)
+}
+
+// sortUnitsFrom orders the schedule's units from position lo on.
+func (j *Joiner) sortUnitsFrom(lo int) {
+	j.order.j, j.order.lo = j, lo
+	sort.Sort(&j.order)
+	j.order.lo = 0
 }
 
 // refineRoot splits root tile t. It reports whether a split was committed
@@ -445,20 +507,6 @@ func extendArena(s *[]int32, n int) int32 {
 		*s = grown
 	}
 	return int32(base)
-}
-
-// refineFillChunk is phaseRefineFill: copy this worker's chunk of the
-// refinement arenas into the position-space planes, the exact analogue of
-// fillChunk for the subtile segments.
-func (j *Joiner) refineFillChunk(w int) {
-	lo, hi := j.chunkRange(len(j.refRIdx), w)
-	for pos := lo; pos < hi; pos++ {
-		j.refRPlanes.SetRect(pos, j.rRects[j.refRIdx[pos]])
-	}
-	lo, hi = j.chunkRange(len(j.refSIdx), w)
-	for pos := lo; pos < hi; pos++ {
-		j.refSPlanes.SetRect(pos, j.sRects[j.refSIdx[pos]])
-	}
 }
 
 // joinSub joins one refined leaf subtile, the node analogue of joinTile.

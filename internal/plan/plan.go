@@ -174,7 +174,7 @@ func Decide(st Stats, maxWorkers int) Decision {
 	}
 	workers := clampWorkers(float64(n)/workerShare, maxWorkers)
 	// The grid choice is skew-aware: the planner runs before the first
-	// (cold, pipelined) join, where a clustered workload would otherwise
+	// (cold) join, where a clustered workload would otherwise
 	// start from the uniform-data grid and lean entirely on refinement to
 	// recover. Uniform probes (skew ≤ 2.5) resolve to plain AutoGrid.
 	d := Decision{

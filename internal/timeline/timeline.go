@@ -70,7 +70,7 @@ const (
 	KindDiskService
 
 	// KindPhase is one worker's share of a wall-clock engine phase
-	// (partition's mirror/sort/scatter/fill/refine/sweep pipeline, the
+	// (partition's mirror/sort/scatter/refine/sweep phases, the
 	// native tree executor's prepare/taskgen). Wall recorders only — the
 	// simulator never emits it, which keeps the run store's flattened
 	// metric set (NumSimKinds) stable. Args: A=phase id (Phase*).
@@ -109,7 +109,7 @@ func KindName(k sim.SpanKind) string {
 
 // The canonical phases of a wall-clock join execution, shared by the
 // engines' Result.PhaseNS arrays, the KindPhase span arg and the flight
-// recorder's EXPLAIN waterfall. The partition engine uses all seven; the
+// recorder's EXPLAIN waterfall. The partition engine uses all but fill; the
 // native tree executor maps its pipeline onto the subset that applies
 // (prep = sweep-cache build, partition = task creation).
 const (
@@ -121,10 +121,12 @@ const (
 	// PhasePartition is work decomposition: the counting-sort count and
 	// scatter passes, or tree task creation.
 	PhasePartition
-	// PhaseFill fills the tile-segment coordinate planes.
+	// PhaseFill is unused and always zero: the partition engine's scatter
+	// writes the tile-segment coordinate planes itself. The slot stays so
+	// the indices of recorded phase arrays keep their meaning.
 	PhaseFill
-	// PhaseRefine is adaptive tile refinement: hot-tile splitting plus the
-	// refinement-arena plane fill.
+	// PhaseRefine is the work-unit schedule build: listing and ordering the
+	// tiles, hot-tile splitting and the refinement-arena plane fill.
 	PhaseRefine
 	// PhaseSweep is the parallel join itself (tile sweeps / node-pair
 	// expansion).

@@ -17,7 +17,6 @@ FuzzRadixOrder                   ./internal/geom/      30s
 FuzzSweepPairsPlanes             ./internal/geom/      30s
 FuzzPartitionJoin                ./internal/partjoin/  30s
 FuzzPartitionJoinRefined         ./internal/partjoin/  30s
-FuzzPartitionJoinPipelined       ./internal/partjoin/  30s
 FuzzPartitionJoinMutateSequence  ./internal/partjoin/  30s
 '
 
