@@ -25,13 +25,14 @@ func main() {
 	pairs := spjoin.JoinParallel(r, s, 0)
 	fmt.Printf("filter step found %d candidate pairs\n", len(pairs))
 
-	// Show a few results.
+	// Show a few results. A candidate holds only the two object ids; the
+	// MBRs are looked up by id (SampleMaps numbers objects by position).
 	for i, c := range pairs {
 		if i == 5 {
 			break
 		}
 		fmt.Printf("  street %4d  ×  feature %4d   MBRs %v ∩ %v\n",
-			c.R, c.S, c.RRect, c.SRect)
+			c.R, c.S, streets[c.R].Rect, features[c.S].Rect)
 	}
 
 	// Cross-check against the sequential algorithm of [BKS 93].

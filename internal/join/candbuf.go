@@ -1,24 +1,25 @@
 package join
 
 // CandidateBlock is the number of candidates per CandidateBuf block:
-// 4096 × 72 B = 288 KiB. It is a constant, not a knob — large enough that
-// the per-block bookkeeping (one allocation, one bounds reset) vanishes
-// against 4096 emits, small enough that a worker's unused tail wastes at
-// most one block and a block copy stays inside the L2 cache.
+// 4096 × 8 B = 32 KiB. It is a constant, not a knob — large enough that the
+// per-block bookkeeping (one allocation, one bounds reset) vanishes against
+// 4096 emits, small enough that a worker's unused tail wastes at most one
+// block and a block copy stays inside the L2 cache.
 const CandidateBlock = 4096
 
 // candidateBlockMin is the first block's starting size. Only the first
 // block grows (by doubling, up to CandidateBlock): a join with a handful of
-// results per worker must not pay for — and zero — a 288 KiB block each,
+// results per worker must not pay for — and zero — a 32 KiB block each,
 // and the copying this costs a large join is bounded by one block's worth.
 const candidateBlockMin = 64
 
-// CandidateBuf is the append-only candidate sink both parallel engines emit
-// into: a chain of fixed-size blocks, so collecting n candidates allocates
-// about n of them once and never copies one past the first block while
-// collecting — a slice grown by append allocates ≈5× its final size and
-// copies ≈4×. The zero value is an empty buffer; a buffer belongs to one
-// goroutine at a time.
+// CandidateBuf is the append-only candidate sink every join emits into —
+// the parallel engines' workers and the sequential joins alike: a chain of
+// fixed-size blocks, so collecting n candidates allocates about n of them
+// once and never copies one past the first block while collecting — a
+// slice grown by append allocates ≈5× its final size and copies ≈4×. The
+// zero value is an empty buffer; a buffer belongs to one goroutine at a
+// time.
 type CandidateBuf struct {
 	blocks [][]Candidate // every block ever allocated; blocks[:full] are full
 	full   int
@@ -87,4 +88,15 @@ func (b *CandidateBuf) CopyTo(dst []Candidate) int {
 		n += copy(dst[n:n+CandidateBlock], blk)
 	}
 	return n + copy(dst[n:n+len(b.tail)], b.tail)
+}
+
+// flatten returns the held candidates as one exact-size slice, nil when
+// there are none: the sequential joins' result.
+func (b *CandidateBuf) flatten() []Candidate {
+	if b.Len() == 0 {
+		return nil
+	}
+	out := make([]Candidate, b.Len())
+	b.CopyTo(out)
+	return out
 }

@@ -2,21 +2,30 @@ package join
 
 import (
 	"fmt"
+	"path/filepath"
+	"runtime"
 	"testing"
+	"unsafe"
 
-	"spjoin/internal/geom"
+	"spjoin/internal/pagefile"
 	"spjoin/internal/rtree"
+	"spjoin/internal/tiger"
 )
 
-// seqCandidate is the i-th candidate of a recognisable sequence: every field
-// depends on i, so a misplaced, torn or duplicated copy shows.
-func seqCandidate(i int) Candidate {
-	f := float64(i)
-	return Candidate{
-		R: rtree.EntryID(i), S: rtree.EntryID(-i),
-		RRect: geom.NewRect(f, f+1, f+2, f+3),
-		SRect: geom.NewRect(-f, -f+1, -f+2, -f+3),
+// TestCandidateIsIDPair pins the candidate's size: two 4-byte ids and
+// nothing else. Every byte added here is paid once per result pair in the
+// buffer and again in the result (DESIGN.md, "Output path").
+func TestCandidateIsIDPair(t *testing.T) {
+	if got := unsafe.Sizeof(Candidate{}); got != 8 {
+		t.Fatalf("sizeof(Candidate) = %d B, want 8", got)
 	}
+}
+
+// seqCandidate is the i-th candidate of a recognisable sequence: R counts up
+// and S counts down with i, so a misplaced, torn, swapped or duplicated copy
+// shows.
+func seqCandidate(i int) Candidate {
+	return Candidate{R: rtree.EntryID(i), S: rtree.EntryID(-i)}
 }
 
 func checkSeq(t *testing.T, b *CandidateBuf, n int) {
@@ -125,5 +134,99 @@ func TestCandidateBufCopyToShortPanics(t *testing.T) {
 			}()
 			b.CopyTo(make([]Candidate, n-1))
 		}()
+	}
+}
+
+// TestSequentialOutputAllocationBounded pins the sequential joins' output
+// path the way parnative's TestJoinOutputAllocationBounded pins the parallel
+// one: Sequential and PagedSequential collect into a CandidateBuf and copy
+// it once into an exact-size result, so the output costs the buffer blocks
+// plus the result, where a slice grown by append allocates about five times
+// the result. The traversal's own allocations are measured by an Engine run
+// over the same source that only counts its candidates, and subtracted.
+func TestSequentialOutputAllocationBounded(t *testing.T) {
+	// The replication regime of the planner corpus: 3,000 rects a side, each
+	// an eighth of the world wide, about half a million pairs.
+	side := func(seed int64) *rtree.Tree {
+		items := tiger.Uniform(3000, 1, seed)
+		for i := range items {
+			items[i].Rect.MaxX = items[i].Rect.MinX + tiger.World/8
+			items[i].Rect.MaxY = items[i].Rect.MinY + tiger.World/8
+		}
+		return rtree.BulkLoadSTR(rtree.DefaultParams(), items, 0.73)
+	}
+	r, s := side(5), side(6)
+	open := func(tree *rtree.Tree, name string) *rtree.PagedTree {
+		pf, err := pagefile.Create(filepath.Join(t.TempDir(), name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { pf.Close() })
+		if err := tree.SaveToPageFile(pf); err != nil {
+			t.Fatal(err)
+		}
+		pt, err := rtree.OpenPagedTree(pf, 1<<12) // every page stays resident
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pt
+	}
+	pr, ps := open(r, "r.spjf"), open(s, "s.spjf")
+
+	measure := func(f func()) int64 {
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		return int64(m1.TotalAlloc - m0.TotalAlloc)
+	}
+	root, ok := RootPair(r, s)
+	if !ok {
+		t.Fatal("trees do not overlap")
+	}
+	pagedRoot := NodePair{RPage: pr.Root(), SPage: ps.Root(), RLevel: root.RLevel, SLevel: root.SLevel}
+	for _, tc := range []struct {
+		name string
+		root NodePair
+		src  func() Source
+		join func() []Candidate
+	}{
+		{"Sequential", root, func() Source { return DirectSource{R: r, S: s} },
+			func() []Candidate { return Sequential(r, s, Options{}) }},
+		{"PagedSequential", pagedRoot, func() Source { src, _ := NewPagedSource(pr, ps); return src },
+			func() []Candidate {
+				cands, _, err := PagedSequential(pr, ps, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cands
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.join() // warm the pools: both measured runs hit every page
+			var counted int
+			base := measure(func() {
+				e := Engine{Src: tc.src(), OnCandidates: func(cs []Candidate) { counted += len(cs) }}
+				e.Run(tc.root)
+			})
+			var res []Candidate
+			b := measure(func() { res = tc.join() })
+
+			const candBytes = int64(unsafe.Sizeof(Candidate{}))
+			pairs := int64(len(res))
+			if pairs != int64(counted) || pairs < 100*CandidateBlock {
+				t.Fatalf("%d pairs (counted %d), want over a hundred blocks — test premise broken", pairs, counted)
+			}
+			// The blocks (the last one partial, the first one doubled up to a
+			// full block), the result, and 1 MiB of slack.
+			blocks := pairs/CandidateBlock + 1
+			if limit := ((blocks+1)*CandidateBlock+pairs)*candBytes + 1<<20; b-base > limit {
+				t.Errorf("output path allocated %d B for a %d B result (%.1fx), want <= %d B",
+					b-base, pairs*candBytes, float64(b-base)/float64(pairs*candBytes), limit)
+			}
+			t.Logf("%d pairs: output path %.1f B/pair (traversal alone: %d B)",
+				pairs, float64(b-base)/float64(pairs), base)
+		})
 	}
 }

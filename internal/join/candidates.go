@@ -1,34 +1,23 @@
 package join
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
-// candidateLess orders candidates by (R, S) id — the deterministic output
-// order of every Sorted join variant.
-func candidateLess(a, b *Candidate) bool {
-	if a.R != b.R {
-		return a.R < b.R
+// compareCandidates orders candidates by (R, S) id — the deterministic
+// output order of every Sorted join variant.
+func compareCandidates(a, b Candidate) int {
+	if c := cmp.Compare(a.R, b.R); c != 0 {
+		return c
 	}
-	return a.S < b.S
+	return cmp.Compare(a.S, b.S)
 }
 
-// SortCandidates orders candidates by (R, S) id in place.
+// SortCandidates orders candidates by (R, S) id in place. The generic sort
+// needs no reflection swapper and boxes no closure, so it allocates nothing.
 func SortCandidates(cands []Candidate) {
-	sort.Slice(cands, func(i, j int) bool {
-		return candidateLess(&cands[i], &cands[j])
-	})
-}
-
-// CandidateSorter is the reusable sort.Interface form of SortCandidates:
-// allocation-sensitive callers keep one per worker and pass its pointer to
-// sort.Sort, which boxes no closure and allocates nothing.
-type CandidateSorter struct{ Cands []Candidate }
-
-func (s *CandidateSorter) Len() int { return len(s.Cands) }
-func (s *CandidateSorter) Less(i, j int) bool {
-	return candidateLess(&s.Cands[i], &s.Cands[j])
-}
-func (s *CandidateSorter) Swap(i, j int) {
-	s.Cands[i], s.Cands[j] = s.Cands[j], s.Cands[i]
+	slices.SortFunc(cands, compareCandidates)
 }
 
 // MergeCandidateRuns k-way-merges runs — each already sorted by (R, S) id —
@@ -50,7 +39,7 @@ func MergeCandidateRuns(dst []Candidate, runs [][]Candidate) []Candidate {
 			if len(runs[i]) == 0 {
 				continue
 			}
-			if best < 0 || candidateLess(&runs[i][0], &runs[best][0]) {
+			if best < 0 || compareCandidates(runs[i][0], runs[best][0]) < 0 {
 				best = i
 			}
 		}

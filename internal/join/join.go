@@ -49,12 +49,11 @@ func (d DirectSource) Node(side buffer.TreeID, page storage.PageID, _ int) *rtre
 	return d.S.Node(page)
 }
 
-// Candidate is one result of the filter step: a pair of data entries whose
-// MBRs intersect. The refinement step decides whether it is an answer or a
-// false hit.
+// Candidate is one result of the filter step: the ids of two objects whose
+// MBRs intersect. The refinement step looks each object up by its id and
+// decides whether the pair is an answer or a false hit.
 type Candidate struct {
-	R, S         rtree.EntryID
-	RRect, SRect geom.Rect
+	R, S rtree.EntryID
 }
 
 // NodePair references two subtrees whose roots' MBRs intersect — the unit
@@ -94,8 +93,17 @@ type Scratch struct {
 	sMask      []uint64         // batch-intersect bitmask, S side
 	hits       []geom.IndexPair // sweep output batch
 	cands      []Candidate      // leaf/leaf results of the last Expand
+	leafPos    []geom.IndexPair // entry positions of cands, in lockstep
 	pairs      []NodePair       // directory results of the last Expand
 }
+
+// LeafPairs returns the entry positions behind the candidates of the last
+// Expand, in lockstep with them: LeafPairs()[k] = (i, j) means the k-th
+// candidate is (nr.Entries[i].Obj, ns.Entries[j].Obj), so a caller that
+// needs the pair's MBRs reads them from the two leaves instead of every
+// candidate carrying copies. The slice is read-only and valid until the
+// next Expand call; it is empty unless that Expand was leaf/leaf.
+func (sc *Scratch) LeafPairs() []geom.IndexPair { return sc.leafPos }
 
 // growMask returns m resized to hold a bitmask over n rects, reallocating
 // only when the capacity is insufficient (steady state: never).
@@ -126,6 +134,7 @@ func growMask(m []uint64, n int) []uint64 {
 // lets the cached order replace the per-visit sort of the original code.
 func (sc *Scratch) Expand(nr, ns *rtree.Node, opts Options) (cands []Candidate, pairs []NodePair, comparisons int) {
 	sc.cands = sc.cands[:0]
+	sc.leafPos = sc.leafPos[:0]
 	sc.pairs = sc.pairs[:0]
 	switch {
 	case nr.Level == 0 && ns.Level == 0:
@@ -231,13 +240,13 @@ func (sc *Scratch) expandEqual(nr, ns *rtree.Node, opts Options, leaf bool) int 
 	return comparisons
 }
 
-// emit records one qualifying entry pair (i of nr, j of ns).
+// emit records one qualifying entry pair (i of nr, j of ns); a leaf pair
+// also records its positions for LeafPairs.
 func (sc *Scratch) emit(nr, ns *rtree.Node, i, j int32, leaf bool) {
 	er, es := &nr.Entries[i], &ns.Entries[j]
 	if leaf {
-		sc.cands = append(sc.cands, Candidate{
-			R: er.Obj, S: es.Obj, RRect: er.Rect, SRect: es.Rect,
-		})
+		sc.cands = append(sc.cands, Candidate{R: er.Obj, S: es.Obj})
+		sc.leafPos = append(sc.leafPos, geom.IndexPair{R: i, S: j})
 		return
 	}
 	sc.pairs = append(sc.pairs, NodePair{
@@ -412,16 +421,16 @@ func RootPair(r, s *rtree.Tree) (NodePair, bool) {
 // cost-free source and returns the candidate set. This is the correctness
 // baseline every parallel variant must reproduce.
 func Sequential(r, s *rtree.Tree, opts Options) []Candidate {
-	var out []Candidate
 	root, ok := RootPair(r, s)
 	if !ok {
 		return nil
 	}
+	var buf CandidateBuf
 	e := Engine{
 		Src:          DirectSource{R: r, S: s},
 		Opts:         opts,
-		OnCandidates: func(cs []Candidate) { out = append(out, cs...) },
+		OnCandidates: buf.Append,
 	}
 	e.Run(root)
-	return out
+	return buf.flatten()
 }

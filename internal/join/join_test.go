@@ -212,18 +212,86 @@ func TestSTRTreeJoin(t *testing.T) {
 	assertSameSet(t, got, bruteForceJoin(rs, ss))
 }
 
-func TestCandidateRectsReported(t *testing.T) {
-	rs := []rtree.Item{{ID: 1, Rect: geom.NewRect(0, 0, 2, 2)}}
-	ss := []rtree.Item{{ID: 9, Rect: geom.NewRect(1, 1, 3, 3)}}
-	tr, ts := buildTree(t, rs), buildTree(t, ss)
-	cands := Sequential(tr, ts, Options{})
-	if len(cands) != 1 {
-		t.Fatalf("got %d candidates", len(cands))
+// TestLeafPairsLockstep pins the contract the simulator's refinement cost
+// relies on: after every leaf/leaf Expand, LeafPairs()[k] names the two
+// entries whose objects are the k-th candidate, so their Rects are the
+// candidate's MBRs; after any other Expand it is empty. Every sweep variant
+// records through the same emit, and trees of unequal height reach the
+// leaf/leaf case through one-sided descents.
+func TestLeafPairsLockstep(t *testing.T) {
+	big, small := randItems(500, 9, 100, 5), randItems(10, 10, 100, 5)
+	other := randItems(500, 25, 100, 5)
+	tBig, tSmall, tOther := buildTree(t, big), buildTree(t, small), buildTree(t, other)
+	if tBig.Height() != tOther.Height() || tBig.Height() == tSmall.Height() {
+		t.Fatalf("test premise broken: heights %d, %d, %d", tBig.Height(), tOther.Height(), tSmall.Height())
 	}
-	c := cands[0]
-	if c.R != 1 || c.S != 9 || c.RRect != rs[0].Rect || c.SRect != ss[0].Rect {
-		t.Fatalf("candidate = %+v", c)
+	shapes := []struct {
+		name   string
+		r, s   *rtree.Tree
+		rs, ss []rtree.Item
+	}{
+		{"equal", tBig, tOther, big, other},
+		{"r-deeper", tBig, tSmall, big, small},
+		{"s-deeper", tSmall, tBig, small, big},
 	}
+	variants := []struct {
+		name string
+		opts Options
+	}{
+		{"default", Options{}},
+		{"nested-loops", Options{NestedLoops: true}},
+		{"no-restriction", Options{DisableRestriction: true}},
+		{"both", Options{NestedLoops: true, DisableRestriction: true}},
+	}
+	for _, sh := range shapes {
+		for _, v := range variants {
+			opts := v.opts
+			t.Run(sh.name+"/"+v.name, func(t *testing.T) {
+				rRect, sRect := rectsByID(sh.rs), rectsByID(sh.ss)
+				root, ok := RootPair(sh.r, sh.s)
+				if !ok {
+					t.Fatal("trees do not overlap")
+				}
+				src := DirectSource{R: sh.r, S: sh.s}
+				var sc Scratch
+				got := map[pairKey]bool{}
+				stack := []NodePair{root}
+				for len(stack) > 0 {
+					p := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					nr := src.Node(SideR, p.RPage, p.RLevel)
+					ns := src.Node(SideS, p.SPage, p.SLevel)
+					cands, children, _ := sc.Expand(nr, ns, opts)
+					stack = append(stack, children...)
+					lp := sc.LeafPairs()
+					if len(lp) != len(cands) {
+						t.Fatalf("levels (%d, %d): %d leaf pairs for %d candidates",
+							nr.Level, ns.Level, len(lp), len(cands))
+					}
+					for k, c := range cands {
+						er, es := nr.Entries[lp[k].R], ns.Entries[lp[k].S]
+						if er.Obj != c.R || es.Obj != c.S {
+							t.Fatalf("candidate %d = %+v, leaf pair names (%d, %d)", k, c, er.Obj, es.Obj)
+						}
+						if er.Rect != rRect[c.R] || es.Rect != sRect[c.S] {
+							t.Fatalf("candidate %+v: leaf rects %v, %v; items %v, %v",
+								c, er.Rect, es.Rect, rRect[c.R], sRect[c.S])
+						}
+						got[pairKey{c.R, c.S}] = true
+					}
+				}
+				assertSameSet(t, got, bruteForceJoin(sh.rs, sh.ss))
+			})
+		}
+	}
+}
+
+func rectsByID(items []rtree.Item) map[rtree.EntryID]geom.Rect {
+	m := make(map[rtree.EntryID]geom.Rect, len(items))
+	for _, it := range items {
+		m[it.ID] = it.Rect
+	}
+	return m
 }
 
 // countingSource wraps a Source and records every access.

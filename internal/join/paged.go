@@ -79,11 +79,11 @@ func PagedSequential(r, s *rtree.PagedTree, opts Options) ([]Candidate, PagedIOS
 	}
 
 	src := &pagedSource{r: r, s: s}
-	var out []Candidate
+	var buf CandidateBuf
 	e := Engine{
-		Src:         src,
-		Opts:        opts,
-		OnCandidate: func(c Candidate) { out = append(out, c) },
+		Src:          src,
+		Opts:         opts,
+		OnCandidates: buf.Append,
 	}
 	e.Run(NodePair{
 		RPage: r.Root(), SPage: s.Root(),
@@ -96,5 +96,5 @@ func PagedSequential(r, s *rtree.PagedTree, opts Options) ([]Candidate, PagedIOS
 	stats.RMisses = r.Pool().Misses() - rMiss0
 	stats.SHits = s.Pool().Hits() - sHits0
 	stats.SMisses = s.Pool().Misses() - sMiss0
-	return out, stats, nil
+	return buf.flatten(), stats, nil
 }

@@ -219,11 +219,15 @@ func (st *runState) process(ps *procState, p *sim.Proc, item join.NodePair) {
 	p.EndSpan()
 
 	// The refinement of a candidate is executed by the processor that found
-	// it (§3); the exact test is modeled by the calibrated waiting period.
+	// it (§3); the exact test is modeled by the calibrated waiting period,
+	// which depends on the pair's MBRs — read from the two leaves at the
+	// positions the kernel recorded beside each candidate.
 	if len(newCands) > 0 {
 		p.BeginSpan(timeline.KindRefineWait, sim.SpanArgs{A: int64(len(newCands))})
-		for _, c := range newCands {
-			p.Hold(st.cfg.Refine.CostFor(c.RRect, c.SRect))
+		leaves := ps.scratch.LeafPairs()
+		for k, c := range newCands {
+			lp := leaves[k]
+			p.Hold(st.cfg.Refine.CostFor(nr.Entries[lp.R].Rect, ns.Entries[lp.S].Rect))
 			ps.stats.Candidates++
 			if st.cfg.CollectCandidates {
 				ps.cands = append(ps.cands, c)

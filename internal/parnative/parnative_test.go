@@ -499,7 +499,7 @@ func TestJoinOutputAllocationBounded(t *testing.T) {
 // TestSortedMatchesSortedUnsorted pins the two output paths against each
 // other on a multi-block result: the sorted path (flatten, per-worker sort,
 // k-way merge) returns exactly SortCandidates of the unsorted path's
-// parallel gather — same pairs, same rectangles.
+// parallel gather — the same id pairs in the same order.
 func TestSortedMatchesSortedUnsorted(t *testing.T) {
 	r, s := bigRectTrees(t)
 	for _, workers := range []int{1, 3} {

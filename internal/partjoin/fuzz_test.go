@@ -181,7 +181,7 @@ func FuzzPartitionJoinRefined(f *testing.F) {
 			}
 			// The unsorted output path — the workers' chunked buffers
 			// gathered in parallel into their slices of the result — must
-			// hold exactly the candidates of the sorted one, rects included.
+			// hold exactly the candidates of the sorted one.
 			gres := jg.Join(r, s, gather)
 			gathered := append([]join.Candidate(nil), gres.Candidates...)
 			join.SortCandidates(gathered)

@@ -38,7 +38,6 @@ package partjoin
 import (
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -236,12 +235,11 @@ func (g *gridSide) unsorted(workers int) bool {
 // workerState is the per-worker scratch and local counters; counters are
 // flushed once after the join phase so the hot loop stays uncontended.
 type workerState struct {
-	cands      join.CandidateBuf
-	run        []join.Candidate // cands flattened and sorted (Sorted only)
-	outOff     int              // start of this worker's slice of out (phaseGather)
-	hits       []geom.IndexPair
-	mask       []uint64
-	candSorter join.CandidateSorter
+	cands  join.CandidateBuf
+	run    []join.Candidate // cands flattened and sorted (Sorted only)
+	outOff int              // start of this worker's slice of out (phaseGather)
+	hits   []geom.IndexPair
+	mask   []uint64
 
 	pairs, dups, comps, parts int64
 }
@@ -1081,9 +1079,7 @@ func (j *Joiner) finishWorker(ws *workerState) {
 	if j.sortRuns {
 		ws.run = growCands(ws.run, int(ws.pairs))
 		ws.cands.CopyTo(ws.run)
-		ws.candSorter.Cands = ws.run
-		sort.Sort(&ws.candSorter)
-		ws.candSorter.Cands = nil
+		join.SortCandidates(ws.run)
 	}
 }
 
@@ -1186,9 +1182,7 @@ func (j *Joiner) emit(ws *workerState, rIdx, sIdx int32, tx, ty int, node int32)
 		ws.dups++
 		return
 	}
-	ws.cands.Push(join.Candidate{
-		R: j.rIDs[rIdx], S: j.sIDs[sIdx], RRect: *a, SRect: *b,
-	})
+	ws.cands.Push(join.Candidate{R: j.rIDs[rIdx], S: j.sIDs[sIdx]})
 }
 
 // tileOf maps a point to its tile coordinates. The mapping is monotone in

@@ -189,7 +189,7 @@ func TestPartitionJoinSorted(t *testing.T) {
 // each other on a result spanning several buffer blocks per worker: the
 // sorted path (flatten, per-worker sort, k-way merge) must return exactly
 // SortCandidates of what the unsorted path (parallel gather) returns —
-// same pairs, same rectangles.
+// the same id pairs in the same order.
 func TestPartitionJoinSortedMatchesUnsorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	r := items(randomRects(rng, 1500, 100, 14), 0)

@@ -145,7 +145,7 @@ func Join(rs, ss []Entry, emit func(c join.Candidate)) (comparisons int) {
 			for _, o := range stackS {
 				comparisons++
 				if e.Rect.Intersects(o.Rect) {
-					emit(join.Candidate{R: e.ID, S: o.ID, RRect: e.Rect, SRect: o.Rect})
+					emit(join.Candidate{R: e.ID, S: o.ID})
 				}
 			}
 			stackR = append(stackR, e)
@@ -157,7 +157,7 @@ func Join(rs, ss []Entry, emit func(c join.Candidate)) (comparisons int) {
 			for _, o := range stackR {
 				comparisons++
 				if o.Rect.Intersects(e.Rect) {
-					emit(join.Candidate{R: o.ID, S: e.ID, RRect: o.Rect, SRect: e.Rect})
+					emit(join.Candidate{R: o.ID, S: e.ID})
 				}
 			}
 			stackS = append(stackS, e)

@@ -55,9 +55,11 @@ type Item = rtree.Item
 // BuildSTR; both accept further Insert/Delete afterwards.
 type Tree = rtree.Tree
 
-// Candidate is one filter-step result: a pair of objects whose MBRs
-// intersect. Exact geometry testing (the refinement step) is up to the
-// application; see internal/refine for segment predicates.
+// Candidate is one filter-step result: the two object ids R and S of a pair
+// whose MBRs intersect. It carries nothing else; MBRs and exact shapes are
+// looked up by id in the caller's own relations (see JoinRefined). Exact
+// geometry testing (the refinement step) is up to the application; see
+// internal/refine for segment predicates.
 type Candidate = join.Candidate
 
 // TreeParams configures the page geometry of a tree; the default matches
