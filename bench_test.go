@@ -191,18 +191,17 @@ func BenchmarkPartitionJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkPartitionJoinIntrospected is BenchmarkPartitionJoin with the
-// full introspection path on: Config.Introspect (top-tile and heat-grid
-// collection inside the engine) plus assembling a flight.Record and adding
-// it to a warm recorder every join — exactly what cmd/spjoin does per
-// execution under -explain. The delta against BenchmarkPartitionJoin is
-// the documented enabled-path overhead; the recorder keeps this
-// allocation-free in steady state.
+// BenchmarkPartitionJoinIntrospected is BenchmarkPartitionJoin plus
+// assembling a flight.Record from the result (phase timings, the top tiles
+// and heat grid every join fills) and adding it to a warm recorder every
+// join — exactly what cmd/spjoin does per execution under -explain. The
+// delta against BenchmarkPartitionJoin is the recording overhead; the
+// recorder keeps this allocation-free in steady state.
 func BenchmarkPartitionJoinIntrospected(b *testing.B) {
 	streets, mixed := tiger.Maps(benchScale, 42)
 	var j partjoin.Joiner
 	defer j.Close()
-	cfg := partjoin.Config{Introspect: true}
+	var cfg partjoin.Config
 	flights := flight.NewRecorder(16)
 	record := func() {
 		res := j.Join(streets, mixed, cfg)
@@ -239,7 +238,7 @@ func BenchmarkPartitionJoinHealth(b *testing.B) {
 	var j partjoin.Joiner
 	defer j.Close()
 	live := runtimeobs.NewLive()
-	cfg := partjoin.Config{Introspect: true, Progress: live.NewProgress("partition")}
+	cfg := partjoin.Config{Progress: live.NewProgress("partition")}
 	flights := flight.NewRecorder(16)
 	sampler := runtimeobs.NewSampler()
 	record := func() {

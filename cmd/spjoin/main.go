@@ -202,12 +202,6 @@ type introspection struct {
 	progress *runtimeobs.Progress
 }
 
-// wantIntrospect reports whether the engine should spend the (bounded)
-// extra work of collecting tile-cost introspection.
-func (in *introspection) wantIntrospect() bool {
-	return in.explain || in.slowlog > 0 || in.svgPath != ""
-}
-
 // record captures one execution: ring, metrics export, and — when -explain
 // asked for it or the join breached -slowlog — the EXPLAIN report and SVG.
 func (in *introspection) record(out io.Writer, reg *metrics.Registry, rec *flight.Record) {
@@ -488,7 +482,7 @@ func main() {
 		return
 	}
 
-	if intro.wantIntrospect() {
+	if intro.explain || intro.slowlog > 0 || intro.svgPath != "" {
 		fmt.Fprintln(os.Stderr, "spjoin: -explain/-slowlog/-explain-svg apply to the native engines"+
 			" (-engine partition, -engine auto, or -native); the simulated run keeps virtual time only")
 	}
@@ -650,7 +644,6 @@ func runPartition(out io.Writer, r, s []rtree.Item, workers, grid int, refine in
 		RefineThreshold: refine,
 		Metrics:         obs.reg,
 		Timeline:        rec,
-		Introspect:      intro != nil && intro.wantIntrospect(),
 	}
 	if intro != nil {
 		cfg.Progress = intro.progress

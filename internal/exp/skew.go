@@ -79,7 +79,6 @@ func ExpSkew(w *Workload, out io.Writer) {
 			res := partjoin.Join(r, s, partjoin.Config{
 				Workers:         skewWorkers,
 				RefineThreshold: ref.thr,
-				Sorted:          true,
 			})
 			t.AddRow(d.name, ref.label, res.Comparisons, len(res.Candidates),
 				res.Partitions, res.RefinedTiles, res.Subtiles)

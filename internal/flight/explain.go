@@ -12,8 +12,8 @@ import (
 
 // Explain renders one captured execution as an EXPLAIN ANALYZE report:
 // the plan and the statistics that drove it, the phase waterfall, the
-// worker-skew table, and (when the engine introspected) the costliest
-// work units and an ASCII tile-cost heatmap. Output is deterministic for
+// worker-skew table, and (for a partition join) the costliest work units
+// and an ASCII tile-cost heatmap. Output is deterministic for
 // a given record, so tests can pin it.
 func Explain(w io.Writer, rec *Record) {
 	fmt.Fprintf(w, "JOIN #%d  engine=%s  wall=%s\n",

@@ -1,8 +1,8 @@
 // Package flight is the always-on flight recorder of the wall-clock join
 // engines: a bounded ring buffer holding the last N join executions — the
 // plan that drove each one, per-phase wall timings, per-worker pair and
-// steal counts, and (when the engine was asked to introspect) the tile-cost
-// top-K and heat grid. Where internal/metrics aggregates over a process
+// steal counts, and (from the partition engine) the tile-cost top-K and
+// heat grid. Where internal/metrics aggregates over a process
 // lifetime and internal/timeline records one run in full span detail, this
 // package answers the operational question in between: "why was *this*
 // join slow?" — hours later, without having asked in advance.
@@ -105,7 +105,7 @@ type Record struct {
 	WorkerPairs  []int64 `json:"worker_pairs,omitempty"`
 	WorkerSteals []int64 `json:"worker_steals,omitempty"`
 
-	// Tile-cost introspection (partition engine under Introspect).
+	// Tile-cost introspection (partition engine only).
 	TopTiles []partjoin.TileCost `json:"top_tiles,omitempty"`
 	HeatW    int                 `json:"heat_w,omitempty"`
 	HeatH    int                 `json:"heat_h,omitempty"`

@@ -6,54 +6,40 @@ import (
 	"testing"
 )
 
-// maskBit reads bit i of a bitmask written by IntersectBatch.
+// The batch contract of IntersectBatchPlanes on the plain (unquantized and
+// quantized) planes, over hand-built adversarial inputs; kernels_test.go
+// holds the dispatch, quantization and view tests.
+
+// maskBit reads bit i of a bitmask written by IntersectBatchPlanes.
 func maskBit(mask []uint64, i int) bool {
 	return mask[i>>6]>>(uint(i)&63)&1 != 0
 }
 
-// checkBatchAgainstScalar asserts that IntersectBatch over rects agrees
-// bit-for-bit with the scalar Intersects test, and that the returned count
-// matches the popcount of the mask.
-func checkBatchAgainstScalar(t *testing.T, q Rect, rects []Rect) {
-	t.Helper()
+// batchBounds is the quantization box of the batch tests' random rects.
+var batchBounds = NewRect(0, 0, 110, 110)
+
+// batchMask runs IntersectBatchPlanes of q over rects into a fresh mask.
+func batchMask(q Rect, rects []Rect) ([]uint64, int) {
+	var p Planes
+	p.FromRects(rects)
 	mask := make([]uint64, MaskWords(len(rects)))
-	// Poison the mask so "word fully overwritten" is actually tested.
-	for i := range mask {
-		mask[i] = ^uint64(0)
-	}
-	n := IntersectBatch(q, rects, mask)
-	want := 0
-	for i, r := range rects {
-		scalar := q.Intersects(r)
-		if scalar {
-			want++
-		}
-		if maskBit(mask, i) != scalar {
-			t.Fatalf("bit %d: batch=%v scalar=%v (q=%v r=%v)",
-				i, maskBit(mask, i), scalar, q, r)
-		}
-	}
-	if n != want {
-		t.Fatalf("IntersectBatch returned %d, scalar count %d", n, want)
-	}
-	if len(rects)&63 != 0 && len(mask) > 0 {
-		last := mask[len(mask)-1]
-		if last>>(uint(len(rects))&63) != 0 {
-			t.Fatalf("trailing bits of last word not zero: %064b", last)
-		}
-	}
+	return mask, IntersectBatchPlanes(q, &p, mask)
 }
 
+// TestIntersectBatchRandom: random queries against random blocks, with
+// quantization bounds that clip part of the data.
 func TestIntersectBatchRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(200)
-		rects := make([]Rect, n)
-		for i := range rects {
-			rects[i] = randomRect(rng)
+	eachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		for trial := 0; trial < 200; trial++ {
+			rects := make([]Rect, rng.Intn(200))
+			for i := range rects {
+				rects[i] = randomRect(rng)
+			}
+			bounds := NewRect(rng.Float64()*50, rng.Float64()*50, 50+rng.Float64()*60, 50+rng.Float64()*60)
+			checkPlanesAgainstScalar(t, randomRect(rng), rects, bounds)
 		}
-		checkBatchAgainstScalar(t, randomRect(rng), rects)
-	}
+	})
 }
 
 // TestIntersectBatchTouchingEdges pins the closed-rectangle semantics on
@@ -63,27 +49,29 @@ func TestIntersectBatchTouchingEdges(t *testing.T) {
 	q := NewRect(10, 10, 20, 20)
 	eps := math.Nextafter(0, 1)
 	rects := []Rect{
-		NewRect(0, 0, 10, 10),                            // corner touch at (10,10)
-		NewRect(20, 20, 30, 30),                          // corner touch at (20,20)
-		NewRect(0, 10, 10, 20),                           // left edge touch
-		NewRect(20, 10, 30, 20),                          // right edge touch
-		NewRect(10, 0, 20, 10),                           // bottom edge touch
-		NewRect(10, 20, 20, 30),                          // top edge touch
-		NewRect(0, 0, 10-eps, 10),                        // miss by one ulp in x
-		NewRect(0, 0, 10, 10-eps),                        // miss by one ulp in y
-		NewRect(math.Nextafter(20, 21), 10, 30, 20),      // miss past right edge
-		NewRect(10, math.Nextafter(20, 21), 20, 30),      // miss past top edge
-		{MinX: 15, MinY: 15, MaxX: 15, MaxY: 15},         // degenerate point inside
-		{MinX: 20, MinY: 20, MaxX: 20, MaxY: 20},         // degenerate point on corner
-		{MinX: 9, MinY: 9, MaxX: 9, MaxY: 9},             // degenerate point outside
-		NewRect(-1e300, -1e300, 1e300, 1e300),            // enormous cover-all
-		NewRect(10, 10, 20, 20),                          // exact duplicate of q
+		NewRect(0, 0, 10, 10),                       // corner touch at (10,10)
+		NewRect(20, 20, 30, 30),                     // corner touch at (20,20)
+		NewRect(0, 10, 10, 20),                      // left edge touch
+		NewRect(20, 10, 30, 20),                     // right edge touch
+		NewRect(10, 0, 20, 10),                      // bottom edge touch
+		NewRect(10, 20, 20, 30),                     // top edge touch
+		NewRect(0, 0, 10-eps, 10),                   // miss by one ulp in x
+		NewRect(0, 0, 10, 10-eps),                   // miss by one ulp in y
+		NewRect(math.Nextafter(20, 21), 10, 30, 20), // miss past right edge
+		NewRect(10, math.Nextafter(20, 21), 20, 30), // miss past top edge
+		{MinX: 15, MinY: 15, MaxX: 15, MaxY: 15},    // degenerate point inside
+		{MinX: 20, MinY: 20, MaxX: 20, MaxY: 20},    // degenerate point on corner
+		{MinX: 9, MinY: 9, MaxX: 9, MaxY: 9},        // degenerate point outside
+		NewRect(-1e300, -1e300, 1e300, 1e300),       // enormous cover-all
+		NewRect(10, 10, 20, 20),                     // exact duplicate of q
 	}
-	checkBatchAgainstScalar(t, q, rects)
-	// Symmetric direction: each rect as the query against the rest.
-	for _, r := range rects {
-		checkBatchAgainstScalar(t, r, rects)
-	}
+	eachKernel(t, func(t *testing.T) {
+		checkPlanesAgainstScalar(t, q, rects, NewRect(0, 0, 30, 30))
+		// Symmetric direction: each rect as the query against the rest.
+		for _, r := range rects {
+			checkPlanesAgainstScalar(t, r, rects, NewRect(0, 0, 30, 30))
+		}
+	})
 }
 
 // TestIntersectBatchNaNAndEmpty pins the degenerate-input contract: NaN
@@ -110,104 +98,45 @@ func TestIntersectBatchNaNAndEmpty(t *testing.T) {
 
 	// The NaN/EmptyRect bits stay zero in the batch; everything, inverted
 	// rects included, agrees with the scalar predicate bit for bit.
-	mask := make([]uint64, MaskWords(len(all)))
-	IntersectBatch(good, all, mask)
-	for i := range never {
-		if maskBit(mask, i) {
-			t.Fatalf("NaN/empty rect %v matched", all[i])
-		}
-	}
-	if !maskBit(mask, len(all)-1) {
-		t.Fatal("valid rect bit not set")
-	}
-	checkBatchAgainstScalar(t, good, all)
-
-	// NaN/EmptyRect as the query: nothing matches, ever.
-	for _, q := range never {
-		if n := IntersectBatch(q, all, mask); n != 0 {
-			t.Fatalf("query %v matched %d rects, want 0", q, n)
-		}
-		checkBatchAgainstScalar(t, q, all)
-	}
-	for _, q := range inverted {
-		checkBatchAgainstScalar(t, q, all)
-	}
-}
-
-func TestIntersectBatchSizes(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	// Cover the block boundaries of the 8-wide unroll and the 64-bit words.
-	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 63, 64, 65, 127, 128, 129, 200} {
-		rects := make([]Rect, n)
-		for i := range rects {
-			rects[i] = randomRect(rng)
-		}
-		checkBatchAgainstScalar(t, NewRect(20, 20, 80, 80), rects)
-	}
-}
-
-func FuzzIntersectBatch(f *testing.F) {
-	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add([]byte{0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rs, ss := fuzzRects(data)
-		all := append(rs, ss...)
-		if len(all) == 0 {
-			return
-		}
-		q := all[0]
-		mask := make([]uint64, MaskWords(len(all)))
-		n := IntersectBatch(q, all, mask)
-		want := 0
-		for i, r := range all {
-			scalar := q.Intersects(r)
-			if scalar {
-				want++
-			}
-			if maskBit(mask, i) != scalar {
-				t.Fatalf("bit %d disagrees with scalar Intersects", i)
+	eachKernel(t, func(t *testing.T) {
+		mask, _ := batchMask(good, all)
+		for i := range never {
+			if maskBit(mask, i) {
+				t.Fatalf("NaN/empty rect %v matched", all[i])
 			}
 		}
-		if n != want {
-			t.Fatalf("count %d != scalar count %d", n, want)
+		if !maskBit(mask, len(all)-1) {
+			t.Fatal("valid rect bit not set")
+		}
+		checkPlanesAgainstScalar(t, good, all, batchBounds)
+
+		// NaN/EmptyRect as the query: nothing matches, ever.
+		for _, q := range never {
+			if _, n := batchMask(q, all); n != 0 {
+				t.Fatalf("query %v matched %d rects, want 0", q, n)
+			}
+			checkPlanesAgainstScalar(t, q, all, batchBounds)
+		}
+		for _, q := range inverted {
+			checkPlanesAgainstScalar(t, q, all, batchBounds)
 		}
 	})
 }
 
-// BenchmarkIntersectBatch measures the batch kernel against the scalar loop
-// it replaces, on a node-sized block of rects (~quarter hit rate).
-func BenchmarkIntersectBatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	rects := make([]Rect, 128)
-	for i := range rects {
-		rects[i] = randomRect(rng)
-	}
-	q := NewRect(25, 25, 75, 75)
-	mask := make([]uint64, MaskWords(len(rects)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		IntersectBatch(q, rects, mask)
-	}
-}
-
-func BenchmarkIntersectScalar(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	rects := make([]Rect, 128)
-	for i := range rects {
-		rects[i] = randomRect(rng)
-	}
-	q := NewRect(25, 25, 75, 75)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var n int
-	for i := 0; i < b.N; i++ {
-		n = 0
-		for j := range rects {
-			if q.Intersects(rects[j]) {
-				n++
+// TestIntersectBatchSizes covers multi-word blocks whose tails straddle the
+// 64-bit words, with a cover-all query so every bit is set.
+func TestIntersectBatchSizes(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		for _, n := range []int{191, 192, 193, 255, 256, 257, 1000} {
+			rects := make([]Rect, n)
+			for i := range rects {
+				rects[i] = randomRect(rng)
+			}
+			checkPlanesAgainstScalar(t, NewRect(-1, -1, 200, 200), rects, batchBounds)
+			if _, got := batchMask(NewRect(-1, -1, 200, 200), rects); got != n {
+				t.Fatalf("n=%d: cover-all query matched %d", n, got)
 			}
 		}
-	}
-	_ = n
+	})
 }

@@ -39,7 +39,7 @@ func detectAVX2() bool {
 // q = {MinX, MinY, MaxX, MaxY} against lanes [0, n) of the four planes,
 // n a positive multiple of 4 (at most 64), and returns the result bits in
 // lane order. NaN compares false in every predicate (VCMPPD LE_OQ), so
-// NaN and EmptyRect lanes never set their bit — identical to intersect1.
+// NaN and EmptyRect lanes never set their bit — identical to intersectLane.
 //
 //go:noescape
 func intersectBlocks(q *[4]float64, minx, miny, maxx, maxy *float64, n int) uint64

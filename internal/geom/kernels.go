@@ -39,12 +39,20 @@ func SetKernel(mode string) error {
 	return nil
 }
 
-// IntersectBatchPlanes is IntersectBatch over a coordinate-plane view:
-// bit i%64 of out[i/64] is set iff rectangle i of p intersects q, under
-// exactly the Rect.Intersects predicate (touching edges count; NaN and
-// EmptyRect never match). out must hold at least MaskWords(p.Len())
-// words; used words are fully overwritten with zero trailing bits. It
-// returns the number of intersecting rectangles.
+// MaskWords returns the number of uint64 words a bitmask over n rectangles
+// needs (one bit per rectangle).
+func MaskWords(n int) int { return (n + 63) >> 6 }
+
+// IntersectBatchPlanes is the batch micro-kernel of the filter step: it
+// tests the query q against every rectangle of a coordinate-plane view and
+// writes the outcomes as a bitmask — bit i%64 of out[i/64] is set iff
+// rectangle i of p intersects q, under exactly the Rect.Intersects
+// predicate (touching edges count; NaN and EmptyRect never match; finite
+// inverted rectangles behave however the four scalar comparisons say).
+// The caller walks the mask in whatever order it needs without
+// re-testing. out must hold at least MaskWords(p.Len()) words; used words
+// are fully overwritten with zero trailing bits. It returns the number of
+// intersecting rectangles.
 //
 // When p carries a quantized mirror, each 64-rectangle block first runs
 // the byte-compare prefilter; blocks with no quantized survivor skip the
@@ -108,11 +116,22 @@ func IntersectBatchPlanes(q Rect, p *Planes, out []uint64) int {
 	return count
 }
 
-// intersectLane is the branchless single-lane exact test over the planes
-// (the SoA twin of intersect1).
+// intersectLane is the branchless single-lane exact test over the planes:
+// it returns 1 iff lane i and the query share at least one point, with the
+// exact closed-rectangle semantics of Rect.Intersects. Each comparison
+// feeds a bitwise AND, so the test carries no data-dependent branch.
 func intersectLane(q Rect, p *Planes, i int) uint64 {
 	return b2u(p.MinX[i] <= q.MaxX) & b2u(q.MinX <= p.MaxX[i]) &
 		b2u(p.MinY[i] <= q.MaxY) & b2u(q.MinY <= p.MaxY[i])
+}
+
+// b2u converts a comparison result to 0/1 without a visible branch (the
+// compiler lowers this pattern to SETcc on amd64).
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // quantGateGo is the scalar form of the quantized prefilter over lanes
@@ -137,7 +156,7 @@ func quantGateGo(qq *[4]uint8, p *Planes, lo, hi int) uint64 {
 // already sweep-sorted and densely packed), so every load in the scan is
 // a step through a dense float64 stream — no index indirection, no
 // striding. Pair set, order and the comparison count equal
-// SweepPairsSoA over the same rectangles with identity index slices.
+// SweepPairsPlanes over the same rectangles with identity index slices.
 func SweepPairsPlanesDense(r, s *Planes, out []IndexPair) ([]IndexPair, int) {
 	rMinX, rMinY, rMaxX, rMaxY := r.MinX, r.MinY, r.MaxX, r.MaxY
 	sMinX, sMinY, sMaxX, sMaxY := s.MinX, s.MinY, s.MaxX, s.MaxY
@@ -177,14 +196,17 @@ func SweepPairsPlanesDense(r, s *Planes, out []IndexPair) ([]IndexPair, int) {
 	return out, comparisons
 }
 
-// SweepPairsPlanes is SweepPairsSoA over coordinate-plane views: ri and si
-// index into r and s and must be sorted by ascending (MinX, MinY, index).
-// Every intersecting pair is appended to out in local plane-sweep order as
+// SweepPairsPlanes enumerates all intersecting pairs between r and s with
+// the plane sweep of §2.2 over coordinate-plane views: ri and si index into
+// r and s and must be sorted by ascending (MinX, MinY, index) (see
+// SortOrderByMinX). The sweep line moves to the unprocessed rectangle with
+// the smallest MinX, and the other side is scanned from its current front
+// until a rectangle starts beyond the sweep rectangle's MaxX; within the
+// scan the x-overlap is implied, so only the y-extents are tested. Every
+// intersecting pair is appended to out in local plane-sweep order as
 // original (ri, si) indices; the grown slice is returned with the number
-// of rectangle pairs tested. Pair set, pair order and comparison count are
-// identical to SweepPairsSoA on the same rectangles — the planes layout
-// only changes how the coordinates are loaded (each inner scan reads one
-// dense float64 stream per plane instead of striding 32-byte rects).
+// of rectangle pairs tested, which drives the CPU cost model. With a
+// cap-sufficient out it performs no allocation.
 func SweepPairsPlanes(r, s *Planes, ri, si []int32, out []IndexPair) ([]IndexPair, int) {
 	rMinX, rMinY, rMaxX, rMaxY := r.MinX, r.MinY, r.MaxX, r.MaxY
 	sMinX, sMinY, sMaxX, sMaxY := s.MinX, s.MinY, s.MaxX, s.MaxY

@@ -244,9 +244,11 @@ func TestPlanesGather(t *testing.T) {
 	}
 }
 
-// TestSweepPairsPlanesOracle pins SweepPairsPlanes to SweepPairsSoA:
-// identical pair sets, pair order, and comparison counts, on both kernel
-// paths, across sizes straddling the remainder boundaries.
+// TestSweepPairsPlanesOracle pins SweepPairsPlanes and SweepPairsPlanesDense
+// to the scalar index-view sweep: identical pair sets, pair order, and
+// comparison counts (the simulated cost model depends on the count, so the
+// kernels must not drift by a single test), on both kernel paths, across
+// sizes straddling the remainder boundaries.
 func TestSweepPairsPlanesOracle(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(41))
@@ -275,32 +277,27 @@ func TestSweepPairsPlanesOracle(t *testing.T) {
 	})
 }
 
+// checkSweepPlanesOracle checks both planes kernels on one input against
+// sweepIndexed on the same sweep orders: same pairs, same emission order,
+// same comparison count. Degenerate rects are fair game — the kernels must
+// match the scalar sweep on them too.
 func checkSweepPlanesOracle(t *testing.T, rs, ss []Rect) {
 	t.Helper()
-	ri := make([]int32, len(rs))
-	si := make([]int32, len(ss))
-	for i := range ri {
-		ri[i] = int32(i)
-	}
-	for i := range si {
-		si[i] = int32(i)
-	}
-	SortOrderByMinX(rs, ri)
-	SortOrderByMinX(ss, si)
-	wantPairs, wantComps := SweepPairsSoA(rs, ss, ri, si, nil)
+	ri, si := sweepOrders(rs, ss)
+	wantPairs, wantComps := sweepIndexed(rs, ss, ri, si)
 	var rp, sp Planes
 	rp.FromRects(rs)
 	sp.FromRects(ss)
 	gotPairs, gotComps := SweepPairsPlanes(&rp, &sp, ri, si, nil)
 	if gotComps != wantComps {
-		t.Fatalf("comparisons: planes=%d soa=%d", gotComps, wantComps)
+		t.Fatalf("comparisons: planes=%d scalar=%d", gotComps, wantComps)
 	}
 	if len(gotPairs) != len(wantPairs) {
-		t.Fatalf("pairs: planes=%d soa=%d", len(gotPairs), len(wantPairs))
+		t.Fatalf("pairs: planes=%d scalar=%d", len(gotPairs), len(wantPairs))
 	}
 	for i := range gotPairs {
 		if gotPairs[i] != wantPairs[i] {
-			t.Fatalf("pair %d: planes=%v soa=%v", i, gotPairs[i], wantPairs[i])
+			t.Fatalf("pair %d: planes=%v scalar=%v", i, gotPairs[i], wantPairs[i])
 		}
 	}
 	// Dense variant: the same sweep in position space over planes gathered
@@ -439,7 +436,7 @@ func FuzzSweepPairsPlanes(f *testing.F) {
 	f.Add([]byte{0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rs, ss := fuzzRects(data)
-		checkSweepPlanesOracle(t, rs, ss)
+		checkSweepAgainstOracles(t, rs, ss)
 	})
 }
 

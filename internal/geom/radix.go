@@ -3,13 +3,15 @@ package geom
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 )
 
-// Keyed radix sort: the one build-time ordering core under both engines.
-// A float key is quantised monotonically onto 32 bits over the input's own
-// key range and packed with a 32-bit payload as key<<32|payload; three
-// 11-bit LSD passes ping-pong the packed words between two caller-owned
+// Keyed radix sort: the one build-time ordering core under both engines,
+// and the digit loop behind SortWords. A float key is quantised
+// monotonically onto 32 bits over the input's own key range and packed
+// with a 32-bit payload as key<<32|payload; three 11-bit LSD passes over
+// the upper half ping-pong the packed words between two caller-owned
 // buffers. Quantisation is monotone but not injective, so the passes leave
 // the words ordered only up to runs of equal quantum; each entry point then
 // orders every such run with its exact comparison, which makes the result
@@ -27,9 +29,11 @@ const (
 	// exceeds it by at most 2⁻²⁰, so the truncated product fits 32 bits.
 	keyQuanta = 1<<32 - 1
 
-	// radixMinLen is the length below which clearing and prefix-summing the
-	// three histograms costs more than a comparison sort of the input.
-	radixMinLen = 256
+	// RadixMinLen is the length below which clearing and prefix-summing the
+	// histograms costs more than a comparison sort of the input; every radix
+	// entry point, SortWords' callers included, sorts shorter inputs by
+	// comparison.
+	RadixMinLen = 256
 )
 
 // keyScale returns the factor mapping key−lo onto [0, keyQuanta] for keys
@@ -52,9 +56,40 @@ func quantise(x, lo, scale float64, payload uint32) uint64 {
 	return uint64(int64((x-lo)*scale))<<32 | uint64(payload)
 }
 
+// SortWords sorts the words of a ascending, using b (len(b) >= len(a)) as
+// the second buffer, and returns whichever of the two holds the result. It
+// allocates nothing. Callers pack their composite keys into the words;
+// inputs shorter than RadixMinLen are cheaper to sort by comparison.
+//
+// It is the build-time digit loop run over each half in turn, LSD: the
+// words are rotated so their lower half leads, sorted stably by it, rotated
+// back and sorted stably by the upper half. The rotations are two streaming
+// passes; widening the loop itself to a run-time bit range slowed the
+// build-time sort (a variable digit count and shift in its histogram read).
+func SortWords(a, b []uint64) []uint64 {
+	if len(a) == 0 {
+		return a
+	}
+	rotateHalves(a)
+	byLow := radixSortHi32(a, b)
+	rotateHalves(byLow)
+	if &byLow[0] == &a[0] {
+		return radixSortHi32(a, b)
+	}
+	return radixSortHi32(byLow, a)
+}
+
+// rotateHalves swaps the two 32-bit halves of every word.
+func rotateHalves(words []uint64) {
+	for i, v := range words {
+		words[i] = bits.RotateLeft64(v, 32)
+	}
+}
+
 // radixSortHi32 stably sorts the words of a by their upper 32 bits, using b
 // (len(b) >= len(a)) as the second buffer, and returns whichever of the two
-// holds the result. It allocates nothing.
+// holds the result. Every digit all words share is skipped. It allocates
+// nothing.
 func radixSortHi32(a, b []uint64) []uint64 {
 	n := len(a)
 	if n == 0 {
@@ -95,7 +130,7 @@ func radixSortHi32(a, b []uint64) []uint64 {
 // untouched when the input is too short or its keys cannot be quantised.
 func radixSortOrder(rects []Rect, order []int32, ka, kb []uint64) bool {
 	n := len(order)
-	if n < radixMinLen {
+	if n < RadixMinLen {
 		return false
 	}
 	ka, kb = keyBuf(ka, n), keyBuf(kb, n)
@@ -168,7 +203,7 @@ func StableOrderByKey(keys []float64, order []int32, ka, kb []uint64) {
 // cannot be quantised.
 func radixOrderByKey(keys []float64, order []int32, ka, kb []uint64) bool {
 	n := len(keys)
-	if n < radixMinLen {
+	if n < RadixMinLen {
 		return false
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)

@@ -35,7 +35,7 @@ func checkOrderEntry(t *testing.T, keys []float64, seed int64) {
 
 	core := slices.Clone(order)
 	took := radixSortOrder(rects, core, nil, nil)
-	if took && (hasNaN || n < radixMinLen) {
+	if took && (hasNaN || n < RadixMinLen) {
 		t.Fatalf("n=%d: radix core took an input it must decline", n)
 	}
 	if !took && !slices.Equal(core, order) {
@@ -131,7 +131,7 @@ var keyFamilies = map[string]func(rng *rand.Rand, i int) float64{
 
 func TestRadixOrderExact(t *testing.T) {
 	lengths := []int{0, 1, 2, orderSortCutoff - 1, orderSortCutoff, orderSortCutoff + 1,
-		radixMinLen - 1, radixMinLen, radixMinLen + 1,
+		RadixMinLen - 1, RadixMinLen, RadixMinLen + 1,
 		radixBuckets - 1, radixBuckets, radixBuckets + 1, 5000}
 	for name, gen := range keyFamilies {
 		for _, n := range lengths {
@@ -167,6 +167,29 @@ func TestRadixSortHi32(t *testing.T) {
 	}
 }
 
+// TestSortWords checks the whole-word sort against slices.Sort, with either
+// half, both or neither varying (so passes are skipped in each half and the
+// result lands in either buffer) and with the extreme words.
+func TestSortWords(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, mask := range []uint64{math.MaxUint64, math.MaxUint32, math.MaxUint32 << 32, 0x7ff_0000_07ff, 0} {
+		for _, n := range []int{0, 1, 2, RadixMinLen, 70000} {
+			a := make([]uint64, n)
+			for i := range a {
+				a[i] = rng.Uint64() & mask
+			}
+			if n > 2 && mask == math.MaxUint64 {
+				a[0], a[1] = 0, math.MaxUint64
+			}
+			want := slices.Clone(a)
+			slices.Sort(want)
+			if got := SortWords(a, make([]uint64, n+5)); !slices.Equal(got, want) {
+				t.Fatalf("mask %#x n=%d: SortWords differs from slices.Sort", mask, n)
+			}
+		}
+	}
+}
+
 // FuzzRadixOrder feeds both entry points arbitrary float bit patterns. The
 // input is tiled up to a length past the radix cutoff; mode picks how the
 // copies are spread so tiling yields ties, near-ties or distinct keys.
@@ -191,7 +214,7 @@ func FuzzRadixOrder(f *testing.F) {
 		if len(base) == 0 {
 			return
 		}
-		n := radixMinLen + int(mode>>2)*5
+		n := RadixMinLen + int(mode>>2)*5
 		keys := make([]float64, n)
 		for i := range keys {
 			k, lap := base[i%len(base)], float64(i/len(base))

@@ -1,13 +1,8 @@
 package geom
 
-// Pair identifies one intersecting pair produced by the plane sweep: the
-// indices refer to the two input sequences (R index, S index).
-type Pair struct {
-	R, S int
-}
-
-// IndexPair is one intersecting pair found by SweepPairsSoA; the indices
-// refer to the rect slices the sweep ran over.
+// IndexPair is one intersecting pair found by the plane-sweep kernels
+// (SweepPairsPlanes, SweepPairsPlanesDense); the indices refer to the
+// rectangles the sweep ran over.
 type IndexPair struct {
 	R, S int32
 }
@@ -24,34 +19,13 @@ func rectLess(a, b Rect, ia, ib int) bool {
 	return ia < ib
 }
 
-// SortRectsByMinX sorts idx so that rects[idx[i]].MinX is non-decreasing.
-// The R*-tree node join sorts entries by their lower x-coordinate before
-// sweeping (§2.2 of the paper). Node entry lists are short (at most the
-// directory fanout), so a binary-insertion sort beats the reflection-based
-// sort.Slice and performs no allocation.
-func SortRectsByMinX(rects []Rect, idx []int) {
-	for i := 1; i < len(idx); i++ {
-		v := idx[i]
-		r := rects[v]
-		lo, hi := 0, i
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if rectLess(r, rects[idx[mid]], v, idx[mid]) {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		copy(idx[lo+1:i+1], idx[lo:i])
-		idx[lo] = v
-	}
-}
-
-// SortOrderByMinX is SortRectsByMinX over an int32 order slice — the form
-// the R*-tree node sweep cache stores. Allocation-free, and adaptive for
-// long inputs: an already-ordered slice (e.g. the previous join's order
-// over unchanged data) is verified in one linear pass and returned as-is,
-// so steady-state re-sorts cost O(n).
+// SortOrderByMinX sorts order so that the rects it indexes follow the
+// plane-sweep order: ascending MinX, ties broken on MinY and then on the
+// index. The R*-tree node join sorts entries by their lower x-coordinate
+// before sweeping (§2.2 of the paper), and the node sweep cache stores the
+// result. Allocation-free, and adaptive for long inputs: an already-ordered
+// slice (e.g. the previous join's order over unchanged data) is verified in
+// one linear pass and returned as-is, so steady-state re-sorts cost O(n).
 func SortOrderByMinX(rects []Rect, order []int32) {
 	if len(order) <= orderSortCutoff {
 		insertionSortOrder(rects, order)
@@ -254,157 +228,4 @@ func partitionOrder(rects []Rect, order []int32) int {
 	}
 	order[i], order[n-1] = order[n-1], order[i]
 	return i
-}
-
-// SweepVisitor receives each intersecting pair discovered by SweepPairs, in
-// local plane-sweep order. Returning false aborts the sweep early.
-type SweepVisitor func(r, s int) bool
-
-// SweepPairs enumerates all intersecting pairs between the rectangle
-// sequences rs and ss using the plane-sweep technique of §2.2: both
-// sequences must be sorted by ascending MinX (use SortRectsByMinX). The
-// sweep-line moves to the unprocessed rectangle with the smallest MinX; the
-// other sequence is then scanned from its current front until a rectangle
-// starts beyond the sweep rectangle's MaxX. Pairs are emitted in local
-// plane-sweep order. comparisons returns the number of rectangle pairs that
-// were tested for intersection, which drives the CPU cost model.
-//
-// The function performs no allocation beyond the visitor's own work.
-func SweepPairs(rs, ss []Rect, visit SweepVisitor) (comparisons int) {
-	i, j := 0, 0 // next unmarked rectangle in each sequence
-	for i < len(rs) && j < len(ss) {
-		if rs[i].MinX <= ss[j].MinX {
-			t := rs[i]
-			// Scan S starting at j until a rectangle starts past t.MaxX.
-			for k := j; k < len(ss) && ss[k].MinX <= t.MaxX; k++ {
-				comparisons++
-				if yOverlap(t, ss[k]) {
-					if !visit(i, k) {
-						return comparisons
-					}
-				}
-			}
-			i++
-		} else {
-			t := ss[j]
-			for k := i; k < len(rs) && rs[k].MinX <= t.MaxX; k++ {
-				comparisons++
-				if yOverlap(rs[k], t) {
-					if !visit(k, j) {
-						return comparisons
-					}
-				}
-			}
-			j++
-		}
-	}
-	return comparisons
-}
-
-// yOverlap tests the y-extents only: within the sweep the x-overlap is
-// already guaranteed by the scan condition MinX <= t.MaxX together with the
-// sorted order (every scanned rectangle starts at or after t.MinX).
-func yOverlap(a, b Rect) bool {
-	return a.MinY <= b.MaxY && b.MinY <= a.MaxY
-}
-
-// SweepPairsIndexed is SweepPairs over index views: ri and si are index
-// slices into rects r and s, each sorted by ascending MinX. The visitor
-// receives original indices (ri[i], si[j]).
-func SweepPairsIndexed(r, s []Rect, ri, si []int, visit SweepVisitor) (comparisons int) {
-	i, j := 0, 0
-	for i < len(ri) && j < len(si) {
-		if r[ri[i]].MinX <= s[si[j]].MinX {
-			t := r[ri[i]]
-			for k := j; k < len(si) && s[si[k]].MinX <= t.MaxX; k++ {
-				comparisons++
-				if yOverlap(t, s[si[k]]) {
-					if !visit(ri[i], si[k]) {
-						return comparisons
-					}
-				}
-			}
-			i++
-		} else {
-			t := s[si[j]]
-			for k := i; k < len(ri) && r[ri[k]].MinX <= t.MaxX; k++ {
-				comparisons++
-				if yOverlap(r[ri[k]], t) {
-					if !visit(ri[k], si[j]) {
-						return comparisons
-					}
-				}
-			}
-			j++
-		}
-	}
-	return comparisons
-}
-
-// SweepPairsSoA is the allocation-free batch form of SweepPairsIndexed,
-// operating on structure-of-arrays rect views: ri and si index into r and s
-// and must be sorted by ascending MinX (the R*-tree node sweep cache stores
-// exactly this order). Every intersecting pair is appended to out — in local
-// plane-sweep order, as original (ri, si) indices — and the grown slice is
-// returned together with the number of rectangle pairs tested, which is
-// identical to SweepPairsIndexed's count on the same inputs.
-//
-// Compared to the visitor form it performs no indirect calls in the inner
-// loop: the sweep rectangle's bounds are held in locals and each scan is a
-// straight compare-and-append, which is what lets the join kernel run a
-// node pair without touching the heap (pass a cap-sufficient out).
-func SweepPairsSoA(r, s []Rect, ri, si []int32, out []IndexPair) ([]IndexPair, int) {
-	comparisons := 0
-	i, j := 0, 0
-	for i < len(ri) && j < len(si) {
-		if r[ri[i]].MinX <= s[si[j]].MinX {
-			t := r[ri[i]]
-			tMaxX, tMinY, tMaxY := t.MaxX, t.MinY, t.MaxY
-			oi := ri[i]
-			for k := j; k < len(si); k++ {
-				c := s[si[k]]
-				if c.MinX > tMaxX {
-					break
-				}
-				comparisons++
-				if tMinY <= c.MaxY && c.MinY <= tMaxY {
-					out = append(out, IndexPair{R: oi, S: si[k]})
-				}
-			}
-			i++
-		} else {
-			t := s[si[j]]
-			tMaxX, tMinY, tMaxY := t.MaxX, t.MinY, t.MaxY
-			oj := si[j]
-			for k := i; k < len(ri); k++ {
-				c := r[ri[k]]
-				if c.MinX > tMaxX {
-					break
-				}
-				comparisons++
-				if c.MinY <= tMaxY && tMinY <= c.MaxY {
-					out = append(out, IndexPair{R: ri[k], S: oj})
-				}
-			}
-			j++
-		}
-	}
-	return out, comparisons
-}
-
-// BruteForcePairs enumerates all intersecting pairs by testing every
-// combination. It exists as the correctness oracle for SweepPairs in tests
-// and as the nested-loops baseline for the ablation benchmarks.
-func BruteForcePairs(rs, ss []Rect, visit SweepVisitor) (comparisons int) {
-	for i := range rs {
-		for j := range ss {
-			comparisons++
-			if rs[i].Intersects(ss[j]) {
-				if !visit(i, j) {
-					return comparisons
-				}
-			}
-		}
-	}
-	return comparisons
 }

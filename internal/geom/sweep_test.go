@@ -6,33 +6,88 @@ import (
 	"testing"
 )
 
-// collectSweep runs SweepPairs over the given (unsorted) rect slices after
-// sorting copies by MinX, and returns the produced pairs in original-index
-// space plus the order in which they were produced.
-func collectSweep(t *testing.T, rs, ss []Rect) []Pair {
-	t.Helper()
-	ri := identity(len(rs))
-	si := identity(len(ss))
-	SortRectsByMinX(rs, ri)
-	SortRectsByMinX(ss, si)
-	var pairs []Pair
-	SweepPairsIndexed(rs, ss, ri, si, func(r, s int) bool {
-		pairs = append(pairs, Pair{R: r, S: s})
-		return true
-	})
-	return pairs
+// bruteForcePairs is the nested-loops oracle: every combination tested with
+// Rect.Intersects, pairs in (R, S) index order.
+func bruteForcePairs(rs, ss []Rect) (pairs []IndexPair, comparisons int) {
+	for i := range rs {
+		for j := range ss {
+			comparisons++
+			if rs[i].Intersects(ss[j]) {
+				pairs = append(pairs, IndexPair{R: int32(i), S: int32(j)})
+			}
+		}
+	}
+	return pairs, comparisons
 }
 
-func identity(n int) []int {
-	idx := make([]int, n)
+// sweepIndexed is the scalar plane-sweep oracle over index views of rect
+// slices (ri and si in SortOrderByMinX order): the reference the planes
+// kernels must match in pair set, pair order and comparison count. A scan
+// stops at the first rect starting past the sweep rect's MaxX (a NaN MinX
+// does not stop it), exactly as the kernels' scans do.
+func sweepIndexed(r, s []Rect, ri, si []int32) (pairs []IndexPair, comparisons int) {
+	i, j := 0, 0
+	for i < len(ri) && j < len(si) {
+		if r[ri[i]].MinX <= s[si[j]].MinX {
+			t := r[ri[i]]
+			for k := j; k < len(si); k++ {
+				c := s[si[k]]
+				if c.MinX > t.MaxX {
+					break
+				}
+				comparisons++
+				if t.MinY <= c.MaxY && c.MinY <= t.MaxY {
+					pairs = append(pairs, IndexPair{R: ri[i], S: si[k]})
+				}
+			}
+			i++
+		} else {
+			t := s[si[j]]
+			for k := i; k < len(ri); k++ {
+				c := r[ri[k]]
+				if c.MinX > t.MaxX {
+					break
+				}
+				comparisons++
+				if c.MinY <= t.MaxY && t.MinY <= c.MaxY {
+					pairs = append(pairs, IndexPair{R: ri[k], S: si[j]})
+				}
+			}
+			j++
+		}
+	}
+	return pairs, comparisons
+}
+
+func identity32(n int) []int32 {
+	idx := make([]int32, n)
 	for i := range idx {
-		idx[i] = i
+		idx[i] = int32(i)
 	}
 	return idx
 }
 
-func pairSet(pairs []Pair) map[Pair]bool {
-	m := make(map[Pair]bool, len(pairs))
+// sweepOrders returns both sides' sweep orders.
+func sweepOrders(rs, ss []Rect) (ri, si []int32) {
+	ri, si = identity32(len(rs)), identity32(len(ss))
+	SortOrderByMinX(rs, ri)
+	SortOrderByMinX(ss, si)
+	return ri, si
+}
+
+// collectSweep runs SweepPairsPlanes over planes copies of the given
+// (unsorted) rect slices in sweep order, returning the pairs in
+// original-index space, in emission order, and the comparison count.
+func collectSweep(rs, ss []Rect) ([]IndexPair, int) {
+	ri, si := sweepOrders(rs, ss)
+	var rp, sp Planes
+	rp.FromRects(rs)
+	sp.FromRects(ss)
+	return SweepPairsPlanes(&rp, &sp, ri, si, nil)
+}
+
+func pairSet(pairs []IndexPair) map[IndexPair]bool {
+	m := make(map[IndexPair]bool, len(pairs))
 	for _, p := range pairs {
 		m[p] = true
 	}
@@ -51,8 +106,9 @@ func TestSweepPairsPaperExample(t *testing.T) {
 		NewRect(1, 1, 4, 3),   // s1 intersects r1, r2
 		NewRect(4.5, 0, 7, 1), // s2 intersects r2, r3
 	}
-	got := pairSet(collectSweep(t, rs, ss))
-	want := pairSet([]Pair{{0, 0}, {1, 0}, {1, 1}, {2, 1}})
+	pairs, _ := collectSweep(rs, ss)
+	got := pairSet(pairs)
+	want := pairSet([]IndexPair{{0, 0}, {1, 0}, {1, 1}, {2, 1}})
 	if len(got) != len(want) {
 		t.Fatalf("got %d pairs, want %d: %v", len(got), len(want), got)
 	}
@@ -64,28 +120,17 @@ func TestSweepPairsPaperExample(t *testing.T) {
 }
 
 func TestSweepPairsEmptyInputs(t *testing.T) {
-	if n := SweepPairs(nil, nil, func(int, int) bool { t.Fatal("visited"); return true }); n != 0 {
-		t.Fatalf("comparisons = %d, want 0", n)
-	}
 	rs := []Rect{NewRect(0, 0, 1, 1)}
-	if n := SweepPairs(rs, nil, func(int, int) bool { t.Fatal("visited"); return true }); n != 0 {
-		t.Fatalf("comparisons = %d, want 0", n)
-	}
-	if n := SweepPairs(nil, rs, func(int, int) bool { t.Fatal("visited"); return true }); n != 0 {
-		t.Fatalf("comparisons = %d, want 0", n)
-	}
-}
-
-func TestSweepPairsEarlyAbort(t *testing.T) {
-	rs := []Rect{NewRect(0, 0, 10, 10), NewRect(1, 1, 9, 9)}
-	ss := []Rect{NewRect(2, 2, 8, 8), NewRect(3, 3, 7, 7)}
-	count := 0
-	SweepPairs(rs, ss, func(int, int) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Fatalf("visitor called %d times after abort, want 1", count)
+	for _, c := range [][2][]Rect{{nil, nil}, {rs, nil}, {nil, rs}} {
+		if pairs, n := collectSweep(c[0], c[1]); len(pairs) != 0 || n != 0 {
+			t.Fatalf("%d pairs, %d comparisons on an empty side, want 0", len(pairs), n)
+		}
+		var rp, sp Planes
+		rp.FromRects(c[0])
+		sp.FromRects(c[1])
+		if pairs, n := SweepPairsPlanesDense(&rp, &sp, nil); len(pairs) != 0 || n != 0 {
+			t.Fatalf("dense: %d pairs, %d comparisons on an empty side, want 0", len(pairs), n)
+		}
 	}
 }
 
@@ -101,15 +146,12 @@ func TestSweepMatchesBruteForceRandom(t *testing.T) {
 		for i := range ss {
 			ss[i] = randomRect(rng)
 		}
-		got := pairSet(collectSweep(t, rs, ss))
-		var want []Pair
-		BruteForcePairs(rs, ss, func(r, s int) bool {
-			want = append(want, Pair{r, s})
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: sweep found %d pairs, brute force %d",
-				trial, len(got), len(want))
+		pairs, _ := collectSweep(rs, ss)
+		got := pairSet(pairs)
+		want, _ := bruteForcePairs(rs, ss)
+		if len(pairs) != len(want) || len(got) != len(want) {
+			t.Fatalf("trial %d: sweep found %d pairs (%d unique), brute force %d",
+				trial, len(pairs), len(got), len(want))
 		}
 		for _, p := range want {
 			if !got[p] {
@@ -130,11 +172,8 @@ func TestSweepComparisonsAtMostBruteForce(t *testing.T) {
 		for i := range ss {
 			ss[i] = randomRect(rng)
 		}
-		ri, si := identity(len(rs)), identity(len(ss))
-		SortRectsByMinX(rs, ri)
-		SortRectsByMinX(ss, si)
-		sweepCmp := SweepPairsIndexed(rs, ss, ri, si, func(int, int) bool { return true })
-		bruteCmp := BruteForcePairs(rs, ss, func(int, int) bool { return true })
+		_, sweepCmp := collectSweep(rs, ss)
+		_, bruteCmp := bruteForcePairs(rs, ss)
 		if sweepCmp > bruteCmp {
 			t.Fatalf("trial %d: sweep used %d comparisons > brute force %d",
 				trial, sweepCmp, bruteCmp)
@@ -143,12 +182,9 @@ func TestSweepComparisonsAtMostBruteForce(t *testing.T) {
 }
 
 func TestSweepOrderIsByMinX(t *testing.T) {
-	// The local plane-sweep order: pairs must be produced in non-decreasing
-	// order of the sweep-line stop positions. We verify the weaker but
-	// sufficient invariant that the max of the two MinX values per produced
-	// pair never exceeds the sweep position of later stops by checking the
-	// sequence of min(MinX) per pair is "almost" sorted: each pair's anchor
-	// rectangle (the one the sweep stopped at) has non-decreasing MinX.
+	// The local plane-sweep order: every pair is emitted while the sweep
+	// line stands at its anchor rectangle — the one of the two with the
+	// smaller MinX — so the anchors' MinX never decreases along the output.
 	rng := rand.New(rand.NewSource(11))
 	rs := make([]Rect, 60)
 	ss := make([]Rect, 60)
@@ -156,69 +192,33 @@ func TestSweepOrderIsByMinX(t *testing.T) {
 		rs[i] = randomRect(rng)
 		ss[i] = randomRect(rng)
 	}
-	ri, si := identity(len(rs)), identity(len(ss))
-	SortRectsByMinX(rs, ri)
-	SortRectsByMinX(ss, si)
-	var anchors []float64
-	SweepPairsIndexed(rs, ss, ri, si, func(r, s int) bool {
-		a := rs[r].MinX
-		if ss[s].MinX < a {
-			a = ss[s].MinX
-		}
-		anchors = append(anchors, a)
-		return true
-	})
+	pairs, _ := collectSweep(rs, ss)
+	anchors := make([]float64, len(pairs))
+	for i, p := range pairs {
+		anchors[i] = min(rs[p.R].MinX, ss[p.S].MinX)
+	}
 	if !sort.Float64sAreSorted(anchors) {
 		t.Fatalf("sweep anchors not sorted: %v", anchors)
 	}
 }
 
+// TestSortRectsByMinXDeterministicTies pins the sweep sort's tie order:
+// equal MinX breaks on MinY, then on the index.
 func TestSortRectsByMinXDeterministicTies(t *testing.T) {
 	rects := []Rect{
 		NewRect(1, 5, 2, 6),
 		NewRect(1, 3, 2, 4),
 		NewRect(1, 3, 9, 9),
 	}
-	idx := identity(3)
-	SortRectsByMinX(rects, idx)
+	idx := identity32(3)
+	SortOrderByMinX(rects, idx)
 	// MinX all equal; order by MinY then index: rect1 (y=3,i=1), rect2
 	// (y=3,i=2), rect0 (y=5).
-	want := []int{1, 2, 0}
+	want := []int32{1, 2, 0}
 	for i := range want {
 		if idx[i] != want[i] {
 			t.Fatalf("tie-broken order = %v, want %v", idx, want)
 		}
-	}
-}
-
-func BenchmarkSweepPairs1000(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	rs := make([]Rect, 1000)
-	ss := make([]Rect, 1000)
-	for i := range rs {
-		rs[i] = randomRect(rng)
-		ss[i] = randomRect(rng)
-	}
-	ri, si := identity(len(rs)), identity(len(ss))
-	SortRectsByMinX(rs, ri)
-	SortRectsByMinX(ss, si)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SweepPairsIndexed(rs, ss, ri, si, func(int, int) bool { return true })
-	}
-}
-
-func BenchmarkBruteForcePairs1000(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	rs := make([]Rect, 1000)
-	ss := make([]Rect, 1000)
-	for i := range rs {
-		rs[i] = randomRect(rng)
-		ss[i] = randomRect(rng)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BruteForcePairs(rs, ss, func(int, int) bool { return true })
 	}
 }
 
@@ -234,9 +234,9 @@ func TestSweepAllIdenticalRects(t *testing.T) {
 	for i := range ss {
 		ss[i] = r
 	}
-	got := pairSet(collectSweep(t, rs, ss))
-	if len(got) != 20*15 {
-		t.Fatalf("identical rects: %d pairs, want %d", len(got), 20*15)
+	pairs, _ := collectSweep(rs, ss)
+	if got := pairSet(pairs); len(pairs) != 20*15 || len(got) != 20*15 {
+		t.Fatalf("identical rects: %d pairs (%d unique), want %d", len(pairs), len(got), 20*15)
 	}
 }
 
@@ -244,87 +244,29 @@ func TestSweepTouchingOnlyAtX(t *testing.T) {
 	// Rectangles that touch exactly at their x-boundaries must pair.
 	rs := []Rect{NewRect(0, 0, 1, 1)}
 	ss := []Rect{NewRect(1, 0, 2, 1)}
-	got := pairSet(collectSweep(t, rs, ss))
-	if !got[Pair{0, 0}] {
+	pairs, _ := collectSweep(rs, ss)
+	if !pairSet(pairs)[IndexPair{0, 0}] {
 		t.Fatal("x-touching rectangles not paired")
 	}
 }
 
-func identity32(n int) []int32 {
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	return idx
-}
-
-// runSoA sorts fresh order slices and runs the SoA sweep, returning its
-// pairs and comparison count.
-func runSoA(rs, ss []Rect) ([]IndexPair, int) {
-	ri, si := identity32(len(rs)), identity32(len(ss))
-	SortOrderByMinX(rs, ri)
-	SortOrderByMinX(ss, si)
-	return SweepPairsSoA(rs, ss, ri, si, nil)
-}
-
-// checkSoAAgainstOracles verifies the three contracts of SweepPairsSoA on
-// one input: (1) the pair set equals BruteForcePairs' (correctness), (2) the
-// emission order and (3) the comparison count equal SweepPairsIndexed's on
-// the same sorted views (the simulated cost model depends on the count, so
-// the batch kernel must not drift from the visitor kernel by a single test).
-func checkSoAAgainstOracles(t *testing.T, rs, ss []Rect) {
-	t.Helper()
-	got, gotCmp := runSoA(rs, ss)
-
-	var brute []Pair
-	BruteForcePairs(rs, ss, func(r, s int) bool {
-		brute = append(brute, Pair{r, s})
-		return true
-	})
-	gotSet := make(map[Pair]bool, len(got))
-	for _, p := range got {
-		gotSet[Pair{int(p.R), int(p.S)}] = true
-	}
-	if len(got) != len(brute) || len(gotSet) != len(brute) {
-		t.Fatalf("SoA sweep found %d pairs (%d unique), brute force %d",
-			len(got), len(gotSet), len(brute))
-	}
-	for _, p := range brute {
-		if !gotSet[p] {
-			t.Fatalf("SoA sweep missed pair %v", p)
-		}
-	}
-
-	ri, si := identity(len(rs)), identity(len(ss))
-	SortRectsByMinX(rs, ri)
-	SortRectsByMinX(ss, si)
-	var ref []Pair
-	refCmp := SweepPairsIndexed(rs, ss, ri, si, func(r, s int) bool {
-		ref = append(ref, Pair{r, s})
-		return true
-	})
-	if gotCmp != refCmp {
-		t.Fatalf("SoA sweep counted %d comparisons, SweepPairsIndexed %d", gotCmp, refCmp)
-	}
-	for i, p := range got {
-		if int(p.R) != ref[i].R || int(p.S) != ref[i].S {
-			t.Fatalf("emission order diverges at %d: SoA %v, indexed %v", i, p, ref[i])
-		}
-	}
-}
-
+// TestSweepSoAMatchesOraclesRandom runs the planes kernels over larger and
+// denser inputs than the oracle test — long scans, many pairs per sweep
+// stop — against both oracles.
 func TestSweepSoAMatchesOraclesRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 100; trial++ {
-		rs := make([]Rect, rng.Intn(40))
-		ss := make([]Rect, rng.Intn(40))
+	for trial := 0; trial < 20; trial++ {
+		rs := make([]Rect, 100+rng.Intn(300))
+		ss := make([]Rect, 100+rng.Intn(300))
 		for i := range rs {
-			rs[i] = randomRect(rng)
+			x, y := rng.Float64()*100, rng.Float64()*100
+			rs[i] = NewRect(x, y, x+rng.Float64()*40, y+rng.Float64()*40)
 		}
 		for i := range ss {
-			ss[i] = randomRect(rng)
+			x, y := rng.Float64()*100, rng.Float64()*100
+			ss[i] = NewRect(x, y, x+rng.Float64()*40, y+rng.Float64()*40)
 		}
-		checkSoAAgainstOracles(t, rs, ss)
+		checkSweepAgainstOracles(t, rs, ss)
 	}
 }
 
@@ -344,34 +286,48 @@ func TestSweepSoAEdgeCases(t *testing.T) {
 		{{NewRect(0, 0, 1, 1)}, {NewRect(0.5, 2, 1.5, 3)}},   // x-overlap, y-disjoint
 		{{NewRect(0, 0, 10, 1), NewRect(0, 5, 10, 6)}, same}, // long spanners
 	}
-	for i, c := range cases {
+	for _, c := range cases {
 		rs := append([]Rect(nil), c[0]...)
 		ss := append([]Rect(nil), c[1]...)
-		checkSoAAgainstOracles(t, rs, ss)
-		if i == 0 {
-			out, cmp := runSoA(rs, ss)
-			if len(out) != 0 || cmp != 0 {
-				t.Fatal("empty inputs produced work")
-			}
-		}
+		checkSweepAgainstOracles(t, rs, ss)
 	}
 }
 
 func TestSweepSoAReusesOutBuffer(t *testing.T) {
-	// The zero-allocation contract: with a cap-sufficient out slice the SoA
+	// The zero-allocation contract: with a cap-sufficient out slice the
 	// sweep must append into it rather than allocate a fresh backing array.
 	rs := []Rect{NewRect(0, 0, 2, 2), NewRect(1, 0, 3, 2)}
 	ss := []Rect{NewRect(0, 1, 2, 3), NewRect(1, 1, 3, 3)}
+	ri, si := sweepOrders(rs, ss)
+	var rp, sp Planes
+	rp.FromRects(rs)
+	sp.FromRects(ss)
 	buf := make([]IndexPair, 0, 16)
-	ri, si := identity32(len(rs)), identity32(len(ss))
-	SortOrderByMinX(rs, ri)
-	SortOrderByMinX(ss, si)
-	out, _ := SweepPairsSoA(rs, ss, ri, si, buf)
+	out, _ := SweepPairsPlanes(&rp, &sp, ri, si, buf)
 	if len(out) == 0 {
 		t.Fatal("no pairs found")
 	}
 	if &out[0] != &buf[:1][0] {
-		t.Fatal("SoA sweep abandoned the provided buffer despite sufficient capacity")
+		t.Fatal("sweep abandoned the provided buffer despite sufficient capacity")
+	}
+}
+
+// checkSweepAgainstOracles is checkSweepPlanesOracle plus the pair set
+// against bruteForcePairs, for well-formed rects (on an inverted rect the
+// sweep and Rect.Intersects may legitimately disagree).
+func checkSweepAgainstOracles(t *testing.T, rs, ss []Rect) {
+	t.Helper()
+	checkSweepPlanesOracle(t, rs, ss)
+	pairs, _ := collectSweep(rs, ss)
+	got := pairSet(pairs)
+	brute, _ := bruteForcePairs(rs, ss)
+	if len(pairs) != len(brute) || len(got) != len(brute) {
+		t.Fatalf("sweep found %d pairs (%d unique), brute force %d", len(pairs), len(got), len(brute))
+	}
+	for _, p := range brute {
+		if !got[p] {
+			t.Fatalf("sweep missed pair %v", p)
+		}
 	}
 }
 
@@ -400,33 +356,4 @@ func fuzzRects(data []byte) (rs, ss []Rect) {
 		nr = len(all)
 	}
 	return all[:nr], all[nr:]
-}
-
-func FuzzSweepSoAOracle(f *testing.F) {
-	f.Add([]byte{2, 0, 0, 4, 4, 1, 1, 4, 4, 3, 3, 2, 2, 8, 8, 1, 1})
-	f.Add([]byte{0})
-	f.Add([]byte{7, 5, 5, 0, 0, 5, 5, 0, 0, 5, 5, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rs, ss := fuzzRects(data)
-		checkSoAAgainstOracles(t, rs, ss)
-	})
-}
-
-func BenchmarkSweepPairsSoA1000(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	rs := make([]Rect, 1000)
-	ss := make([]Rect, 1000)
-	for i := range rs {
-		rs[i] = randomRect(rng)
-		ss[i] = randomRect(rng)
-	}
-	ri, si := identity32(len(rs)), identity32(len(ss))
-	SortOrderByMinX(rs, ri)
-	SortOrderByMinX(ss, si)
-	out := make([]IndexPair, 0, 1<<16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, _ = SweepPairsSoA(rs, ss, ri, si, out[:0])
-	}
 }

@@ -3,10 +3,13 @@ package join
 import (
 	"cmp"
 	"slices"
+
+	"spjoin/internal/geom"
+	"spjoin/internal/rtree"
 )
 
 // compareCandidates orders candidates by (R, S) id — the deterministic
-// output order of every Sorted join variant.
+// output order SortCandidates produces.
 func compareCandidates(a, b Candidate) int {
 	if c := cmp.Compare(a.R, b.R); c != 0 {
 		return c
@@ -14,39 +17,36 @@ func compareCandidates(a, b Candidate) int {
 	return cmp.Compare(a.S, b.S)
 }
 
-// SortCandidates orders candidates by (R, S) id in place. The generic sort
-// needs no reflection swapper and boxes no closure, so it allocates nothing.
+// SortCandidates orders candidates by (R, S) id in place: one LSD radix sort
+// over the pairs packed into 64-bit words (see candidateKey), sharing the
+// build-time sort's digit loop. It allocates two words per candidate; inputs
+// shorter than geom.RadixMinLen take a comparison sort, which allocates
+// nothing. The engines emit in no particular order — callers that need a
+// deterministic sequence sort the result with this.
 func SortCandidates(cands []Candidate) {
-	slices.SortFunc(cands, compareCandidates)
+	n := len(cands)
+	if n < geom.RadixMinLen {
+		slices.SortFunc(cands, compareCandidates)
+		return
+	}
+	words := make([]uint64, 2*n)
+	keys := words[:n]
+	for i, c := range cands {
+		keys[i] = candidateKey(c)
+	}
+	for i, k := range geom.SortWords(keys, words[n:]) {
+		cands[i] = Candidate{R: keyID(k >> 32), S: keyID(k)}
+	}
 }
 
-// MergeCandidateRuns k-way-merges runs — each already sorted by (R, S) id —
-// into dst and returns it. Together with per-worker sorting, this replaces
-// a full sort of the concatenated result: each worker sorts only its own
-// run (in parallel), and the single-threaded tail is a linear merge instead
-// of an O(n log n) sort.
-//
-// The merge consumes the runs: every run slice is advanced to empty. Ties
-// break toward the lower run index, so the result is deterministic even if
-// the same (R, S) pair appears in several runs. The scan over run heads is
-// linear in the number of runs, which is the worker count — small enough
-// that a loser tree would cost more than it saves. With sufficient dst
-// capacity the merge performs no allocation.
-func MergeCandidateRuns(dst []Candidate, runs [][]Candidate) []Candidate {
-	for {
-		best := -1
-		for i := range runs {
-			if len(runs[i]) == 0 {
-				continue
-			}
-			if best < 0 || compareCandidates(runs[i][0], runs[best][0]) < 0 {
-				best = i
-			}
-		}
-		if best < 0 {
-			return dst
-		}
-		dst = append(dst, runs[best][0])
-		runs[best] = runs[best][1:]
-	}
+// candidateKey packs a candidate so that unsigned word order is signed
+// (R, S) order: R in the upper half, S in the lower, each with its sign bit
+// flipped (EntryID is an int32).
+func candidateKey(c Candidate) uint64 {
+	return uint64(uint32(c.R)^1<<31)<<32 | uint64(uint32(c.S)^1<<31)
+}
+
+// keyID recovers an id from the low 32 bits of a packed half.
+func keyID(half uint64) rtree.EntryID {
+	return rtree.EntryID(int32(uint32(half) ^ 1<<31))
 }

@@ -50,7 +50,7 @@ func JoinPaged(r, s *rtree.PagedTree, cfg Config) (Result, error) {
 		return res, nil
 	}
 
-	out := newCollector(cfg.Workers, cfg.Sorted)
+	out := make([]join.CandidateBuf, cfg.Workers)
 	falseHits := make([]int, cfg.Workers)
 	workerErrs := make([]error, cfg.Workers)
 	sched := newStealScheduler(cfg.Workers, tasks)
@@ -65,7 +65,6 @@ func JoinPaged(r, s *rtree.PagedTree, cfg Config) (Result, error) {
 			for {
 				p, ok := sched.next(w)
 				if !ok {
-					out.finishWorker(w)
 					return
 				}
 				res.PerWorker[w]++
@@ -81,13 +80,13 @@ func JoinPaged(r, s *rtree.PagedTree, cfg Config) (Result, error) {
 					if cfg.Refiner != nil {
 						for _, c := range cands {
 							if cfg.Refiner(c) {
-								out.bufs[w].Push(c)
+								out[w].Push(c)
 							} else {
 								falseHits[w]++
 							}
 						}
 					} else {
-						out.bufs[w].Append(cands)
+						out[w].Append(cands)
 					}
 				}
 				sched.complete(w, children)
@@ -105,6 +104,6 @@ func JoinPaged(r, s *rtree.PagedTree, cfg Config) (Result, error) {
 	for _, fh := range falseHits {
 		res.FalseHits += fh
 	}
-	res.Candidates = out.assemble()
+	res.Candidates = gather(out)
 	return res, nil
 }

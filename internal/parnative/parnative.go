@@ -33,9 +33,6 @@ type Config struct {
 	TaskFactor int
 	// Opts are the sequential engine's tuning switches.
 	Opts join.Options
-	// Sorted returns the candidates sorted by (R, S) id so results are
-	// deterministic regardless of scheduling.
-	Sorted bool
 	// Refiner, when set, is the refinement step: it receives every filter
 	// candidate and keeps only those passing the exact join predicate.
 	// Like in the paper, the worker that found a candidate refines it, so
@@ -147,7 +144,7 @@ func Join(r, s *rtree.Tree, cfg Config) Result {
 	if cfg.Metrics != nil || cfg.Trace != nil {
 		met = newNativeMetrics(cfg.Metrics, cfg.Trace, cfg.Workers)
 	}
-	out := newCollector(cfg.Workers, cfg.Sorted)
+	out := make([]join.CandidateBuf, cfg.Workers)
 	falseHits := make([]int, cfg.Workers)
 	sched := newStealScheduler(cfg.Workers, tasks)
 	sched.met = met
@@ -200,7 +197,7 @@ func Join(r, s *rtree.Tree, cfg Config) Result {
 						}
 						for _, c := range cands {
 							if cfg.Refiner(c) {
-								out.bufs[w].Push(c)
+								out[w].Push(c)
 							} else {
 								falseHits[w]++
 							}
@@ -210,7 +207,7 @@ func Join(r, s *rtree.Tree, cfg Config) Result {
 								sim.SpanArgs{A: int64(len(cands))})
 						}
 					} else {
-						out.bufs[w].Append(cands)
+						out[w].Append(cands)
 					}
 				}
 				if n := len(children); n > 0 {
@@ -219,7 +216,6 @@ func Join(r, s *rtree.Tree, cfg Config) Result {
 				prog.UnitDone(1)
 				sched.complete(w, children)
 			}
-			out.finishWorker(w)
 			met.flushWorker(w, pairs, comps, candTotal, int64(falseHits[w]))
 			if rec != nil {
 				rec.EndSpan(w, wallSince(epoch), sim.SpanArgs{}, false)
@@ -235,7 +231,7 @@ func Join(r, s *rtree.Tree, cfg Config) Result {
 	for _, fh := range falseHits {
 		res.FalseHits += fh
 	}
-	res.Candidates = out.assemble()
+	res.Candidates = gather(out)
 	res.PhaseNS[timeline.PhaseMerge] = time.Since(t3).Nanoseconds()
 	if rec != nil {
 		rec.Complete(0, wallAt(t3, epoch), wallSince(epoch), timeline.KindPhase,
@@ -256,55 +252,23 @@ func wallAt(t, epoch time.Time) sim.Time {
 	return sim.Time(float64(t.Sub(epoch)) / float64(time.Millisecond))
 }
 
-// collector is the output path shared by Join and JoinPaged: every worker
-// emits into its own chunked buffer, and assemble builds the exact-size
-// result from them in worker-major order.
-type collector struct {
-	bufs []join.CandidateBuf
-	runs [][]join.Candidate // per-worker sorted runs; nil unless Sorted
-}
-
-func newCollector(workers int, sorted bool) *collector {
-	c := &collector{bufs: make([]join.CandidateBuf, workers)}
-	if sorted {
-		c.runs = make([][]join.Candidate, workers)
-	}
-	return c
-}
-
-// finishWorker runs on worker w after its last emit. With Sorted it
-// flattens the worker's buffer into one contiguous run and sorts it while
-// the others still sort theirs, so the single-threaded tail is only a
-// k-way merge instead of a full sort of the concatenation.
-func (c *collector) finishWorker(w int) {
-	if c.runs == nil {
-		return
-	}
-	run := make([]join.Candidate, c.bufs[w].Len())
-	c.bufs[w].CopyTo(run)
-	join.SortCandidates(run)
-	c.runs[w] = run
-}
-
-// assemble returns the result after every worker has finished: the merged
-// runs with Sorted, otherwise a gather in which a prefix sum over the buffer
-// lengths gives each worker its slice of the result — copied there by one
-// goroutine per non-empty buffer, unless the whole result fits one block
-// and starting goroutines would cost more than the copy.
-func (c *collector) assemble() []join.Candidate {
+// gather is the output path shared by Join and JoinPaged: every worker
+// emits into its own chunked buffer, and once all have finished a prefix
+// sum over the buffer lengths gives each worker its slice of the exact-size
+// result, in worker-major order — copied there by one goroutine per
+// non-empty buffer, unless the whole result fits one block and starting
+// goroutines would cost more than the copy.
+func gather(bufs []join.CandidateBuf) []join.Candidate {
 	total := 0
-	for w := range c.bufs {
-		total += c.bufs[w].Len()
-	}
-	if c.runs != nil {
-		return join.MergeCandidateRuns(make([]join.Candidate, 0, total), c.runs)
+	for w := range bufs {
+		total += bufs[w].Len()
 	}
 	out := make([]join.Candidate, total)
 	parallel := total > join.CandidateBlock
 	var wg sync.WaitGroup
 	off := 0
-	for w := range c.bufs {
-		b := &c.bufs[w]
+	for w := range bufs {
+		b := &bufs[w]
 		dst := out[off : off+b.Len()]
 		off += len(dst)
 		if !parallel || len(dst) == 0 {

@@ -1,7 +1,9 @@
 package parnative
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 
 	"runtime"
 	"sort"
@@ -27,6 +29,13 @@ func testTrees(tb testing.TB) (*rtree.Tree, *rtree.Tree) {
 }
 
 type pairKey struct{ r, s rtree.EntryID }
+
+// sorted orders an engine result by (R, S) id in place — the caller-side
+// sort that makes results comparable element for element — and returns it.
+func sorted(cands []join.Candidate) []join.Candidate {
+	join.SortCandidates(cands)
+	return cands
+}
 
 func toSet(cands []join.Candidate) map[pairKey]bool {
 	out := make(map[pairKey]bool, len(cands))
@@ -71,18 +80,18 @@ func TestJoinNoDuplicates(t *testing.T) {
 
 func TestSortedDeterministic(t *testing.T) {
 	r, s := testTrees(t)
-	a := Join(r, s, Config{Workers: 8, Sorted: true})
-	b := Join(r, s, Config{Workers: 8, Sorted: true})
-	if len(a.Candidates) != len(b.Candidates) {
+	a := sorted(Join(r, s, Config{Workers: 8}).Candidates)
+	b := sorted(Join(r, s, Config{Workers: 8}).Candidates)
+	if len(a) != len(b) {
 		t.Fatal("candidate counts differ")
 	}
-	for i := range a.Candidates {
-		if a.Candidates[i] != b.Candidates[i] {
+	for i := range a {
+		if a[i] != b[i] {
 			t.Fatalf("sorted outputs diverge at %d", i)
 		}
 	}
-	if !sort.SliceIsSorted(a.Candidates, func(i, j int) bool {
-		x, y := a.Candidates[i], a.Candidates[j]
+	if !sort.SliceIsSorted(a, func(i, j int) bool {
+		x, y := a[i], a[j]
 		if x.R != y.R {
 			return x.R < y.R
 		}
@@ -115,9 +124,9 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 }
 
-// TestSortedMatchesSequentialExactly pins the determinism contract: with
-// Sorted set, the native parallel join must return a byte-identical
-// candidate slice to the sequential engine — same pairs, same order — for
+// TestSortedMatchesSequentialExactly pins the determinism contract: sorted
+// by the caller, the native parallel join's result is a byte-identical
+// candidate slice to the sequential engine's — same pairs, same order — for
 // any worker count and across repeated runs (scheduling noise must never
 // leak into the output).
 func TestSortedMatchesSequentialExactly(t *testing.T) {
@@ -126,15 +135,15 @@ func TestSortedMatchesSequentialExactly(t *testing.T) {
 	join.SortCandidates(want)
 	for _, workers := range []int{1, 2, 8} {
 		for run := 0; run < 3; run++ {
-			res := Join(r, s, Config{Workers: workers, Sorted: true})
-			if len(res.Candidates) != len(want) {
+			got := sorted(Join(r, s, Config{Workers: workers}).Candidates)
+			if len(got) != len(want) {
 				t.Fatalf("workers=%d run=%d: %d candidates, want %d",
-					workers, run, len(res.Candidates), len(want))
+					workers, run, len(got), len(want))
 			}
 			for i := range want {
-				if res.Candidates[i] != want[i] {
+				if got[i] != want[i] {
 					t.Fatalf("workers=%d run=%d: candidate %d = %+v, want %+v",
-						workers, run, i, res.Candidates[i], want[i])
+						workers, run, i, got[i], want[i])
 				}
 			}
 		}
@@ -243,14 +252,20 @@ func TestRefinerFiltersFalseHits(t *testing.T) {
 
 func TestRefinerAcceptAllIsIdentity(t *testing.T) {
 	r, s := testTrees(t)
-	plain := Join(r, s, Config{Workers: 4, Sorted: true})
+	plain := Join(r, s, Config{Workers: 4})
 	refined := Join(r, s, Config{
-		Workers: 4, Sorted: true,
+		Workers: 4,
 		Refiner: func(join.Candidate) bool { return true },
 	})
 	if len(plain.Candidates) != len(refined.Candidates) || refined.FalseHits != 0 {
 		t.Fatalf("accept-all refiner changed the result: %d vs %d (fh %d)",
 			len(plain.Candidates), len(refined.Candidates), refined.FalseHits)
+	}
+	want, got := sorted(plain.Candidates), sorted(refined.Candidates)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("accept-all refiner changed candidate %d: %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }
 
@@ -316,7 +331,7 @@ func TestJoinPagedMatchesInMemory(t *testing.T) {
 	pr, ps, r, s := pagedPair(t, 32)
 	want := toSet(join.Sequential(r, s, join.Options{}))
 	for _, workers := range []int{1, 4} {
-		res, err := JoinPaged(pr, ps, Config{Workers: workers, Sorted: true})
+		res, err := JoinPaged(pr, ps, Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,17 +352,19 @@ func TestJoinPagedMatchesInMemory(t *testing.T) {
 
 func TestJoinPagedDeterministicSorted(t *testing.T) {
 	pr, ps, _, _ := pagedPair(t, 16)
-	a, err := JoinPaged(pr, ps, Config{Workers: 8, Sorted: true})
+	a, err := JoinPaged(pr, ps, Config{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := JoinPaged(pr, ps, Config{Workers: 8, Sorted: true})
+	b, err := JoinPaged(pr, ps, Config{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(a.Candidates) != len(b.Candidates) {
 		t.Fatal("sizes differ")
 	}
+	sorted(a.Candidates)
+	sorted(b.Candidates)
 	for i := range a.Candidates {
 		if a.Candidates[i] != b.Candidates[i] {
 			t.Fatalf("sorted outputs diverge at %d", i)
@@ -386,7 +403,7 @@ func TestJoinPhaseTimings(t *testing.T) {
 			t.Errorf("phase %s has no wall time", timeline.PhaseName(p))
 		}
 	}
-	for _, p := range []int{timeline.PhaseSort, timeline.PhaseFill, timeline.PhaseRefine} {
+	for _, p := range []int{timeline.PhaseSort, timeline.PhaseRefine} {
 		if res.PhaseNS[p] != 0 {
 			t.Errorf("phase %s filled (%dns); the tree executor never runs it",
 				timeline.PhaseName(p), res.PhaseNS[p])
@@ -496,23 +513,30 @@ func TestJoinOutputAllocationBounded(t *testing.T) {
 		pairs, blocks, n-baseN, float64(b-baseB)/float64(pairs), baseN, baseB)
 }
 
-// TestSortedMatchesSortedUnsorted pins the two output paths against each
-// other on a multi-block result: the sorted path (flatten, per-worker sort,
-// k-way merge) returns exactly SortCandidates of the unsorted path's
-// parallel gather — the same id pairs in the same order.
+// TestSortedMatchesSortedUnsorted pins the caller-side ordering on a
+// multi-block result: SortCandidates (the radix sort) of the parallel
+// gather returns exactly a comparison sort of the same output, and the
+// same id pairs in the same order for every worker count.
 func TestSortedMatchesSortedUnsorted(t *testing.T) {
 	r, s := bigRectTrees(t)
+	var first []join.Candidate
 	for _, workers := range []int{1, 3} {
-		want := Join(r, s, Config{Workers: workers}).Candidates
-		join.SortCandidates(want)
-		got := Join(r, s, Config{Workers: workers, Sorted: true}).Candidates
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: sorted %d candidates, unsorted %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: candidate %d = %+v, want %+v", workers, i, got[i], want[i])
+		cands := Join(r, s, Config{Workers: workers}).Candidates
+		want := slices.Clone(cands)
+		slices.SortFunc(want, func(a, b join.Candidate) int {
+			if c := cmp.Compare(a.R, b.R); c != 0 {
+				return c
 			}
+			return cmp.Compare(a.S, b.S)
+		})
+		got := sorted(cands)
+		if !slices.Equal(got, want) {
+			t.Fatalf("workers=%d: radix order differs from the comparison sort", workers)
+		}
+		if first == nil {
+			first = got
+		} else if !slices.Equal(got, first) {
+			t.Fatalf("workers=%d: sorted result differs from workers=1", workers)
 		}
 	}
 }

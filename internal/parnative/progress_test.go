@@ -47,12 +47,14 @@ func TestJoinProgress(t *testing.T) {
 }
 
 // TestJoinProgressObservationOnly pins that attaching a slot does not
-// change the (sorted) result.
+// change the result (compared sorted).
 func TestJoinProgressObservationOnly(t *testing.T) {
 	r, s := testTrees(t)
-	plain := Join(r, s, Config{Workers: 4, Sorted: true})
+	plain := Join(r, s, Config{Workers: 4})
 	prog := runtimeobs.NewProgress("native")
-	observed := Join(r, s, Config{Workers: 4, Sorted: true, Progress: prog})
+	observed := Join(r, s, Config{Workers: 4, Progress: prog})
+	sorted(plain.Candidates)
+	sorted(observed.Candidates)
 	if len(plain.Candidates) != len(observed.Candidates) {
 		t.Fatalf("progress changed the result: %d vs %d pairs",
 			len(plain.Candidates), len(observed.Candidates))

@@ -11,8 +11,8 @@ import (
 
 // requireFreshJoin holds a resident Joiner's join of (r, s) — the result res
 // and the cache it left behind — against brute force and against a fresh
-// Joiner's cold join of the same inputs under cfg (which must be Sorted): the
-// same pair sequence always; the same cached structures wherever the grids
+// Joiner's cold join of the same inputs under cfg: the same pair sequence
+// (both sorted by the caller) always; the same cached structures wherever the grids
 // coincide (the delta tier keeps its grid frozen); and the same schedule,
 // unit for unit, with the counters that follow from it, wherever the two were
 // built under the same bounds (see freshStateDiff). It reports whether the
@@ -23,13 +23,14 @@ func requireFreshJoin(t *testing.T, stage string, j *Joiner, res Result, r, s []
 	var f Joiner
 	defer f.Close()
 	want := f.Join(r, s, cfg)
-	if len(res.Candidates) != len(want.Candidates) {
-		t.Fatalf("%s (%s): %d pairs, a fresh join %d", stage, res.Reuse, len(res.Candidates), len(want.Candidates))
+	gotC, wantC := sortedCands(res.Candidates), sortedCands(want.Candidates)
+	if len(gotC) != len(wantC) {
+		t.Fatalf("%s (%s): %d pairs, a fresh join %d", stage, res.Reuse, len(gotC), len(wantC))
 	}
-	for i := range want.Candidates {
-		if res.Candidates[i] != want.Candidates[i] {
+	for i := range wantC {
+		if gotC[i] != wantC[i] {
 			t.Fatalf("%s (%s): candidate %d is %+v, a fresh join's %+v",
-				stage, res.Reuse, i, res.Candidates[i], want.Candidates[i])
+				stage, res.Reuse, i, gotC[i], wantC[i])
 		}
 	}
 	diff, _, sched := stateDiff(j, &f)
@@ -59,7 +60,7 @@ func TestPipelinedMatchesBarrier(t *testing.T) {
 		for _, grid := range []int{0, 1, 5, 23} {
 			r := items(randomRects(rng, 900, 200, 12), 0)
 			s := items(randomRects(rng, 900, 200, 12), 10000)
-			cfg := Config{Workers: workers, Grid: grid, Sorted: true}
+			cfg := Config{Workers: workers, Grid: grid}
 			var j Joiner
 
 			compare := func(stage string) bool {
@@ -110,7 +111,7 @@ func TestPipelinedRefinementStress(t *testing.T) {
 	s := items(rects[700:], 10000)
 
 	for _, workers := range []int{1, 3} {
-		cfg := Config{Workers: workers, Grid: 8, Sorted: true, RefineThreshold: 64}
+		cfg := Config{Workers: workers, Grid: 8, RefineThreshold: 64}
 		var j Joiner
 		res := j.Join(r, s, cfg)
 		if res.Subtiles == 0 {
@@ -156,7 +157,7 @@ func TestHandoffCorners(t *testing.T) {
 		name := func(c string) string { return fmt.Sprintf("w=%d %s", workers, c) }
 		run := func(c string, r, s []rtree.Item, cfg Config) (*Joiner, Result) {
 			t.Helper()
-			cfg.Workers, cfg.Sorted = workers, true
+			cfg.Workers = workers
 			j := new(Joiner)
 			t.Cleanup(j.Close)
 			res := j.Join(r, s, cfg)
@@ -208,7 +209,7 @@ func TestHandoffCorners(t *testing.T) {
 		// threshold on unchanged inputs, then a delta whose change takes a
 		// cold tile across the trigger. Tile (1,1) holds two rects a side,
 		// cost 8; one more R rect makes it 11.
-		cfg := Config{Workers: workers, Grid: 2, Sorted: true, RefineThreshold: RefineDisabled}
+		cfg := Config{Workers: workers, Grid: 2, RefineThreshold: RefineDisabled}
 		j.Join(r, s, cfg)
 		cfg.RefineThreshold = 10
 		res = j.Join(r, s, cfg)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"spjoin/internal/geom"
+	"spjoin/internal/join"
 	"spjoin/internal/rtree"
 	"spjoin/internal/tiger"
 	"spjoin/internal/timeline"
@@ -168,7 +169,10 @@ func at(side, idx int, x0, y0, x1, y1 float64) deltaMut {
 
 // TestDeltaCases drives one resident Joiner per scenario through every case
 // of the delta step, each join against brute force, the expected tier and —
-// where the data MBR holds — the fresh-build state.
+// where the data MBR holds — the fresh-build state. With sorted set the
+// caller orders every result view in place before checking it, as a caller
+// wanting deterministic output does: the Joiner must not depend on what its
+// previous result view holds.
 func TestDeltaCases(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	manyR := func(n int) []deltaMut {
@@ -241,7 +245,7 @@ func TestDeltaCases(t *testing.T) {
 			for _, sc := range scenarios {
 				t.Run(fmt.Sprintf("%s/w%d/sorted=%v", sc.name, workers, sorted), func(t *testing.T) {
 					r, s := deltaInputs(71, 400)
-					cfg := Config{Workers: workers, Grid: 5, Sorted: sorted}
+					cfg := Config{Workers: workers, Grid: 5}
 					var j Joiner
 					defer j.Close()
 					if res := j.Join(r, s, cfg); res.Reuse != ReuseCold {
@@ -259,6 +263,12 @@ func TestDeltaCases(t *testing.T) {
 							side[m.idx].ID += m.id
 						}
 						res := j.Join(r, s, cfg)
+						if sorted {
+							join.SortCandidates(res.Candidates)
+							if !slices.IsSortedFunc(res.Candidates, compareCands) {
+								t.Fatalf("%s: result view not in (R, S) order after sorting", st.name)
+							}
+						}
 						requireBrute(t, st.name, res, r, s)
 						if res.Reuse != st.want {
 							t.Fatalf("%s: tier %q, want %q", st.name, res.Reuse, st.want)
@@ -525,7 +535,7 @@ func TestDeltaTileEntersSchedule(t *testing.T) {
 func TestJoinerDeltaZeroAlloc(t *testing.T) {
 	for _, cfg := range []Config{
 		{Workers: 1, Grid: 5},
-		{Workers: 2, Grid: 5, Sorted: true},
+		{Workers: 2, Grid: 5, RefineThreshold: RefineDisabled},
 		{Workers: 2, Grid: 5, RefineThreshold: 100},
 	} {
 		r, s := deltaInputs(73, 500)

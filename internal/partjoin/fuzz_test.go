@@ -6,13 +6,12 @@ import (
 	"testing"
 
 	"spjoin/internal/geom"
-	"spjoin/internal/join"
 	"spjoin/internal/rtree"
 )
 
 // fuzzJoinInput decodes a fuzz payload into two rect sets plus a grid shape
-// and worker count. Layout: [nr, grid, workers, sorted, rect bytes...] with
-// four bytes per rect (x, y, w, h on a small integer lattice, so touching
+// and worker count. Layout: [nr, grid, workers, mut, rect bytes...] with
+// four bytes per rect (mut only steers the fuzz targets' mutation steps) (x, y, w, h on a small integer lattice, so touching
 // edges and exact tile-boundary hits are common).
 func fuzzJoinInput(data []byte) (r, s []rtree.Item, cfg Config) {
 	if len(data) < 4 {
@@ -21,7 +20,6 @@ func fuzzJoinInput(data []byte) (r, s []rtree.Item, cfg Config) {
 	nr := int(data[0]) % 24
 	cfg.Grid = int(data[1]) % 24
 	cfg.Workers = 1 + int(data[2])%4
-	cfg.Sorted = data[3]&1 != 0
 	data = data[4:]
 
 	var rects []geom.Rect
@@ -130,8 +128,8 @@ func fuzzRefinedInput(data []byte) (r, s []rtree.Item, cfg Config) {
 // skewed/degenerate/duplicate-heavy inputs and the Joiner reuse tiers
 // after mutations (one changed rect: a grown extent, a broken sweep order,
 // an identity change; FuzzPartitionJoinMutateSequence drives the rebuild).
-// Sorted mode is forced so the two engines' outputs are comparable element
-// by element; a third Joiner runs the unsorted output path beside them.
+// Both results are sorted by the caller so the two engines' outputs are
+// comparable element by element.
 func FuzzPartitionJoinRefined(f *testing.F) {
 	f.Add([]byte{2, 1, 1, 0, 0, 0, 4, 4, 1, 1, 4, 4, 3, 3, 2, 2, 8, 8, 1, 1})
 	f.Add([]byte{0, 0, 0, 0})
@@ -143,15 +141,11 @@ func FuzzPartitionJoinRefined(f *testing.F) {
 	f.Add([]byte{6, 2, 2, 1, 0, 0, 8, 8, 8, 8, 8, 8, 16, 16, 8, 8, 0, 8, 8, 8, 8, 0, 8, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, s, cfg := fuzzRefinedInput(data)
-		cfg.Sorted = true
 		base := cfg
 		base.RefineThreshold = RefineDisabled
-		gather := cfg
-		gather.Sorted = false
-		var jr, ju, jg Joiner
+		var jr, ju Joiner
 		defer jr.Close()
 		defer ju.Close()
-		defer jg.Close()
 		check := func(stage string) {
 			t.Helper()
 			res := jr.Join(r, s, cfg)
@@ -166,33 +160,15 @@ func FuzzPartitionJoinRefined(f *testing.F) {
 				}
 			}
 			// Exact pair-sequence equality against the unrefined engine.
-			ref := ju.Join(r, s, base)
-			if len(ref.Candidates) != len(res.Candidates) {
+			seq, ref := sortedCands(res.Candidates), sortedCands(ju.Join(r, s, base).Candidates)
+			if len(ref) != len(seq) {
 				t.Fatalf("cfg %+v %s: refined %d pairs, unrefined %d",
-					cfg, stage, len(res.Candidates), len(ref.Candidates))
+					cfg, stage, len(seq), len(ref))
 			}
-			for i := range ref.Candidates {
-				if ref.Candidates[i].R != res.Candidates[i].R ||
-					ref.Candidates[i].S != res.Candidates[i].S {
+			for i := range ref {
+				if ref[i] != seq[i] {
 					t.Fatalf("cfg %+v %s: pair %d differs: refined (%d,%d) vs unrefined (%d,%d)",
-						cfg, stage, i, res.Candidates[i].R, res.Candidates[i].S,
-						ref.Candidates[i].R, ref.Candidates[i].S)
-				}
-			}
-			// The unsorted output path — the workers' chunked buffers
-			// gathered in parallel into their slices of the result — must
-			// hold exactly the candidates of the sorted one.
-			gres := jg.Join(r, s, gather)
-			gathered := append([]join.Candidate(nil), gres.Candidates...)
-			join.SortCandidates(gathered)
-			if len(gathered) != len(res.Candidates) {
-				t.Fatalf("cfg %+v %s: gathered %d pairs, merged %d",
-					cfg, stage, len(gathered), len(res.Candidates))
-			}
-			for i := range gathered {
-				if gathered[i] != res.Candidates[i] {
-					t.Fatalf("cfg %+v %s: candidate %d differs: gathered %+v vs merged %+v",
-						cfg, stage, i, gathered[i], res.Candidates[i])
+						cfg, stage, i, seq[i].R, seq[i].S, ref[i].R, ref[i].S)
 				}
 			}
 		}

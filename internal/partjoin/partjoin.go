@@ -59,9 +59,6 @@ type Config struct {
 	// Grid is the number of tiles per axis (Grid×Grid tiles over the data
 	// MBR). 0 picks a size proportional to sqrt of the input cardinality.
 	Grid int
-	// Sorted returns the candidates sorted by (R, S) id so results are
-	// deterministic regardless of scheduling.
-	Sorted bool
 	// RefineThreshold controls adaptive tile refinement (see refine.go):
 	// 0 derives a threshold from the tile cost distribution (the default —
 	// refinement engages only when the grid is skewed), RefineDisabled
@@ -77,11 +74,6 @@ type Config struct {
 	// on a mismatch before it touches anything); each worker writes only its
 	// own track.
 	Timeline *timeline.Recorder
-	// Introspect, when true, additionally fills Result.TopTiles and
-	// Result.Heat from the work-unit schedule (one O(units) scan). Off by
-	// default so the hot path stays free of the extra pass; the phase
-	// timings in Result.PhaseNS are cheap enough to be always on.
-	Introspect bool
 	// Progress, when set, receives live progress for the join: the slot is
 	// Started when the join begins, the work-unit schedule (units and
 	// summed sweep cost) is published once built — adjusted if refinement
@@ -146,13 +138,12 @@ type Result struct {
 	// zero, so the clean tier is visible as empty sort/partition buckets.
 	// The delta step's wall time accrues to the partition bucket; the hot-tile
 	// refinement the caller's goroutine runs inside the join phase accrues to
-	// the refine bucket and is taken out of the sweep bucket. The fill bucket
-	// is always zero: the scatter writes the coordinate planes itself.
+	// the refine bucket and is taken out of the sweep bucket.
 	PhaseNS [timeline.NumPhases]int64
-	// TopTiles and Heat are filled only under Config.Introspect. TopTiles
-	// holds the TopTileK costliest work units of the schedule; Heat is the
-	// schedule's cost mass folded onto a row-major HeatW×HeatH grid
-	// (HeatW = min(GX, HeatSide)). Both are views owned by the Joiner.
+	// TopTiles holds the TopTileK costliest work units of the schedule; Heat
+	// is the schedule's cost mass folded onto a row-major HeatW×HeatH grid
+	// (HeatW = min(GX, HeatSide)). Both are filled by every join that ran —
+	// one O(units) scan — and are views owned by the Joiner.
 	TopTiles []TileCost
 	Heat     []int64
 	HeatW    int
@@ -236,12 +227,11 @@ func (g *gridSide) unsorted(workers int) bool {
 // flushed once after the join phase so the hot loop stays uncontended.
 type workerState struct {
 	cands  join.CandidateBuf
-	run    []join.Candidate // cands flattened and sorted (Sorted only)
-	outOff int              // start of this worker's slice of out (phaseGather)
+	outOff int // start of this worker's slice of out (phaseGather)
 	hits   []geom.IndexPair
 	mask   []uint64
 
-	pairs, dups, comps, parts int64
+	dups, comps, parts int64
 }
 
 // Joiner holds the reusable state of the partition-based join: SoA mirrors
@@ -249,10 +239,9 @@ type workerState struct {
 // persistent parnative.Pool. A Joiner is for use by a single goroutine;
 // Close releases the pool's goroutines.
 type Joiner struct {
-	pool     *parnative.Pool
-	workers  int
-	phase    int32
-	sortRuns bool // workers sort their runs before leaving phaseJoin
+	pool    *parnative.Pool
+	workers int
+	phase   int32
 
 	rItems, sItems []rtree.Item
 	rRects, sRects []geom.Rect
@@ -338,8 +327,7 @@ type Joiner struct {
 	earlyCursor, lateCursor atomic.Int64
 	late                    sync.WaitGroup // held by worker 0 while it refines
 
-	ws   []workerState
-	runs [][]join.Candidate // per-worker run views for the sorted merge
+	ws []workerState
 
 	out       []join.Candidate
 	perWorker []int
@@ -384,7 +372,6 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 		res.PerWorker = j.perWorker
 		return res
 	}
-	j.sortRuns = cfg.Sorted
 	if j.pool == nil || j.workers != workers {
 		if j.pool != nil {
 			j.pool.Close()
@@ -527,7 +514,7 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 	for w := range j.ws[:workers] {
 		ws := &j.ws[w]
 		ws.cands.Reset()
-		ws.pairs, ws.dups, ws.comps, ws.parts = 0, 0, 0, 0
+		ws.dups, ws.comps, ws.parts = 0, 0, 0
 	}
 	// A fast-path join reuses the previous schedule outright — assignment and
 	// refinement are functions of the coordinates, and the delta step clears
@@ -559,9 +546,8 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 		j.timeRefine(j.sortUnits)
 	}
 
-	// Assemble. With Sorted the workers already left their runs sorted
-	// (they sort before leaving the join phase), so only a k-way merge
-	// remains on this goroutine.
+	// Assemble: a prefix sum over the workers' buffer lengths gives each
+	// worker its slice of out, and the gather copies the buffers there.
 	tMerge := time.Now()
 	if j.rec != nil {
 		j.rec.BeginSpan(0, wallSince(j.epoch), timeline.KindPhase,
@@ -571,31 +557,25 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 	total := 0
 	for w := range j.ws[:workers] {
 		ws := &j.ws[w]
+		pairs := ws.cands.Len()
 		ws.outOff = total
-		total += ws.cands.Len()
-		j.perWorker[w] = int(ws.pairs)
+		total += pairs
+		j.perWorker[w] = pairs
 		res.Duplicates += int(ws.dups)
 		res.Comparisons += int(ws.comps)
 		res.Partitions += int(ws.parts)
-		j.met.flushWorker(w, ws.pairs, ws.dups, ws.comps, ws.parts)
+		j.met.flushWorker(w, int64(pairs), ws.dups, ws.comps, ws.parts)
 	}
 	j.out = growCands(j.out, total)
-	if cfg.Sorted {
-		j.runs = growRuns(j.runs, workers)
-		for w := range j.ws[:workers] {
-			j.runs[w] = j.ws[w].run
-		}
-		j.out = join.MergeCandidateRuns(j.out[:0], j.runs[:workers])
-	} else if total <= join.CandidateBlock {
+	if total <= join.CandidateBlock {
 		// Waking the pool costs about what copying one block does, so a
 		// result this small is gathered here.
 		for w := range j.ws[:workers] {
 			j.gather(w)
 		}
 	} else {
-		// Parallel gather: the prefix sum above gave every worker its slice
-		// of out. The phase runs inside the merge bucket timed here, so it
-		// bypasses runPhase's own accrual.
+		// Parallel gather. The phase runs inside the merge bucket timed
+		// here, so it bypasses runPhase's own accrual.
 		j.phase = phaseGather
 		j.pool.Run(j)
 	}
@@ -608,9 +588,7 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 		j.rec.EndSpan(0, wallSince(j.epoch), sim.SpanArgs{}, false)
 	}
 	res.PhaseNS = j.phaseNS
-	if cfg.Introspect {
-		j.fillIntrospection(&res)
-	}
+	j.fillIntrospection(&res)
 	j.met.finish(&res)
 	j.prog.Finish()
 	return res
@@ -625,16 +603,18 @@ func sumCost(cost []int64) int64 {
 	return sum
 }
 
-// fillIntrospection reports the schedule's cost structure under
-// Config.Introspect: the TopTileK costliest work units (the schedule is
-// already sorted largest-first, so the head of units is the answer) and
-// the unit cost mass folded onto an at-most HeatSide² heat grid. One
-// O(units) scan; the buffers live on the Joiner, so the steady state
-// stays allocation-free with introspection on.
+// fillIntrospection reports the schedule's cost structure: the TopTileK
+// costliest work units (the schedule is already sorted largest-first, so
+// the head of units is the answer) and the unit cost mass folded onto an
+// at-most HeatSide² heat grid. One O(units) scan; the buffers live on the
+// Joiner, so the steady state stays allocation-free.
 func (j *Joiner) fillIntrospection(res *Result) {
 	k := len(j.units)
 	if k > TopTileK {
 		k = TopTileK
+	}
+	if j.topTiles == nil {
+		j.topTiles = make([]TileCost, 0, TopTileK)
 	}
 	j.topTiles = j.topTiles[:0]
 	for i := 0; i < k; i++ {
@@ -1023,9 +1003,7 @@ func unpackTiles(c uint64) (x0, y0, x1, y1 int) {
 // for the late ones and claims those the same way. When the schedule is being
 // built, worker 0 starts by refining the hot tiles — its first work item,
 // and the others' reason to wait: the leaf units it appends are the late
-// units, published by releasing j.late. With Sorted pending the worker sorts
-// its run before returning so the merge on the owner goroutine is all that
-// remains single-threaded.
+// units, published by releasing j.late.
 func (j *Joiner) joinTiles(w int) {
 	ws := &j.ws[w]
 	if w == 0 && j.hotRoots > 0 {
@@ -1036,7 +1014,6 @@ func (j *Joiner) joinTiles(w int) {
 	j.late.Wait()
 	n := len(j.earlyUnits)
 	j.sweepUnits(ws, w, &j.lateCursor, j.units[n:], j.ucost[n:])
-	j.finishWorker(ws)
 }
 
 // sweepUnits claims units off the shared cursor until it passes the last
@@ -1068,18 +1045,6 @@ func (j *Joiner) sweepUnits(ws *workerState, w int, cursor *atomic.Int64, units 
 				C: int64(ws.cands.Len() - before), D: int64(comps),
 			})
 		}
-	}
-}
-
-// finishWorker closes a worker's sweep: it latches the pair count and, with
-// Sorted pending, flattens the buffer into the worker's contiguous run and
-// sorts it there — in parallel with the other workers — for the k-way merge.
-func (j *Joiner) finishWorker(ws *workerState) {
-	ws.pairs = int64(ws.cands.Len())
-	if j.sortRuns {
-		ws.run = growCands(ws.run, int(ws.pairs))
-		ws.cands.CopyTo(ws.run)
-		join.SortCandidates(ws.run)
 	}
 }
 
@@ -1440,11 +1405,4 @@ func growCands(s []join.Candidate, n int) []join.Candidate {
 		return make([]join.Candidate, n)
 	}
 	return make([]join.Candidate, n, n+n/4)
-}
-
-func growRuns(s [][]join.Candidate, n int) [][]join.Candidate {
-	if cap(s) < n {
-		return make([][]join.Candidate, n)
-	}
-	return s[:n]
 }

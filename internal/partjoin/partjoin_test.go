@@ -1,10 +1,12 @@
 package partjoin
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -30,6 +32,15 @@ func toSet(tb testing.TB, cands []join.Candidate) map[pairKey]bool {
 		set[k] = true
 	}
 	return set
+}
+
+// sortedCands returns a copy of an engine result ordered by (R, S) id — the
+// caller-side sort that makes results comparable element for element. It
+// copies because a Joiner's result is a view the next join overwrites.
+func sortedCands(cands []join.Candidate) []join.Candidate {
+	out := slices.Clone(cands)
+	join.SortCandidates(out)
+	return out
 }
 
 // items wraps rects as rtree items with ids distinct across both sides.
@@ -161,35 +172,41 @@ func TestPartitionJoinEmptyInputs(t *testing.T) {
 	}
 }
 
-// TestPartitionJoinSorted pins the deterministic output order: sorted runs
-// merge to exactly the fully sorted candidate list, for any worker count.
+// compareCands is the test's own (R, S) order, independent of the radix
+// sort's key packing.
+func compareCands(a, b join.Candidate) int {
+	if c := cmp.Compare(a.R, b.R); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.S, b.S)
+}
+
+// TestPartitionJoinSorted pins the deterministic output order: sorted by the
+// caller, the result is exactly the same (R, S)-ordered list for any worker
+// count and run.
 func TestPartitionJoinSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	r := items(randomRects(rng, 300, 100, 8), 0)
 	s := items(randomRects(rng, 300, 100, 8), 10000)
 
-	ref := Join(r, s, Config{Workers: 1, Sorted: true})
-	want := append([]join.Candidate(nil), ref.Candidates...)
-	sorted := append([]join.Candidate(nil), want...)
-	join.SortCandidates(sorted)
-	if !reflect.DeepEqual(want, sorted) {
+	want := sortedCands(Join(r, s, Config{Workers: 1}).Candidates)
+	if !slices.IsSortedFunc(want, compareCands) {
 		t.Fatal("sorted output is not actually in (R, S) order")
 	}
 	for _, workers := range []int{2, 4, 7} {
 		for run := 0; run < 3; run++ {
-			res := Join(r, s, Config{Workers: workers, Sorted: true})
-			if !reflect.DeepEqual(res.Candidates, want) {
+			res := Join(r, s, Config{Workers: workers})
+			if !reflect.DeepEqual(sortedCands(res.Candidates), want) {
 				t.Fatalf("workers=%d run %d: sorted output differs", workers, run)
 			}
 		}
 	}
 }
 
-// TestPartitionJoinSortedMatchesUnsorted pins the two output paths against
-// each other on a result spanning several buffer blocks per worker: the
-// sorted path (flatten, per-worker sort, k-way merge) must return exactly
-// SortCandidates of what the unsorted path (parallel gather) returns —
-// the same id pairs in the same order.
+// TestPartitionJoinSortedMatchesUnsorted pins the caller-side ordering on a
+// result spanning several buffer blocks per worker: SortCandidates (the
+// radix sort) of the parallel gather returns exactly a comparison sort of
+// the same output — the same id pairs in the same order.
 func TestPartitionJoinSortedMatchesUnsorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	r := items(randomRects(rng, 1500, 100, 14), 0)
@@ -199,11 +216,10 @@ func TestPartitionJoinSortedMatchesUnsorted(t *testing.T) {
 		if len(unsorted.Candidates) < 3*join.CandidateBlock {
 			t.Fatalf("workers=%d: %d pairs, want several buffer blocks", workers, len(unsorted.Candidates))
 		}
-		want := append([]join.Candidate(nil), unsorted.Candidates...)
-		join.SortCandidates(want)
-		sorted := Join(r, s, Config{Workers: workers, Sorted: true})
-		if !reflect.DeepEqual(sorted.Candidates, want) {
-			t.Fatalf("workers=%d: sorted result differs from the sorted unsorted result", workers)
+		want := slices.Clone(unsorted.Candidates)
+		slices.SortFunc(want, compareCands)
+		if !reflect.DeepEqual(sortedCands(unsorted.Candidates), want) {
+			t.Fatalf("workers=%d: radix order differs from the comparison sort", workers)
 		}
 	}
 }
@@ -217,8 +233,8 @@ func TestJoinOneShotResultDetached(t *testing.T) {
 	r := items(randomRects(rng, 600, 100, 10), 0)
 	s := items(randomRects(rng, 600, 100, 10), 10000)
 	for _, cfg := range []Config{
-		{Workers: 3, Introspect: true},
-		{Workers: 3, Sorted: true},
+		{Workers: 1},
+		{Workers: 3},
 	} {
 		held := Join(r, s, cfg)
 		if cap(held.Candidates) != len(held.Candidates) {
@@ -253,9 +269,7 @@ func TestJoinerReuseZeroAlloc(t *testing.T) {
 	s := items(randomRects(rng, 500, 100, 6), 10000)
 	for _, cfg := range []Config{
 		{Workers: 1},
-		{Workers: 1, Sorted: true},
 		{Workers: 2},
-		{Workers: 2, Sorted: true},
 	} {
 		var j Joiner
 		j.Join(r, s, cfg) // warm up buffers and pool
@@ -431,9 +445,8 @@ func TestPartitionJoinTimeline(t *testing.T) {
 		t.Fatalf("%d cpu-sweep spans, want one per joined partition (%d)", spans, res.Partitions)
 	}
 	// Every worker contributes one sweep-phase span; a cold join also runs
-	// prep and partition phases on every worker — the scatter fills the
-	// planes itself, so no fill span exists — and the owner adds the refine
-	// (schedule build) and merge spans on track 0.
+	// prep and partition phases on every worker, and the owner adds the
+	// refine (schedule build) and merge spans on track 0.
 	if phases[timeline.PhaseSweep] != workers {
 		t.Errorf("%d sweep phase spans, want %d", phases[timeline.PhaseSweep], workers)
 	}
@@ -441,9 +454,6 @@ func TestPartitionJoinTimeline(t *testing.T) {
 		if phases[p] < workers {
 			t.Errorf("%d %s phase spans, want >= %d", phases[p], timeline.PhaseName(p), workers)
 		}
-	}
-	if phases[timeline.PhaseFill] != 0 {
-		t.Errorf("%d fill phase spans on a cold join, want 0", phases[timeline.PhaseFill])
 	}
 	if phases[timeline.PhaseRefine] < 1 || phases[timeline.PhaseMerge] != 1 {
 		t.Errorf("refine=%d merge=%d owner phase spans, want >=1 and 1",
@@ -496,8 +506,8 @@ func TestJoinRejectsMissizedTimeline(t *testing.T) {
 // count the buckets sum to no more than the wall time around the call (an
 // ordering of clock readings — nothing here depends on how long a phase
 // takes); prep, partition, sweep and merge are filled on a cold join, a clean
-// re-join skips sort and partition, the delta step lands in partition, and
-// the fill bucket is never used. Which tier served a join is Result.Reuse's
+// re-join skips sort and partition, and the delta step lands in partition.
+// Which tier served a join is Result.Reuse's
 // to say, not an empty bucket's.
 func TestPartitionJoinPhaseTimings(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
@@ -524,9 +534,6 @@ func TestPartitionJoinPhaseTimings(t *testing.T) {
 			if sum > wall {
 				t.Errorf("w=%d %s: phases sum to %dns, more than the %dns wall: %v",
 					workers, stage, sum, wall, res.PhaseNS)
-			}
-			if res.PhaseNS[timeline.PhaseFill] != 0 {
-				t.Errorf("w=%d %s: fill bucket has %dns, want 0", workers, stage, res.PhaseNS[timeline.PhaseFill])
 			}
 			return res
 		}
@@ -576,20 +583,15 @@ func TestPartitionJoinPhaseTimings(t *testing.T) {
 	}
 }
 
-// TestPartitionJoinIntrospection exercises the Config.Introspect extras:
-// the top-K work units come out cost-descending and the heat grid folds the
+// TestPartitionJoinIntrospection exercises the schedule introspection every
+// join fills: the top-K work units come out cost-descending and the heat grid folds the
 // whole schedule's cost mass.
 func TestPartitionJoinIntrospection(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	r := items(randomRects(rng, 600, 100, 8), 0)
 	s := items(randomRects(rng, 600, 100, 8), 10000)
 
-	plain := Join(r, s, Config{Workers: 2, Grid: 7})
-	if plain.TopTiles != nil || plain.Heat != nil {
-		t.Fatal("introspection fields filled without Config.Introspect")
-	}
-
-	res := Join(r, s, Config{Workers: 2, Grid: 7, Introspect: true})
+	res := Join(r, s, Config{Workers: 2, Grid: 7})
 	if len(res.TopTiles) == 0 || len(res.TopTiles) > TopTileK {
 		t.Fatalf("%d top tiles, want 1..%d", len(res.TopTiles), TopTileK)
 	}
@@ -618,17 +620,17 @@ func TestPartitionJoinIntrospection(t *testing.T) {
 	}
 
 	// A grid wider than HeatSide downsamples to HeatSide.
-	wide := Join(r, s, Config{Workers: 2, Grid: 24, Introspect: true})
+	wide := Join(r, s, Config{Workers: 2, Grid: 24})
 	if wide.HeatW != HeatSide || wide.HeatH != HeatSide {
 		t.Fatalf("wide grid heat %dx%d, want %dx%d", wide.HeatW, wide.HeatH, HeatSide, HeatSide)
 	}
 
 	// Introspection must not break the steady-state allocation contract.
-	cfg := Config{Workers: 2, Introspect: true}
+	cfg := Config{Workers: 2}
 	var j Joiner
 	defer j.Close()
 	j.Join(r, s, cfg)
 	if allocs := testing.AllocsPerRun(20, func() { j.Join(r, s, cfg) }); allocs != 0 {
-		t.Errorf("introspecting steady-state join: %.1f allocs, want 0", allocs)
+		t.Errorf("steady-state join: %.1f allocs, want 0", allocs)
 	}
 }

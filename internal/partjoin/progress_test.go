@@ -55,7 +55,6 @@ func TestPartitionJoinProgress(t *testing.T) {
 	run := func(stage string, cfg Config) Result {
 		t.Helper()
 		cfg.Progress = prog
-		cfg.Sorted = true
 		res := j.Join(r, s, cfg)
 		seq++
 		checkProgressSettled(t, prog, res, stage, seq)

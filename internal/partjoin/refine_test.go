@@ -19,13 +19,12 @@ func clusteredItems(n int, sigma float64, seed int64) (r, s []rtree.Item) {
 	return r, s
 }
 
-// sortedPairs joins with Sorted set and returns the deterministic
-// candidate order for byte-identical comparisons across engines.
+// sortedPairs joins and returns the candidates in (R, S) order for
+// byte-identical comparisons across engines.
 func sortedPairs(j *Joiner, r, s []rtree.Item, cfg Config) ([]pairKey, Result) {
-	cfg.Sorted = true
 	res := j.Join(r, s, cfg)
 	out := make([]pairKey, len(res.Candidates))
-	for i, c := range res.Candidates {
+	for i, c := range sortedCands(res.Candidates) {
 		out[i] = pairKey{c.R, c.S}
 	}
 	return out, res
@@ -180,7 +179,7 @@ func TestRefinedReuseTiers(t *testing.T) {
 	rMut := append([]rtree.Item(nil), r...)
 	var j Joiner
 	defer j.Close()
-	cfg := Config{Workers: 4, Sorted: true, RefineThreshold: 0}
+	cfg := Config{Workers: 4, RefineThreshold: 0}
 
 	check := func(stage string, want Reuse) Result {
 		t.Helper()
@@ -236,7 +235,7 @@ func TestRefinedZeroAlloc(t *testing.T) {
 	r, s := clusteredItems(2000, 5, 31)
 	var j Joiner
 	defer j.Close()
-	cfg := Config{Workers: 2, Sorted: true, RefineThreshold: 0}
+	cfg := Config{Workers: 2, RefineThreshold: 0}
 	res := j.Join(r, s, cfg)
 	if res.Subtiles == 0 {
 		t.Fatal("workload did not trigger refinement — test premise broken")
@@ -268,8 +267,8 @@ func clusteredExtreme() (r, s []rtree.Item) {
 // bounds leave a factor of two under both.
 func TestRefinedBeatsUnrefinedClustered(t *testing.T) {
 	r, s := clusteredExtreme()
-	base := Join(r, s, Config{Workers: 4, RefineThreshold: RefineDisabled, Introspect: true})
-	refined := Join(r, s, Config{Workers: 4, RefineThreshold: 0, Introspect: true})
+	base := Join(r, s, Config{Workers: 4, RefineThreshold: RefineDisabled})
+	refined := Join(r, s, Config{Workers: 4, RefineThreshold: 0})
 	if refined.Subtiles == 0 {
 		t.Fatal("clustered workload did not trigger refinement")
 	}

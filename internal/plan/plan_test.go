@@ -284,7 +284,7 @@ func TestAutoWithinFactorOfBest(t *testing.T) {
 			}
 			run := func(thr int64) partjoin.Result {
 				return partjoin.Join(c.r, c.s, partjoin.Config{
-					Workers: d.Workers, Grid: d.Grid, RefineThreshold: thr, Introspect: true,
+					Workers: d.Workers, Grid: d.Grid, RefineThreshold: thr,
 				})
 			}
 			chosen, other := run(partjoin.RefineDisabled), run(0)

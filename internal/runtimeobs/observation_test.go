@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"spjoin/internal/join"
 	"spjoin/internal/metrics"
 	"spjoin/internal/partjoin"
 	"spjoin/internal/rtree"
@@ -13,7 +14,7 @@ import (
 	"spjoin/internal/tiger"
 )
 
-// goldenCounters are the deterministic partjoin metrics a fixed Sorted
+// goldenCounters are the deterministic partjoin metrics a fixed
 // join must reproduce bit-identically run over run (wall_ms is excluded:
 // it is nondeterministic with or without sampling).
 var goldenCounters = []string{
@@ -31,7 +32,7 @@ func joinOnce(tb testing.TB, r, s []rtree.Item, sample bool) ([]int64, map[strin
 	defer j.Close()
 	reg := metrics.NewRegistry()
 	cfg := partjoin.Config{
-		Workers: 4, Sorted: true, RefineThreshold: 1,
+		Workers: 4, RefineThreshold: 1,
 		Metrics: reg,
 	}
 	var sampler *runtimeobs.Sampler
@@ -43,6 +44,7 @@ func joinOnce(tb testing.TB, r, s []rtree.Item, sample bool) ([]int64, map[strin
 	sampler.Begin()
 	res := j.Join(r, s, cfg)
 	health := sampler.End(time.Since(t0).Nanoseconds(), res.Workers)
+	join.SortCandidates(res.Candidates)
 
 	pairs := make([]int64, 0, 2*len(res.Candidates))
 	for _, c := range res.Candidates {

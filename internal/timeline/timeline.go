@@ -109,7 +109,7 @@ func KindName(k sim.SpanKind) string {
 
 // The canonical phases of a wall-clock join execution, shared by the
 // engines' Result.PhaseNS arrays, the KindPhase span arg and the flight
-// recorder's EXPLAIN waterfall. The partition engine uses all but fill; the
+// recorder's EXPLAIN waterfall. The partition engine uses all of them; the
 // native tree executor maps its pipeline onto the subset that applies
 // (prep = sweep-cache build, partition = task creation).
 const (
@@ -121,18 +121,14 @@ const (
 	// PhasePartition is work decomposition: the counting-sort count and
 	// scatter passes, or tree task creation.
 	PhasePartition
-	// PhaseFill is unused and always zero: the partition engine's scatter
-	// writes the tile-segment coordinate planes itself. The slot stays so
-	// the indices of recorded phase arrays keep their meaning.
-	PhaseFill
 	// PhaseRefine is the work-unit schedule build: listing and ordering the
 	// tiles, hot-tile splitting and the refinement-arena plane fill.
 	PhaseRefine
 	// PhaseSweep is the parallel join itself (tile sweeps / node-pair
 	// expansion).
 	PhaseSweep
-	// PhaseMerge is result assembly (concatenation or the sorted k-way
-	// merge) on the owner goroutine.
+	// PhaseMerge is result assembly: the gather of the workers' candidate
+	// buffers into the exact-size result, timed on the owner goroutine.
 	PhaseMerge
 
 	// NumPhases bounds the phase enumeration (PhaseNS array sizing).
@@ -141,7 +137,7 @@ const (
 
 // PhaseNames maps wall-join phases to their display/export names.
 var PhaseNames = [NumPhases]string{
-	"prep", "sort", "partition", "fill", "refine", "sweep", "merge",
+	"prep", "sort", "partition", "refine", "sweep", "merge",
 }
 
 // PhaseName returns the display name of phase p ("?" when out of range).

@@ -10,8 +10,6 @@ cd "$(dirname "$0")/.."
 # target  package  fuzztime
 TARGETS='
 FuzzEncodeDecode                 ./internal/rtree/     30s
-FuzzSweepSoAOracle               ./internal/geom/      30s
-FuzzIntersectBatch               ./internal/geom/      30s
 FuzzIntersectBatchPlanes         ./internal/geom/      30s
 FuzzRadixOrder                   ./internal/geom/      30s
 FuzzSweepPairsPlanes             ./internal/geom/      30s

@@ -98,7 +98,8 @@ func Join(r, s *Tree) []Candidate {
 // (dynamic task assignment over pairs of subtrees). workers <= 0 uses all
 // CPUs. The result is sorted by (R, S) id, so it is deterministic.
 func JoinParallel(r, s *Tree, workers int) []Candidate {
-	res := parnative.Join(r, s, parnative.Config{Workers: workers, Sorted: true})
+	res := parnative.Join(r, s, parnative.Config{Workers: workers})
+	join.SortCandidates(res.Candidates)
 	return res.Candidates
 }
 
@@ -158,11 +159,11 @@ func BuildFeatures(fs []Feature) *Tree { return Build(tiger.Items(fs)) }
 func JoinRefined(r, s *Tree, shapeR, shapeS func(ID) Shape, workers int) (answers []Candidate, falseHits int) {
 	res := parnative.Join(r, s, parnative.Config{
 		Workers: workers,
-		Sorted:  true,
 		Refiner: func(c Candidate) bool {
 			return shapeR(c.R).Intersects(shapeS(c.S))
 		},
 	})
+	join.SortCandidates(res.Candidates)
 	return res.Candidates, res.FalseHits
 }
 
