@@ -253,7 +253,7 @@ func BenchmarkPartitionJoinHealth(b *testing.B) {
 			PhaseNS:  res.PhaseNS,
 			TopTiles: res.TopTiles,
 			HeatW:    res.HeatW, HeatH: res.HeatH, Heat: res.Heat,
-			Health:   sampler.End(time.Since(t0).Nanoseconds(), res.Workers),
+			Health: sampler.End(time.Since(t0).Nanoseconds(), res.Workers),
 		}
 		flights.Add(&rec)
 	}
@@ -546,7 +546,7 @@ func BenchmarkAblationRestriction(b *testing.B) {
 				e := join.Engine{
 					Src:           join.DirectSource{R: w.R, S: w.S},
 					Opts:          opts,
-					OnCandidate:   func(join.Candidate) {},
+					OnCandidates:  func([]join.Candidate) {},
 					OnComparisons: func(n int) { comparisons += n },
 				}
 				e.Run(root)

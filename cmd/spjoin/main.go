@@ -10,7 +10,7 @@
 //	       [-variant gd|gsrr|lsr|sn|est] [-reassign none|root|all]
 //	       [-victim loaded|random] [-native] [-repeat 1]
 //	       [-kernel auto|purego] [-printkernel]
-//	       [-metrics out.json] [-trace out.jsonl]
+//	       [-metrics out.json]
 //	       [-timeline out.json] [-report] [-pprof :6060]
 //	       [-explain] [-slowlog 50ms] [-explain-svg heat.svg]
 //	       [-loadR r.csv -loadS s.csv]
@@ -75,53 +75,24 @@ import (
 	"spjoin/internal/timeline"
 )
 
-// observability bundles the optional -metrics registry and -trace sink.
+// observability bundles the optional -metrics registry and its output path.
 type observability struct {
 	reg         *metrics.Registry
-	sink        *metrics.JSONLSink
-	traceFile   *os.File
 	metricsPath string
-	tracePath   string
 }
 
-// newObservability opens the requested outputs; empty paths disable them.
-func newObservability(metricsPath, tracePath string) (*observability, error) {
-	o := &observability{metricsPath: metricsPath, tracePath: tracePath}
+// newObservability creates the registry when a metrics path is given.
+func newObservability(metricsPath string) *observability {
+	o := &observability{metricsPath: metricsPath}
 	if metricsPath != "" {
 		o.reg = metrics.NewRegistry()
 	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return nil, err
-		}
-		o.traceFile = f
-		o.sink = metrics.NewJSONLSink(f)
-	}
-	return o, nil
+	return o
 }
 
-// trace returns the sink as the interface type, nil when tracing is off
-// (a typed-nil *JSONLSink inside a TraceSink would defeat the emit guards).
-func (o *observability) trace() metrics.TraceSink {
-	if o.sink == nil {
-		return nil
-	}
-	return o.sink
-}
-
-// finish writes the metrics snapshot, flushes the trace, and prints a
-// summary table of every registered instrument.
+// finish writes the metrics snapshot and prints a summary table of every
+// registered instrument.
 func (o *observability) finish() error {
-	if o.sink != nil {
-		if err := o.sink.Flush(); err != nil {
-			return fmt.Errorf("flush trace: %w", err)
-		}
-		if err := o.traceFile.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("trace:                  %d events -> %s\n", o.sink.Events(), o.tracePath)
-	}
 	if o.reg == nil || o.metricsPath == "" {
 		// -pprof alone creates a registry for the expvar snapshot without a
 		// metrics output file; nothing to write then.
@@ -295,7 +266,6 @@ func main() {
 	kernel := flag.String("kernel", "auto", "filter kernel path: auto (best for this CPU) | purego (scalar fallback)")
 	printKernel := flag.Bool("printkernel", false, "print the active filter kernel path and exit")
 	metricsOut := flag.String("metrics", "", "write a JSON metrics snapshot to this file")
-	traceOut := flag.String("trace", "", "write a JSONL event trace to this file")
 	timelineOut := flag.String("timeline", "", "write a Perfetto trace-event timeline to this file")
 	reportFlag := flag.Bool("report", false, "print the critical-path / load-balance report")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. :6060)")
@@ -317,11 +287,7 @@ func main() {
 		return
 	}
 
-	obs, err := newObservability(*metricsOut, *traceOut)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spjoin: %v\n", err)
-		os.Exit(1)
-	}
+	obs := newObservability(*metricsOut)
 	live := runtimeobs.NewLive()
 	intro := &introspection{
 		flights: flight.NewRecorder(16),
@@ -526,7 +492,6 @@ func main() {
 	}
 
 	cfg.Metrics = obs.reg
-	cfg.Trace = obs.trace()
 	cfg.Timeline = rec
 
 	t0 = time.Now()
@@ -748,7 +713,6 @@ func runNative(out io.Writer, r, s *rtree.Tree, workers int, obs *observability,
 	cfg := parnative.Config{
 		Workers:  workers,
 		Metrics:  obs.reg,
-		Trace:    obs.trace(),
 		Timeline: rec,
 	}
 	if intro != nil {

@@ -106,20 +106,20 @@ func collectGolden(tb testing.TB, w *exp.Workload) goldenMetrics {
 }
 
 // sequentialComparisons counts the whole sequential join's rectangle
-// comparisons through a registry-backed join.Metrics on the Engine.
+// comparisons through the Engine's OnComparisons hook.
 func sequentialComparisons(w *exp.Workload, opts join.Options) int64 {
-	reg := metrics.NewRegistry()
 	root, ok := join.RootPair(w.R, w.S)
 	if !ok {
 		return 0
 	}
+	var n int64
 	e := join.Engine{
-		Src:  join.DirectSource{R: w.R, S: w.S},
-		Opts: opts,
-		Met:  join.NewMetrics(reg, "seq"),
+		Src:           join.DirectSource{R: w.R, S: w.S},
+		Opts:          opts,
+		OnComparisons: func(c int) { n += int64(c) },
 	}
 	e.Run(root)
-	return reg.Snapshot().Counters["seq.comparisons"]
+	return n
 }
 
 func goldenPath() string { return filepath.Join("testdata", "golden_metrics.json") }

@@ -20,6 +20,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"spjoin/internal/metrics"
 	"spjoin/internal/parjoin"
 	"spjoin/internal/timeline"
 )
@@ -134,6 +135,56 @@ func TestTimelineObservationOnly(t *testing.T) {
 		}
 		if rec.SpanCount() == 0 {
 			t.Fatalf("%s: profiled run recorded no spans", v)
+		}
+	}
+}
+
+// TestTimelineCarriesSimEvents pins the timeline as the simulator's one
+// per-event stream: each occurrence the paper totals (node-pair expansions,
+// physical reads, task reassignments, idle waits, remote buffer hits) is
+// recorded as exactly one span, so counting spans reproduces the Result and
+// the registry.
+func TestTimelineCarriesSimEvents(t *testing.T) {
+	w := goldenWorkload(t)
+	pages := w.Pages(goldenBufferFull, goldenProcs)
+	for _, v := range []string{"lsr", "gsrr", "gd"} {
+		rec := timeline.NewRecorder(goldenProcs, goldenDisks)
+		reg := metrics.NewRegistry()
+		cfg := parjoin.DefaultConfig(goldenProcs, goldenDisks, pages).Variant(v)
+		cfg.Timeline = rec
+		cfg.Metrics = reg
+		res := parjoin.Run(w.R, w.S, cfg)
+		snap := reg.Snapshot()
+
+		var kinds [timeline.NumKinds]int64
+		var reassigns int64
+		for _, tracks := range [][]timeline.Track{rec.Procs(), rec.Disks()} {
+			for _, tr := range tracks {
+				for _, sp := range tr.Spans {
+					kinds[sp.Kind]++
+					if sp.Kind == timeline.KindReassign && sp.Args.A >= 0 {
+						reassigns++
+					}
+				}
+			}
+		}
+		for _, c := range []struct {
+			what      string
+			spans     int64
+			reference int64
+		}{
+			{"cpu-sweep spans vs sim.join.pairs_expanded", kinds[timeline.KindCPUSweep], snap.Counters["sim.join.pairs_expanded"]},
+			{"disk-service spans vs DiskAccesses", kinds[timeline.KindDiskService], res.DiskAccesses},
+			{"reassign spans (A >= 0) vs Reassignments", reassigns, int64(res.Reassignments)},
+			{"queue-idle spans vs sim.idle.spans", kinds[timeline.KindQueueIdle], snap.Counters["sim.idle.spans"]},
+			{"remote-buffer spans vs Buffer.RemoteHits", kinds[timeline.KindRemoteBuffer], res.Buffer.RemoteHits},
+		} {
+			if c.spans != c.reference {
+				t.Errorf("%s: %s: %d != %d", v, c.what, c.spans, c.reference)
+			}
+		}
+		if kinds[timeline.KindCPUSweep] == 0 || kinds[timeline.KindDiskService] == 0 {
+			t.Fatalf("%s: no cpu-sweep or disk-service spans recorded", v)
 		}
 	}
 }

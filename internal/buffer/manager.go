@@ -113,17 +113,17 @@ func (l *LocalBuffers) Fetch(p *sim.Proc, proc int, key PageKey, kind storage.Pa
 	buf := l.bufs[proc]
 	if buf.Touch(key) {
 		l.stats.LocalHits++
-		l.met.access(LocalHit, p, proc, key)
+		l.met.access(LocalHit)
 		p.BeginSpan(timeline.KindLocalBuffer, sim.SpanArgs{A: int64(key.Page), B: int64(key.Tree)})
 		p.Hold(l.costs.LocalHit)
 		p.EndSpan()
 		return LocalHit
 	}
 	l.stats.Misses++
-	l.met.access(Miss, p, proc, key)
+	l.met.access(Miss)
 	l.disk.Read(p, key.Page, kind)
-	if evicted, didEvict := buf.Insert(key); didEvict {
-		l.met.evict(p, proc, evicted)
+	if _, didEvict := buf.Insert(key); didEvict {
+		l.met.evict()
 	}
 	return Miss
 }
@@ -184,13 +184,13 @@ func (g *GlobalBuffer) Fetch(p *sim.Proc, proc int, key PageKey, kind storage.Pa
 			g.parts[owner].Touch(key)
 			if owner == proc {
 				g.stats.LocalHits++
-				g.met.access(LocalHit, p, proc, key)
+				g.met.access(LocalHit)
 				p.Hold(g.costs.LocalHit)
 				p.Span(start, timeline.KindLocalBuffer, sim.SpanArgs{A: int64(key.Page), B: int64(key.Tree)})
 				return LocalHit
 			}
 			g.stats.RemoteHits++
-			g.met.access(RemoteHit, p, proc, key)
+			g.met.access(RemoteHit)
 			p.Hold(g.costs.RemoteHit)
 			p.Span(start, timeline.KindRemoteBuffer, sim.SpanArgs{A: int64(key.Page), B: int64(key.Tree), C: int64(owner)})
 			return RemoteHit
@@ -211,13 +211,13 @@ func (g *GlobalBuffer) Fetch(p *sim.Proc, proc int, key PageKey, kind storage.Pa
 		cond := &sim.Cond{}
 		g.pending[key] = cond
 		g.stats.Misses++
-		g.met.access(Miss, p, proc, key)
+		g.met.access(Miss)
 		// The lock sliver before the read shows up as a (tiny) buffer span;
 		// the read itself is tagged by the storage layer.
 		p.Span(start, timeline.KindLocalBuffer, sim.SpanArgs{A: int64(key.Page), B: int64(key.Tree)})
 		g.disk.Read(p, key.Page, kind)
-		if evicted, didEvict := g.insertAsOwner(proc, key); didEvict {
-			g.met.evict(p, proc, evicted)
+		if _, didEvict := g.insertAsOwner(proc, key); didEvict {
+			g.met.evict()
 		}
 		delete(g.pending, key)
 		cond.Broadcast()

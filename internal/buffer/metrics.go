@@ -1,73 +1,51 @@
 package buffer
 
-import (
-	"spjoin/internal/metrics"
-	"spjoin/internal/sim"
-)
+import "spjoin/internal/metrics"
 
 // Metrics bundles the observability instruments of one buffer manager:
-// counters per access class plus evictions, and an optional trace sink
-// receiving one event per access (local/remote/miss) and per eviction.
-// All fields are nil-safe; a nil *Metrics disables everything. The
-// manager's own Stats counters — which the golden-metrics harness pins —
-// are maintained independently and never change behavior.
+// counters per access class plus evictions. All fields are nil-safe; a nil
+// *Metrics disables everything. The manager's own Stats counters — which
+// the golden-metrics harness pins — are maintained independently and
+// never change behavior.
 type Metrics struct {
 	LocalHits  *metrics.Counter
 	RemoteHits *metrics.Counter
 	Misses     *metrics.Counter
 	Evictions  *metrics.Counter
-	Sink       metrics.TraceSink
 }
 
 // NewMetrics registers the buffer instruments under prefix (for example
 // "sim.buffer") in reg and returns the bundle. A nil registry yields
 // nil-safe instruments, so callers may pass their optional registry
 // straight through.
-func NewMetrics(reg *metrics.Registry, prefix string, sink metrics.TraceSink) *Metrics {
+func NewMetrics(reg *metrics.Registry, prefix string) *Metrics {
 	return &Metrics{
 		LocalHits:  reg.Counter(prefix + ".local_hits"),
 		RemoteHits: reg.Counter(prefix + ".remote_hits"),
 		Misses:     reg.Counter(prefix + ".misses"),
 		Evictions:  reg.Counter(prefix + ".evictions"),
-		Sink:       sink,
 	}
 }
 
-// access records one classified page request at virtual time t.
-func (m *Metrics) access(class Class, p *sim.Proc, proc int, key PageKey) {
+// access records one classified page request.
+func (m *Metrics) access(class Class) {
 	if m == nil {
 		return
 	}
-	var kind metrics.EventKind
 	switch class {
 	case LocalHit:
 		m.LocalHits.Inc()
-		kind = metrics.EvBufferLocalHit
 	case RemoteHit:
 		m.RemoteHits.Inc()
-		kind = metrics.EvBufferRemoteHit
 	default:
 		m.Misses.Inc()
-		kind = metrics.EvBufferMiss
-	}
-	if m.Sink != nil {
-		m.Sink.Emit(metrics.Event{
-			Kind: kind, T: float64(p.Now()), Worker: int32(proc), Level: -1,
-			A: int64(key.Page), B: int64(key.Tree),
-		})
 	}
 }
 
-// evict records one eviction of key at virtual time t.
-func (m *Metrics) evict(p *sim.Proc, proc int, key PageKey) {
+// evict records one eviction.
+func (m *Metrics) evict() {
 	if m == nil {
 		return
 	}
 	m.Evictions.Inc()
-	if m.Sink != nil {
-		m.Sink.Emit(metrics.Event{
-			Kind: metrics.EvBufferEvict, T: float64(p.Now()), Worker: int32(proc),
-			Level: -1, A: int64(key.Page), B: int64(key.Tree),
-		})
-	}
 }

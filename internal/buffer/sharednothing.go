@@ -54,7 +54,7 @@ func (s *SharedNothing) Home(key PageKey) int {
 func (s *SharedNothing) Fetch(p *sim.Proc, proc int, key PageKey, kind storage.PageKind) Class {
 	if s.bufs[proc].Touch(key) {
 		s.stats.LocalHits++
-		s.met.access(LocalHit, p, proc, key)
+		s.met.access(LocalHit)
 		p.BeginSpan(timeline.KindLocalBuffer, sim.SpanArgs{A: int64(key.Page), B: int64(key.Tree)})
 		p.Hold(s.costs.LocalHit)
 		p.EndSpan()
@@ -64,38 +64,38 @@ func (s *SharedNothing) Fetch(p *sim.Proc, proc int, key PageKey, kind storage.P
 	if home == proc {
 		// Own disk: plain read into the own buffer.
 		s.stats.Misses++
-		s.met.access(Miss, p, proc, key)
+		s.met.access(Miss)
 		s.disk.Read(p, key.Page, kind)
-		s.insert(p, proc, key)
+		s.insert(proc, key)
 		return Miss
 	}
 	if s.bufs[home].Touch(key) {
 		// The home still caches the page: ship a copy.
 		s.stats.RemoteHits++
-		s.met.access(RemoteHit, p, proc, key)
+		s.met.access(RemoteHit)
 		p.BeginSpan(timeline.KindRemoteBuffer, sim.SpanArgs{A: int64(key.Page), B: int64(key.Tree), C: int64(home)})
 		p.Hold(s.ship)
 		p.EndSpan()
-		s.insert(p, proc, key)
+		s.insert(proc, key)
 		return RemoteHit
 	}
 	// Cold: the home must read its disk, then ship. The requester spends
 	// the disk time (waiting for the home's response) plus the shipping.
 	s.stats.Misses++
-	s.met.access(Miss, p, proc, key)
+	s.met.access(Miss)
 	s.disk.Read(p, key.Page, kind)
 	p.BeginSpan(timeline.KindRemoteBuffer, sim.SpanArgs{A: int64(key.Page), B: int64(key.Tree), C: int64(home)})
 	p.Hold(s.ship)
 	p.EndSpan()
-	s.insert(p, home, key)
-	s.insert(p, proc, key)
+	s.insert(home, key)
+	s.insert(proc, key)
 	return Miss
 }
 
 // insert places key in owner's buffer, recording any eviction.
-func (s *SharedNothing) insert(p *sim.Proc, owner int, key PageKey) {
-	if evicted, didEvict := s.bufs[owner].Insert(key); didEvict {
-		s.met.evict(p, owner, evicted)
+func (s *SharedNothing) insert(owner int, key PageKey) {
+	if _, didEvict := s.bufs[owner].Insert(key); didEvict {
+		s.met.evict()
 	}
 }
 

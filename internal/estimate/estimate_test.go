@@ -51,8 +51,8 @@ func TestCostsTrackActualWork(t *testing.T) {
 	for i, task := range tasks {
 		n := 0
 		e := join.Engine{
-			Src:         join.DirectSource{R: r, S: s},
-			OnCandidate: func(join.Candidate) { n++ },
+			Src:          join.DirectSource{R: r, S: s},
+			OnCandidates: func(cs []join.Candidate) { n += len(cs) },
 		}
 		e.Run(task)
 		actual[i] = float64(n)

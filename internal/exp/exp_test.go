@@ -216,10 +216,8 @@ func TestMetricsObservationOnly(t *testing.T) {
 		plain := w.run(w.config(8, 8, 800).Variant(v))
 
 		reg := metrics.NewRegistry()
-		sink := metrics.NewCountingSink(false)
 		cfg := w.config(8, 8, 800).Variant(v)
 		cfg.Metrics = reg
-		cfg.Trace = sink
 		res := w.run(cfg)
 
 		if res.ResponseTime != plain.ResponseTime || res.DiskAccesses != plain.DiskAccesses ||
@@ -231,9 +229,6 @@ func TestMetricsObservationOnly(t *testing.T) {
 		disk := snap.Counters["sim.disk.reads.directory"] + snap.Counters["sim.disk.reads.data"]
 		if disk != res.DiskAccesses {
 			t.Errorf("%s: registry disk reads %d, result %d", v, disk, res.DiskAccesses)
-		}
-		if got := sink.Count(metrics.EvDiskRead); got != res.DiskAccesses {
-			t.Errorf("%s: trace disk-read events %d, result %d", v, got, res.DiskAccesses)
 		}
 		if got := snap.Counters["sim.buffer.misses"]; got != res.Buffer.Misses {
 			t.Errorf("%s: registry buffer misses %d, result %d", v, got, res.Buffer.Misses)

@@ -254,8 +254,8 @@ func ExpEst(w *Workload, out io.Writer) {
 	for i, task := range tasks {
 		n := 0
 		e := join.Engine{
-			Src:         join.DirectSource{R: w.R, S: w.S},
-			OnCandidate: func(join.Candidate) { n++ },
+			Src:          join.DirectSource{R: w.R, S: w.S},
+			OnCandidates: func(cs []join.Candidate) { n += len(cs) },
 		}
 		e.Run(task)
 		actual[i] = float64(n)

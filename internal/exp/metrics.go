@@ -19,16 +19,13 @@ func ExpMetrics(w *Workload, out io.Writer) {
 		"variant", "measure", "result", "registry")
 	for _, v := range []string{"lsr", "gsrr", "gd"} {
 		reg := metrics.NewRegistry()
-		sink := metrics.NewCountingSink(false)
 		cfg := w.config(8, 8, 800).Variant(v)
 		cfg.Metrics = reg
-		cfg.Trace = sink
 		res := w.run(cfg)
 		snap := reg.Snapshot()
 
 		disk := snap.Counters["sim.disk.reads.directory"] + snap.Counters["sim.disk.reads.data"]
 		t.AddRow(v, "disk accesses", res.DiskAccesses, disk)
-		t.AddRow(v, "disk accesses (trace)", res.DiskAccesses, sink.Count(metrics.EvDiskRead))
 		t.AddRow(v, "buffer misses", res.Buffer.Misses, snap.Counters["sim.buffer.misses"])
 		t.AddRow(v, "local hits", res.Buffer.LocalHits, snap.Counters["sim.buffer.local_hits"])
 		t.AddRow(v, "remote hits", res.Buffer.RemoteHits, snap.Counters["sim.buffer.remote_hits"])

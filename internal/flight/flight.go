@@ -13,7 +13,7 @@
 //     buffers are reused across laps of the ring, so a warm recorder adds
 //     records without allocating.
 //   - Nil-safe. A nil *Recorder ignores Add and reports nothing, so call
-//     sites need no guards — the same convention as the metrics sinks.
+//     sites need no guards — the same convention as the metrics instruments.
 //   - Passive. The engines know nothing about this package; the driver
 //     (cmd/spjoin, a future join server) assembles a Record from the
 //     engine's Result and the planner's Decision and hands it over.

@@ -301,25 +301,9 @@ func (sc *Scratch) emitOneSided(deep, other *rtree.Node, i int32, rDeeper bool) 
 	})
 }
 
-// Expand is the callback form of Scratch.Expand, kept for call sites outside
-// the hot path. It allocates a scratch per call; performance-sensitive
-// callers hold a Scratch (or an Engine) instead.
-func Expand(nr, ns *rtree.Node, opts Options,
-	emitCandidate func(Candidate), emitPair func(NodePair)) (comparisons int) {
-	var sc Scratch
-	cands, pairs, comparisons := sc.Expand(nr, ns, opts)
-	for _, c := range cands {
-		emitCandidate(c)
-	}
-	for _, p := range pairs {
-		emitPair(p)
-	}
-	return comparisons
-}
-
-// Metrics bundles the filter-join counters of one Engine (or any caller of
-// the expansion kernel): node pairs expanded, rectangle comparisons (the
-// paper's CPU cost driver), candidates emitted. All fields are nil-safe.
+// Metrics bundles the filter-join counters of one parallel executor run:
+// node pairs expanded, rectangle comparisons (the paper's CPU cost driver),
+// candidates emitted. All fields are nil-safe.
 type Metrics struct {
 	Pairs       *metrics.Counter
 	Comparisons *metrics.Counter
@@ -336,14 +320,6 @@ func NewMetrics(reg *metrics.Registry, prefix string) *Metrics {
 	}
 }
 
-// observe records one expansion; kept out of line so Engine.Run's loop
-// stays branch-light when Met is nil.
-func (m *Metrics) observe(cands, comparisons int) {
-	m.Pairs.Inc()
-	m.Comparisons.Add(int64(comparisons))
-	m.Candidates.Add(int64(cands))
-}
-
 // Engine runs the sequential [BKS 93] filter join depth-first from the two
 // roots. Costs are whatever the Source charges; comparisons are reported
 // through OnComparisons if set.
@@ -356,14 +332,9 @@ type Engine struct {
 	Src  Source
 	Opts Options
 	// OnCandidates, when set, receives each leaf pair's filter results as
-	// one batch (a view valid only during the call) — the cheapest hook for
-	// bulk consumers. Otherwise OnCandidate receives them one at a time.
+	// one batch (a view valid only during the call).
 	OnCandidates  func([]Candidate)
-	OnCandidate   func(Candidate)
 	OnComparisons func(int) // optional CPU accounting hook
-	// Met, when set, receives the run's counters (pairs expanded,
-	// comparisons, candidates). Costs one branch per node pair when nil.
-	Met *Metrics
 
 	scratch Scratch
 	stack   []NodePair
@@ -382,21 +353,11 @@ func (e *Engine) Run(root NodePair) {
 		nr := e.Src.Node(SideR, p.RPage, p.RLevel)
 		ns := e.Src.Node(SideS, p.SPage, p.SLevel)
 		cands, children, comparisons := e.scratch.Expand(nr, ns, e.Opts)
-		if len(cands) > 0 {
-			// The candidate-hook dispatch is per batch, not per candidate.
-			if e.OnCandidates != nil {
-				e.OnCandidates(cands)
-			} else if e.OnCandidate != nil {
-				for _, c := range cands {
-					e.OnCandidate(c)
-				}
-			}
+		if len(cands) > 0 && e.OnCandidates != nil {
+			e.OnCandidates(cands)
 		}
 		if e.OnComparisons != nil {
 			e.OnComparisons(comparisons)
-		}
-		if e.Met != nil {
-			e.Met.observe(len(cands), comparisons)
 		}
 		for i := len(children) - 1; i >= 0; i-- {
 			stack = append(stack, children[i])

@@ -317,17 +317,14 @@ func TestEngineAccessCountBounded(t *testing.T) {
 	if !ok {
 		t.Skip("no root pair in this draw")
 	}
-	pairs := 0
 	e := Engine{
-		Src:         src,
-		OnCandidate: func(Candidate) {},
+		Src:          src,
+		OnCandidates: func([]Candidate) {},
 	}
-	// Count pairs visited via a parallel run with a counting stack.
 	e.Run(root)
 	if len(src.accesses) == 0 || len(src.accesses)%2 != 0 {
 		t.Fatalf("access count %d must be positive and even", len(src.accesses))
 	}
-	_ = pairs
 }
 
 func TestExpandComparisonsReported(t *testing.T) {
@@ -341,7 +338,7 @@ func TestExpandComparisonsReported(t *testing.T) {
 	total := 0
 	e := Engine{
 		Src:           DirectSource{R: tr, S: ts},
-		OnCandidate:   func(Candidate) {},
+		OnCandidates:  func([]Candidate) {},
 		OnComparisons: func(n int) { total += n },
 	}
 	e.Run(root)
@@ -380,8 +377,10 @@ func TestCreateTasksGeneric(t *testing.T) {
 	// Joining every task must reproduce the sequential result.
 	got := map[pairKey]bool{}
 	for _, task := range tasks {
-		e := Engine{Src: src, OnCandidate: func(c Candidate) {
-			got[pairKey{c.R, c.S}] = true
+		e := Engine{Src: src, OnCandidates: func(cs []Candidate) {
+			for _, c := range cs {
+				got[pairKey{c.R, c.S}] = true
+			}
 		}}
 		e.Run(task)
 	}

@@ -1,7 +1,8 @@
-// Package metrics is the observability layer of the join pipeline: typed
+// Package metrics is the counter layer of the join pipeline: typed
 // counters, gauges and fixed-bucket histograms registered by name in a
-// Registry, plus a structured trace of join events (package-level type
-// Event / TraceSink in trace.go).
+// Registry. Per-event observation (one span per disk read, buffer access,
+// expansion, reassignment or idle wait) is the timeline's job
+// (internal/timeline); the registry holds the totals.
 //
 // The design contract, mirroring the paper's evaluation (§4) where every
 // reported figure is a counter — disk accesses, per-processor run time,

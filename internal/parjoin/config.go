@@ -205,15 +205,11 @@ type Config struct {
 	// advances virtual time, so an instrumented run reproduces the
 	// uninstrumented Result exactly — the golden-metrics harness pins this.
 	Metrics *metrics.Registry
-	// Trace, when set, receives one structured Event per join occurrence
-	// (pair expanded, buffer hit/miss, disk read, reassignment, idle span)
-	// stamped with virtual time. Nil disables all event construction.
-	Trace metrics.TraceSink
 
 	// Timeline, when set, records a span per simulated interval (cpu-sweep,
 	// disk-wait, buffer accesses, idle waits, reassignments) keyed to
 	// virtual time — the input of the Perfetto exporter and the
-	// critical-path analyzer. Like Metrics/Trace it is observation-only:
+	// critical-path analyzer. Like Metrics it is observation-only:
 	// recording never advances the clock, so a profiled run reproduces the
 	// unprofiled Result bit for bit. Size it with
 	// timeline.NewRecorder(Procs, Disks).

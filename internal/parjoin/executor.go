@@ -52,7 +52,7 @@ func Run(r, s *rtree.Tree, cfg Config) Result {
 
 	// Task assignment (phase 2, sequential).
 	height := maxInt(r.Height(), s.Height())
-	if cfg.Metrics != nil || cfg.Trace != nil {
+	if cfg.Metrics != nil {
 		st.met = newSimMetrics(st, cfg.Procs, height)
 	}
 	st.procs = make([]*procState, cfg.Procs)
@@ -98,7 +98,7 @@ type runState struct {
 	procs     []*procState
 	taskLevel int
 	rng       *rand.Rand
-	met       *simMetrics        // nil unless Config.Metrics/Trace are set
+	met       *simMetrics        // nil unless Config.Metrics is set
 	rec       *timeline.Recorder // nil unless Config.Timeline is set
 
 	queue     []join.NodePair // dynamic task queue (drained via queueHead)
@@ -194,7 +194,7 @@ func (st *runState) nextWork(ps *procState, p *sim.Proc) (join.NodePair, bool) {
 		p.BeginSpan(timeline.KindQueueIdle, sim.SpanArgs{A: -1})
 		st.waitCond.Wait(p)
 		p.EndSpanArgs(sim.SpanArgs{A: int64(st.lastWaker)})
-		st.met.idled(p, ps.id, p.Now()-idleStart)
+		st.met.idled(p.Now() - idleStart)
 		if st.done {
 			return join.NodePair{}, false
 		}
@@ -210,7 +210,7 @@ func (st *runState) process(ps *procState, p *sim.Proc, item join.NodePair) {
 	ns := st.fetch(ps, p, join.SideS, item.SPage, item.SLevel)
 
 	newCands, children, comparisons := ps.scratch.Expand(nr, ns, st.cfg.Join)
-	st.met.pairExpanded(p, ps.id, item, len(newCands), comparisons, depth)
+	st.met.pairExpanded(ps.id, len(newCands), comparisons, depth)
 	p.BeginSpan(timeline.KindCPUSweep, sim.SpanArgs{
 		A: int64(item.RPage), B: int64(item.SPage),
 		C: int64(item.MaxLevel()), D: int64(comparisons),
@@ -324,7 +324,7 @@ func (st *runState) trySteal(ps *procState, p *sim.Proc) bool {
 		return false
 	}
 	st.reassignments++
-	st.met.reassigned(p, ps.id, victim.id, len(moved))
+	st.met.reassigned(len(moved))
 	ps.stats.Stolen += len(moved)
 	victim.stats.StolenFrom += len(moved)
 

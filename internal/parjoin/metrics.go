@@ -11,8 +11,7 @@ import (
 
 // simMetrics holds the pre-resolved instruments of one instrumented run.
 // Every field is looked up once at run start, so the simulation loop only
-// performs plain atomic increments (and, with a sink, event emissions).
-// A nil *simMetrics disables everything.
+// performs plain atomic increments. A nil *simMetrics disables everything.
 type simMetrics struct {
 	join *join.Metrics
 
@@ -38,8 +37,6 @@ type simMetrics struct {
 	totalWorkS  *metrics.Gauge
 	totalIdleMS *metrics.Gauge
 
-	sink metrics.TraceSink
-
 	idleMS float64 // accumulated idle span length (virtual ms)
 }
 
@@ -47,11 +44,10 @@ type simMetrics struct {
 // pathological pile-ups.
 var queueDepthBounds = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
 
-// newSimMetrics resolves all instruments against reg (which may be nil if
-// only tracing is requested — nil-safe instruments then count into the
-// void) and wires the disk array and buffer manager.
+// newSimMetrics resolves all instruments against the run's registry and
+// wires the disk array and buffer manager.
 func newSimMetrics(st *runState, procs, height int) *simMetrics {
-	reg, sink := st.cfg.Metrics, st.cfg.Trace
+	reg := st.cfg.Metrics
 	m := &simMetrics{
 		join:              join.NewMetrics(reg, "sim.join"),
 		reassignAttempts:  reg.Counter("sim.reassign.attempts"),
@@ -67,7 +63,6 @@ func newSimMetrics(st *runState, procs, height int) *simMetrics {
 		avgS:              reg.Gauge("sim.avg_finish_s"),
 		totalWorkS:        reg.Gauge("sim.total_work_s"),
 		totalIdleMS:       reg.Gauge("sim.idle.total_ms"),
-		sink:              sink,
 	}
 	for l := 0; l < height; l++ {
 		m.diskByLevel = append(m.diskByLevel, reg.Counter(fmt.Sprintf("sim.disk.reads.level%d", l)))
@@ -78,14 +73,13 @@ func newSimMetrics(st *runState, procs, height int) *simMetrics {
 	st.disk.Instrument(
 		reg.Counter("sim.disk.reads.directory"),
 		reg.Counter("sim.disk.reads.data"),
-		sink,
 	)
-	st.mgr.Instrument(buffer.NewMetrics(reg, "sim.buffer", sink))
+	st.mgr.Instrument(buffer.NewMetrics(reg, "sim.buffer"))
 	return m
 }
 
 // pairExpanded records one node-pair expansion by processor proc.
-func (m *simMetrics) pairExpanded(p *sim.Proc, proc int, item join.NodePair, cands, comparisons, queueDepth int) {
+func (m *simMetrics) pairExpanded(proc, cands, comparisons, queueDepth int) {
 	if m == nil {
 		return
 	}
@@ -94,13 +88,6 @@ func (m *simMetrics) pairExpanded(p *sim.Proc, proc int, item join.NodePair, can
 	m.join.Candidates.Add(int64(cands))
 	m.procPairs[proc].Inc()
 	m.queueDepth.Observe(int64(queueDepth))
-	if m.sink != nil {
-		m.sink.Emit(metrics.Event{
-			Kind: metrics.EvPairExpanded, T: float64(p.Now()),
-			Worker: int32(proc), Level: int32(item.MaxLevel()),
-			A: int64(item.RPage), B: int64(item.SPage),
-		})
-	}
 }
 
 // diskMiss records a physical read of a node at the given tree level.
@@ -119,35 +106,22 @@ func (m *simMetrics) attempt() {
 	m.reassignAttempts.Inc()
 }
 
-// reassigned records one successful task reassignment of moved pairs from
-// victim to thief.
-func (m *simMetrics) reassigned(p *sim.Proc, thief, victim, moved int) {
+// reassigned records one successful task reassignment of moved pairs.
+func (m *simMetrics) reassigned(moved int) {
 	if m == nil {
 		return
 	}
 	m.reassignSuccesses.Inc()
 	m.reassignMoved.Add(int64(moved))
-	if m.sink != nil {
-		m.sink.Emit(metrics.Event{
-			Kind: metrics.EvTaskReassigned, T: float64(p.Now()),
-			Worker: int32(thief), Level: -1, A: int64(moved), B: int64(victim),
-		})
-	}
 }
 
-// idled records one completed idle span of processor proc.
-func (m *simMetrics) idled(p *sim.Proc, proc int, span sim.Time) {
+// idled records one completed idle span.
+func (m *simMetrics) idled(span sim.Time) {
 	if m == nil {
 		return
 	}
 	m.idleSpans.Inc()
 	m.idleMS += float64(span)
-	if m.sink != nil {
-		m.sink.Emit(metrics.Event{
-			Kind: metrics.EvWorkerIdle, T: float64(p.Now()),
-			Worker: int32(proc), Level: -1, F: float64(span),
-		})
-	}
 }
 
 // finish publishes the end-of-run gauges from the assembled Result.

@@ -11,7 +11,7 @@ import (
 // nativeMetrics holds the pre-resolved instruments of one instrumented
 // native join. Workers accumulate their hot-path counts in plain locals
 // and flush once at exit, so the expansion loop stays allocation-free and
-// uncontended; only steals and trace events touch shared state mid-run.
+// uncontended; only steals touch shared state mid-run.
 type nativeMetrics struct {
 	join        *join.Metrics
 	workerPairs []*metrics.Counter
@@ -25,12 +25,11 @@ type nativeMetrics struct {
 	queueDepth *metrics.Histogram
 	wallMS     *metrics.Gauge
 
-	sink  metrics.TraceSink
 	start time.Time
 }
 
 // newNativeMetrics resolves all instruments under the "native." prefix.
-func newNativeMetrics(reg *metrics.Registry, sink metrics.TraceSink, workers int) *nativeMetrics {
+func newNativeMetrics(reg *metrics.Registry, workers int) *nativeMetrics {
 	m := &nativeMetrics{
 		join:           join.NewMetrics(reg, "native.join"),
 		stealAttempts:  reg.Counter("native.steal.attempts"),
@@ -40,7 +39,6 @@ func newNativeMetrics(reg *metrics.Registry, sink metrics.TraceSink, workers int
 		falseHits:      reg.Counter("native.false_hits"),
 		queueDepth:     reg.Histogram("native.queue.depth", queueDepthBounds),
 		wallMS:         reg.Gauge("native.wall_ms"),
-		sink:           sink,
 		start:          time.Now(),
 	}
 	for i := 0; i < workers; i++ {
@@ -51,11 +49,6 @@ func newNativeMetrics(reg *metrics.Registry, sink metrics.TraceSink, workers int
 
 // queueDepthBounds mirrors the simulated executor's histogram buckets.
 var queueDepthBounds = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
-
-// now returns the event timestamp: wall milliseconds since join start.
-func (m *nativeMetrics) now() float64 {
-	return float64(time.Since(m.start)) / float64(time.Millisecond)
-}
 
 // flushWorker publishes one worker's accumulated hot-path counts.
 func (m *nativeMetrics) flushWorker(w int, pairs, comparisons, cands, falseHits int64) {
@@ -69,19 +62,13 @@ func (m *nativeMetrics) flushWorker(w int, pairs, comparisons, cands, falseHits 
 	m.workerPairs[w].Add(pairs)
 }
 
-// stole records one successful steal of moved pairs from victim by thief.
-func (m *nativeMetrics) stole(thief, victim, moved int) {
+// stole records one successful steal of moved pairs.
+func (m *nativeMetrics) stole(moved int) {
 	if m == nil {
 		return
 	}
 	m.stealSuccesses.Inc()
 	m.stealMoved.Add(int64(moved))
-	if m.sink != nil {
-		m.sink.Emit(metrics.Event{
-			Kind: metrics.EvTaskStolen, T: m.now(),
-			Worker: int32(thief), Level: -1, A: int64(moved), B: int64(victim),
-		})
-	}
 }
 
 // finish publishes the end-of-run figures.
@@ -91,5 +78,5 @@ func (m *nativeMetrics) finish(res *Result) {
 	}
 	m.tasksCreated.Add(int64(res.Tasks))
 	m.stealAttempts.Add(int64(res.StealAttempts))
-	m.wallMS.Set(m.now())
+	m.wallMS.Set(float64(time.Since(m.start)) / float64(time.Millisecond))
 }

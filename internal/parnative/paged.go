@@ -21,7 +21,11 @@ func JoinPaged(r, s *rtree.PagedTree, cfg Config) (Result, error) {
 	if cfg.TaskFactor <= 0 {
 		cfg.TaskFactor = 3
 	}
-	res := Result{Workers: cfg.Workers, PerWorker: make([]int, cfg.Workers)}
+	res := Result{
+		Workers:         cfg.Workers,
+		PerWorker:       make([]int, cfg.Workers),
+		PerWorkerSteals: make([]int, cfg.Workers),
+	}
 	if r.Len() == 0 || s.Len() == 0 {
 		return res, nil
 	}
@@ -54,6 +58,7 @@ func JoinPaged(r, s *rtree.PagedTree, cfg Config) (Result, error) {
 	falseHits := make([]int, cfg.Workers)
 	workerErrs := make([]error, cfg.Workers)
 	sched := newStealScheduler(cfg.Workers, tasks)
+	sched.perSteals = res.PerWorkerSteals
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
 		w := w
@@ -95,6 +100,7 @@ func JoinPaged(r, s *rtree.PagedTree, cfg Config) (Result, error) {
 	}
 	wg.Wait()
 	res.Steals = int(sched.steals.Load())
+	res.StealAttempts = int(sched.attempts.Load())
 	for _, err := range workerErrs {
 		if err != nil {
 			return res, fmt.Errorf("parnative: paged traversal: %w", err)

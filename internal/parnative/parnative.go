@@ -43,9 +43,6 @@ type Config struct {
 	// prefix. Workers accumulate locally and flush on exit, so the hot
 	// expansion loop is not slowed by shared counters.
 	Metrics *metrics.Registry
-	// Trace, when set, receives one Event per steal (EvTaskStolen) stamped
-	// with wall milliseconds since join start. Nil disables emission.
-	Trace metrics.TraceSink
 	// Timeline, when set, records wall-clock spans (cpu-sweep per expanded
 	// pair, refine-wait, queue-idle, reassign) — the lighter native mirror
 	// of the simulator's virtual-time profiler. Size it with
@@ -141,8 +138,8 @@ func Join(r, s *rtree.Tree, cfg Config) Result {
 	}
 
 	var met *nativeMetrics
-	if cfg.Metrics != nil || cfg.Trace != nil {
-		met = newNativeMetrics(cfg.Metrics, cfg.Trace, cfg.Workers)
+	if cfg.Metrics != nil {
+		met = newNativeMetrics(cfg.Metrics, cfg.Workers)
 	}
 	out := make([]join.CandidateBuf, cfg.Workers)
 	falseHits := make([]int, cfg.Workers)

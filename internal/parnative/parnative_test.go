@@ -2,6 +2,7 @@ package parnative
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand"
 	"slices"
 
@@ -388,6 +389,46 @@ func TestJoinPagedWithRefiner(t *testing.T) {
 	if len(half.Candidates)+half.FalseHits != len(all.Candidates) {
 		t.Fatalf("refined %d + fh %d != all %d",
 			len(half.Candidates), half.FalseHits, len(all.Candidates))
+	}
+}
+
+// TestStealAccounting checks the Result's steal invariants on both the
+// in-memory and the paged executor: PerWorkerSteals has one slot per
+// worker and splits Steals by thief, and every steal was an attempt.
+func TestStealAccounting(t *testing.T) {
+	pr, ps, r, s := pagedPair(t, 16)
+	engines := []struct {
+		name string
+		run  func(Config) Result
+	}{
+		{"Join", func(cfg Config) Result { return Join(r, s, cfg) }},
+		{"JoinPaged", func(cfg Config) Result {
+			res, err := JoinPaged(pr, ps, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}},
+	}
+	for _, e := range engines {
+		for _, workers := range []int{1, 4, 8} {
+			t.Run(fmt.Sprintf("%s/w%d", e.name, workers), func(t *testing.T) {
+				res := e.run(Config{Workers: workers})
+				if len(res.PerWorkerSteals) != res.Workers {
+					t.Fatalf("len(PerWorkerSteals) = %d, want %d", len(res.PerWorkerSteals), res.Workers)
+				}
+				sum := 0
+				for _, n := range res.PerWorkerSteals {
+					sum += n
+				}
+				if sum != res.Steals {
+					t.Fatalf("sum(PerWorkerSteals) = %d, Steals = %d", sum, res.Steals)
+				}
+				if res.Steals > res.StealAttempts {
+					t.Fatalf("Steals = %d > StealAttempts = %d", res.Steals, res.StealAttempts)
+				}
+			})
+		}
 	}
 }
 

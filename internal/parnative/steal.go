@@ -284,7 +284,7 @@ func (s *stealScheduler) steal(w int) (join.NodePair, bool) {
 		s.perSteals[w]++
 	}
 	if s.met != nil {
-		s.met.stole(w, best, len(moved))
+		s.met.stole(len(moved))
 	}
 	if s.rec != nil {
 		now := wallSince(s.epoch)

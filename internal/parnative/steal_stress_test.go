@@ -77,7 +77,7 @@ func TestStealSchedulerNoLossNoDuplication(t *testing.T) {
 			f := buildForest(tc.seed, tc.roots, tc.maxChildren, tc.depth)
 			reg := metrics.NewRegistry()
 			sched := newStealScheduler(tc.workers, f.roots)
-			sched.met = newNativeMetrics(reg, nil, tc.workers)
+			sched.met = newNativeMetrics(reg, tc.workers)
 
 			seen := make([]map[storage.PageID]int, tc.workers)
 			var wg sync.WaitGroup

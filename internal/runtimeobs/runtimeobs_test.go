@@ -141,9 +141,9 @@ func TestAnomalies(t *testing.T) {
 	}
 
 	hot := Health{Sampled: true, WallNS: 1_000_000, Workers: 1,
-		GCPauseNS:    100_000, // 10% > 5%
-		SchedDelayNS: 150_000, // 15% > 10%
-		MutexWaitNS:  80_000,  // 8% > 5%
+		GCPauseNS:       100_000, // 10% > 5%
+		SchedDelayNS:    150_000, // 15% > 10%
+		MutexWaitNS:     80_000,  // 8% > 5%
 		GoroutinesStart: 10, GoroutinesEnd: 40}
 	hot.Attribute()
 	if n := hot.AnomalyCount(); n != 4 {

@@ -71,10 +71,8 @@ type DiskArray struct {
 	accesses     int64 // total page reads
 	dataAccesses int64 // of which data pages
 
-	// Optional observability (see Instrument). The counters are nil-safe;
-	// the sink is guarded so disabled tracing costs one branch.
+	// Optional observability (see Instrument); the counters are nil-safe.
 	cDir, cData *metrics.Counter
-	sink        metrics.TraceSink
 }
 
 // NewDiskArray creates an array of d disks (d >= 1) with the given timing
@@ -93,11 +91,10 @@ func NewDiskArray(d int, params DiskParams) *DiskArray {
 // Disks returns the number of disks.
 func (a *DiskArray) Disks() int { return len(a.disks) }
 
-// Instrument attaches observability: dir/data count page reads by kind,
-// sink (optional) receives one EvDiskRead event per physical read. The
-// existing Accesses/DataAccesses counters keep working independently.
-func (a *DiskArray) Instrument(dir, data *metrics.Counter, sink metrics.TraceSink) {
-	a.cDir, a.cData, a.sink = dir, data, sink
+// Instrument attaches observability: dir/data count page reads by kind.
+// The existing Accesses/DataAccesses counters keep working independently.
+func (a *DiskArray) Instrument(dir, data *metrics.Counter) {
+	a.cDir, a.cData = dir, data
 }
 
 // DiskFor returns the disk index holding page id (modulo placement, §4.2).
@@ -120,12 +117,6 @@ func (a *DiskArray) Read(p *sim.Proc, id PageID, kind PageKind) sim.Time {
 		isData = 1
 	} else {
 		a.cDir.Inc()
-	}
-	if a.sink != nil {
-		a.sink.Emit(metrics.Event{
-			Kind: metrics.EvDiskRead, T: float64(p.Now()),
-			Worker: int32(p.ID()), Level: -1, A: int64(id), B: isData,
-		})
 	}
 	diskIdx := a.DiskFor(id)
 	p.BeginSpan(timeline.KindDiskWait, sim.SpanArgs{A: int64(id), B: isData, C: int64(diskIdx)})

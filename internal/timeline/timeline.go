@@ -180,7 +180,7 @@ type Track struct {
 // Recorder accumulates the spans of one run. Create with NewRecorder (sim,
 // virtual time) or NewWallRecorder (native executor, wall time); a nil
 // *Recorder must never be installed as a sim.Tracer — drivers guard with
-// `if rec != nil` before SetTracer, mirroring the metrics sinks.
+// `if rec != nil` before SetTracer.
 type Recorder struct {
 	unit  string // "virtual" or "wall"
 	procs []Track
