@@ -714,11 +714,10 @@ func BenchmarkOutOfCoreJoin(b *testing.B) {
 	b.ResetTimer()
 	var reads int64
 	for i := 0; i < b.N; i++ {
-		_, stats, err := join.PagedSequential(r, s, join.Options{})
-		if err != nil {
+		var err error
+		if _, reads, err = JoinOutOfCore(r, s); err != nil {
 			b.Fatal(err)
 		}
-		reads = stats.Reads()
 	}
 	b.ReportMetric(float64(reads), "page-reads")
 }

@@ -2,12 +2,10 @@ package join
 
 import (
 	"fmt"
-	"path/filepath"
 	"runtime"
 	"testing"
 	"unsafe"
 
-	"spjoin/internal/pagefile"
 	"spjoin/internal/rtree"
 	"spjoin/internal/tiger"
 )
@@ -137,12 +135,12 @@ func TestCandidateBufCopyToShortPanics(t *testing.T) {
 	}
 }
 
-// TestSequentialOutputAllocationBounded pins the sequential joins' output
-// path the way parnative's TestJoinOutputAllocationBounded pins the parallel
-// one: Sequential and PagedSequential collect into a CandidateBuf and copy
-// it once into an exact-size result, so the output costs the buffer blocks
-// plus the result, where a slice grown by append allocates about five times
-// the result. The traversal's own allocations are measured by an Engine run
+// TestSequentialOutputAllocationBounded pins the sequential join's output
+// path the way parnative's TestJoinOutputAllocationBounded pins the
+// parallel one: Sequential collects into a CandidateBuf and copies it once
+// into an exact-size result, so the output costs the buffer blocks plus
+// the result, where a slice grown by append allocates about five times the
+// result. The traversal's own allocations are measured by an Engine run
 // over the same source that only counts its candidates, and subtracted.
 func TestSequentialOutputAllocationBounded(t *testing.T) {
 	// The replication regime of the planner corpus: 3,000 rects a side, each
@@ -156,23 +154,6 @@ func TestSequentialOutputAllocationBounded(t *testing.T) {
 		return rtree.BulkLoadSTR(rtree.DefaultParams(), items, 0.73)
 	}
 	r, s := side(5), side(6)
-	open := func(tree *rtree.Tree, name string) *rtree.PagedTree {
-		pf, err := pagefile.Create(filepath.Join(t.TempDir(), name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { pf.Close() })
-		if err := tree.SaveToPageFile(pf); err != nil {
-			t.Fatal(err)
-		}
-		pt, err := rtree.OpenPagedTree(pf, 1<<12) // every page stays resident
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pt
-	}
-	pr, ps := open(r, "r.spjf"), open(s, "s.spjf")
-
 	measure := func(f func()) int64 {
 		var m0, m1 runtime.MemStats
 		runtime.GC()
@@ -185,48 +166,29 @@ func TestSequentialOutputAllocationBounded(t *testing.T) {
 	if !ok {
 		t.Fatal("trees do not overlap")
 	}
-	pagedRoot := NodePair{RPage: pr.Root(), SPage: ps.Root(), RLevel: root.RLevel, SLevel: root.SLevel}
-	for _, tc := range []struct {
-		name string
-		root NodePair
-		src  func() Source
-		join func() []Candidate
-	}{
-		{"Sequential", root, func() Source { return DirectSource{R: r, S: s} },
-			func() []Candidate { return Sequential(r, s, Options{}) }},
-		{"PagedSequential", pagedRoot, func() Source { src, _ := NewPagedSource(pr, ps); return src },
-			func() []Candidate {
-				cands, _, err := PagedSequential(pr, ps, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return cands
-			}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tc.join() // warm the pools: both measured runs hit every page
-			var counted int
-			base := measure(func() {
-				e := Engine{Src: tc.src(), OnCandidates: func(cs []Candidate) { counted += len(cs) }}
-				e.Run(tc.root)
-			})
-			var res []Candidate
-			b := measure(func() { res = tc.join() })
-
-			const candBytes = int64(unsafe.Sizeof(Candidate{}))
-			pairs := int64(len(res))
-			if pairs != int64(counted) || pairs < 100*CandidateBlock {
-				t.Fatalf("%d pairs (counted %d), want over a hundred blocks — test premise broken", pairs, counted)
-			}
-			// The blocks (the last one partial, the first one doubled up to a
-			// full block), the result, and 1 MiB of slack.
-			blocks := pairs/CandidateBlock + 1
-			if limit := ((blocks+1)*CandidateBlock+pairs)*candBytes + 1<<20; b-base > limit {
-				t.Errorf("output path allocated %d B for a %d B result (%.1fx), want <= %d B",
-					b-base, pairs*candBytes, float64(b-base)/float64(pairs*candBytes), limit)
-			}
-			t.Logf("%d pairs: output path %.1f B/pair (traversal alone: %d B)",
-				pairs, float64(b-base)/float64(pairs), base)
+	t.Run("Sequential", func(t *testing.T) {
+		Sequential(r, s, Options{}) // warm up: both measured runs start alike
+		var counted int
+		base := measure(func() {
+			e := Engine{Src: DirectSource{R: r, S: s}, OnCandidates: func(cs []Candidate) { counted += len(cs) }}
+			e.Run(root)
 		})
-	}
+		var res []Candidate
+		b := measure(func() { res = Sequential(r, s, Options{}) })
+
+		const candBytes = int64(unsafe.Sizeof(Candidate{}))
+		pairs := int64(len(res))
+		if pairs != int64(counted) || pairs < 100*CandidateBlock {
+			t.Fatalf("%d pairs (counted %d), want over a hundred blocks — test premise broken", pairs, counted)
+		}
+		// The blocks (the last one partial, the first one doubled up to a
+		// full block), the result, and 1 MiB of slack.
+		blocks := pairs/CandidateBlock + 1
+		if limit := ((blocks+1)*CandidateBlock+pairs)*candBytes + 1<<20; b-base > limit {
+			t.Errorf("output path allocated %d B for a %d B result (%.1fx), want <= %d B",
+				b-base, pairs*candBytes, float64(b-base)/float64(pairs*candBytes), limit)
+		}
+		t.Logf("%d pairs: output path %.1f B/pair (traversal alone: %d B)",
+			pairs, float64(b-base)/float64(pairs), base)
+	})
 }

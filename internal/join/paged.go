@@ -19,6 +19,10 @@ type pagedSource struct {
 	err  error
 }
 
+// Node implements Source. A decoded node whose level differs from the one
+// its parent pair expects is an error: levels then fall strictly along
+// every path, so a corrupt child pointer (one that points back up the
+// tree, say) cannot make the traversal loop.
 func (p *pagedSource) Node(side buffer.TreeID, page storage.PageID, level int) *rtree.Node {
 	if p.err != nil {
 		return &rtree.Node{Page: page, Level: level}
@@ -29,6 +33,9 @@ func (p *pagedSource) Node(side buffer.TreeID, page storage.PageID, level int) *
 		n, err = p.r.Node(page)
 	} else {
 		n, err = p.s.Node(page)
+	}
+	if err == nil && n.Level != level {
+		err = fmt.Errorf("page %d is level %d, parent expects %d", page, n.Level, level)
 	}
 	if err != nil {
 		p.err = err
@@ -46,55 +53,26 @@ func NewPagedSource(r, s *rtree.PagedTree) (Source, func() error) {
 	return src, func() error { return src.err }
 }
 
-// PagedIOStats reports the physical I/O of an out-of-core join.
-type PagedIOStats struct {
-	RHits, RMisses int64
-	SHits, SMisses int64
-}
-
-// Reads returns the number of physical page reads.
-func (s PagedIOStats) Reads() int64 { return s.RMisses + s.SMisses }
-
-// PagedSequential runs the filter join over two persisted trees, buffering
-// through their pools, and returns the candidates plus physical I/O
-// statistics.
-func PagedSequential(r, s *rtree.PagedTree, opts Options) ([]Candidate, PagedIOStats, error) {
-	var stats PagedIOStats
-	rHits0, rMiss0 := r.Pool().Hits(), r.Pool().Misses()
-	sHits0, sMiss0 := s.Pool().Hits(), s.Pool().Misses()
-
+// PagedRootPair is RootPair for persisted trees: it reads both roots
+// through the buffer pools and returns their NodePair, or false if the
+// trees cannot join (either empty or with disjoint MBRs).
+func PagedRootPair(r, s *rtree.PagedTree) (NodePair, bool, error) {
 	if r.Len() == 0 || s.Len() == 0 {
-		return nil, stats, nil
+		return NodePair{}, false, nil
 	}
 	rRoot, err := r.Node(r.Root())
 	if err != nil {
-		return nil, stats, err
+		return NodePair{}, false, err
 	}
 	sRoot, err := s.Node(s.Root())
 	if err != nil {
-		return nil, stats, err
+		return NodePair{}, false, err
 	}
 	if !rRoot.MBR().Intersects(sRoot.MBR()) {
-		return nil, stats, nil
+		return NodePair{}, false, nil
 	}
-
-	src := &pagedSource{r: r, s: s}
-	var buf CandidateBuf
-	e := Engine{
-		Src:          src,
-		Opts:         opts,
-		OnCandidates: buf.Append,
-	}
-	e.Run(NodePair{
+	return NodePair{
 		RPage: r.Root(), SPage: s.Root(),
 		RLevel: rRoot.Level, SLevel: sRoot.Level,
-	})
-	if src.err != nil {
-		return nil, stats, fmt.Errorf("join: paged traversal: %w", src.err)
-	}
-	stats.RHits = r.Pool().Hits() - rHits0
-	stats.RMisses = r.Pool().Misses() - rMiss0
-	stats.SHits = s.Pool().Hits() - sHits0
-	stats.SMisses = s.Pool().Misses() - sMiss0
-	return buf.flatten(), stats, nil
+	}, true, nil
 }

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -33,65 +34,32 @@ func pagedTrees(t *testing.T, frames int) (*rtree.PagedTree, *rtree.PagedTree, *
 	return save(r, "r.spjf"), save(s, "s.spjf"), r, s
 }
 
-func TestPagedSequentialMatchesInMemory(t *testing.T) {
-	pr, ps, r, s := pagedTrees(t, 32)
-	want := candidateSet(Sequential(r, s, Options{}))
-	got, stats, err := PagedSequential(pr, ps, Options{})
-	if err != nil {
-		t.Fatal(err)
+// TestPagedSourceRejectsWrongLevel pins the paged source's level check: a
+// node read at the level its parent pair expects is served, and one whose
+// decoded level differs is an error — the check that keeps a corrupt child
+// pointer from looping the traversal.
+func TestPagedSourceRejectsWrongLevel(t *testing.T) {
+	pr, ps, r, _ := pagedTrees(t, 8)
+	root, ok, err := PagedRootPair(pr, ps)
+	if err != nil || !ok {
+		t.Fatalf("PagedRootPair = %v, %v", ok, err)
 	}
-	gotSet := candidateSet(got)
-	if len(gotSet) != len(want) {
-		t.Fatalf("paged join found %d pairs, in-memory %d", len(gotSet), len(want))
+	if root.RLevel != r.Height()-1 || root.RLevel == 0 {
+		t.Fatalf("root level %d for a tree of height %d — test premise broken", root.RLevel, r.Height())
 	}
-	for k := range want {
-		if !gotSet[k] {
-			t.Fatalf("paged join missed %v", k)
-		}
-	}
-	if stats.Reads() == 0 {
-		t.Fatal("no physical reads recorded")
-	}
-	if stats.RHits+stats.RMisses == 0 || stats.SHits+stats.SMisses == 0 {
-		t.Fatalf("one-sided I/O stats: %+v", stats)
-	}
-}
 
-func TestPagedSequentialSmallPoolMoreReads(t *testing.T) {
-	prBig, psBig, _, _ := pagedTrees(t, 256)
-	_, big, err := PagedSequential(prBig, psBig, Options{})
-	if err != nil {
-		t.Fatal(err)
+	src, check := NewPagedSource(pr, ps)
+	if n := src.Node(SideR, root.RPage, root.RLevel); len(n.Entries) == 0 || check() != nil {
+		t.Fatalf("root at its own level: %d entries, err %v", len(n.Entries), check())
 	}
-	prSmall, psSmall, _, _ := pagedTrees(t, 2)
-	_, small, err := PagedSequential(prSmall, psSmall, Options{})
-	if err != nil {
-		t.Fatal(err)
+	n := src.Node(SideR, root.RPage, root.RLevel-1)
+	err = check()
+	want := fmt.Sprintf("page %d is level %d, parent expects %d", root.RPage, root.RLevel, root.RLevel-1)
+	if err == nil || err.Error() != want {
+		t.Fatalf("root read one level down: err %v, want %q", err, want)
 	}
-	if small.Reads() <= big.Reads() {
-		t.Fatalf("tiny pool reads %d <= big pool reads %d", small.Reads(), big.Reads())
-	}
-}
-
-func TestPagedSequentialEmptyTrees(t *testing.T) {
-	empty := rtree.New(smallParams())
-	pf, err := pagefile.Create(filepath.Join(t.TempDir(), "e.spjf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pf.Close()
-	if err := empty.SaveToPageFile(pf); err != nil {
-		t.Fatal(err)
-	}
-	pt, err := rtree.OpenPagedTree(pf, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := PagedSequential(pt, pt, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("empty paged join returned %d pairs", len(got))
+	if len(n.Entries) != 0 || n.Level != root.RLevel-1 {
+		t.Fatalf("failed read returned %d entries at level %d, want an empty node at %d",
+			len(n.Entries), n.Level, root.RLevel-1)
 	}
 }

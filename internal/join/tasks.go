@@ -41,3 +41,23 @@ func CreateTasks(src Source, root NodePair, opts Options, minTasks int) (tasks [
 	}
 	return tasks, level, comparisons
 }
+
+// SplitRange partitions tasks into n contiguous blocks in plane-sweep order:
+// the first (len mod n) processors receive ⌈m/n⌉ tasks, the others ⌊m/n⌋
+// (§3.1, static range assignment). The blocks alias tasks.
+func SplitRange(tasks []NodePair, n int) [][]NodePair {
+	out := make([][]NodePair, n)
+	m := len(tasks)
+	base := m / n
+	extra := m % n
+	pos := 0
+	for i := 0; i < n; i++ {
+		size := base
+		if i < extra {
+			size++
+		}
+		out[i] = tasks[pos : pos+size]
+		pos += size
+	}
+	return out
+}

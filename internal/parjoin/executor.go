@@ -59,7 +59,7 @@ func Run(r, s *rtree.Tree, cfg Config) Result {
 	var initial [][]join.NodePair
 	switch cfg.Assign {
 	case StaticRange:
-		initial = splitRange(tasks, cfg.Procs)
+		initial = join.SplitRange(tasks, cfg.Procs)
 	case StaticRoundRobin:
 		initial = splitRoundRobin(tasks, cfg.Procs)
 	case Dynamic:

@@ -274,7 +274,7 @@ func TestSplitRange(t *testing.T) {
 	for i := range tasks {
 		tasks[i].RLevel = i // marker
 	}
-	blocks := splitRange(tasks, 3)
+	blocks := join.SplitRange(tasks, 3)
 	// 11 = 4+4+3.
 	if len(blocks[0]) != 4 || len(blocks[1]) != 4 || len(blocks[2]) != 3 {
 		t.Fatalf("block sizes %d/%d/%d, want 4/4/3",

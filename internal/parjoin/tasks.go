@@ -23,26 +23,6 @@ func CreateTasks(r, s *rtree.Tree, opts join.Options, minTasks int) (tasks []joi
 	return join.CreateTasks(join.DirectSource{R: r, S: s}, root, opts, minTasks)
 }
 
-// splitRange partitions tasks into n contiguous blocks in plane-sweep order:
-// the first (len mod n) processors receive ⌈m/n⌉ tasks, the others ⌊m/n⌋
-// (§3.1, static range assignment).
-func splitRange(tasks []join.NodePair, n int) [][]join.NodePair {
-	out := make([][]join.NodePair, n)
-	m := len(tasks)
-	base := m / n
-	extra := m % n
-	pos := 0
-	for i := 0; i < n; i++ {
-		size := base
-		if i < extra {
-			size++
-		}
-		out[i] = tasks[pos : pos+size]
-		pos += size
-	}
-	return out
-}
-
 // splitRoundRobin deals tasks to processors round-robin in plane-sweep
 // order (§3.3, static round-robin assignment).
 func splitRoundRobin(tasks []join.NodePair, n int) [][]join.NodePair {

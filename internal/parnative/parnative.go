@@ -17,7 +17,6 @@ import (
 
 	"spjoin/internal/join"
 	"spjoin/internal/metrics"
-	"spjoin/internal/parjoin"
 	"spjoin/internal/rtree"
 	"spjoin/internal/runtimeobs"
 	"spjoin/internal/sim"
@@ -80,14 +79,49 @@ type Result struct {
 	FalseHits int
 	// PhaseNS is the wall time spent in each pipeline phase, indexed by the
 	// timeline.Phase* constants. The tree executor fills the subset that
-	// applies: prep (sweep-cache build), partition (task creation), sweep
-	// (the parallel expansion loop) and merge (result assembly).
+	// applies: prep (sweep-cache build, or the root reads of paged trees),
+	// partition (task creation), sweep (the parallel expansion loop) and
+	// merge (result assembly).
 	PhaseNS [timeline.NumPhases]int64
 }
 
 // Join runs the parallel filter step of r ⋈ s and returns all candidate
 // pairs. The result set is exactly the sequential join's result set.
 func Join(r, s *rtree.Tree, cfg Config) Result {
+	// The in-memory source cannot fail, so run's error is always nil.
+	res, _ := run(cfg, func() (join.NodePair, bool, error) {
+		// Workers share the in-memory nodes; build every node's sweep cache
+		// up front so no lazy construction races inside the join.
+		r.PrepareSweep()
+		s.PrepareSweep()
+		root, ok := join.RootPair(r, s)
+		return root, ok, nil
+	}, func() (join.Source, func() error) {
+		return join.DirectSource{R: r, S: s}, nil
+	})
+	return res
+}
+
+// JoinPaged runs the parallel filter join out-of-core: both trees live in
+// real page files and every node access goes through their (concurrency-
+// safe) buffer pools. It is Join over a paged source: each worker drives
+// its own, and the first read error (I/O, checksum, or a node at the wrong
+// level) aborts the whole join at the next scheduling point.
+func JoinPaged(r, s *rtree.PagedTree, cfg Config) (Result, error) {
+	return run(cfg, func() (join.NodePair, bool, error) {
+		return join.PagedRootPair(r, s)
+	}, func() (join.Source, func() error) {
+		return join.NewPagedSource(r, s)
+	})
+}
+
+// run is the native tree join behind Join and JoinPaged. root prepares the
+// trees and returns their root pair (false: nothing to join); its time is
+// the prep phase. newSource gives task creation and each worker its own
+// node source plus that source's error check (nil for a source that cannot
+// fail); a worker whose check fails aborts the join.
+func run(cfg Config, root func() (join.NodePair, bool, error),
+	newSource func() (join.Source, func() error)) (Result, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -101,14 +135,28 @@ func Join(r, s *rtree.Tree, cfg Config) Result {
 				got, cfg.Workers))
 		}
 	}
-	// Workers share the in-memory nodes; build every node's sweep cache up
-	// front so no lazy construction races inside the join.
+	res := Result{
+		Workers:         cfg.Workers,
+		PerWorker:       make([]int, cfg.Workers),
+		PerWorkerSteals: make([]int, cfg.Workers),
+	}
 	t0 := time.Now()
 	epoch := t0
-	r.PrepareSweep()
-	s.PrepareSweep()
+	rootPair, ok, err := root()
+	if err != nil {
+		return res, fmt.Errorf("parnative: roots: %w", err)
+	}
 	t1 := time.Now()
-	tasks, _, _ := parjoin.CreateTasks(r, s, cfg.Opts, cfg.TaskFactor*cfg.Workers)
+	var tasks []join.NodePair
+	if ok {
+		src, check := newSource()
+		tasks, _, _ = join.CreateTasks(src, rootPair, cfg.Opts, cfg.TaskFactor*cfg.Workers)
+		if check != nil {
+			if err := check(); err != nil {
+				return res, fmt.Errorf("parnative: task creation: %w", err)
+			}
+		}
+	}
 	t2 := time.Now()
 	if rec != nil {
 		// Owner-side phase spans on track 0 (the worker goroutines are not
@@ -118,12 +166,7 @@ func Join(r, s *rtree.Tree, cfg Config) Result {
 		rec.Complete(0, wallAt(t1, epoch), wallAt(t2, epoch), timeline.KindPhase,
 			sim.SpanArgs{A: timeline.PhasePartition})
 	}
-	res := Result{
-		Tasks:           len(tasks),
-		Workers:         cfg.Workers,
-		PerWorker:       make([]int, cfg.Workers),
-		PerWorkerSteals: make([]int, cfg.Workers),
-	}
+	res.Tasks = len(tasks)
 	res.PhaseNS[timeline.PhasePrep] = t1.Sub(t0).Nanoseconds()
 	res.PhaseNS[timeline.PhasePartition] = t2.Sub(t1).Nanoseconds()
 	// Live progress: the unit is one expanded node pair at unit cost (the
@@ -131,10 +174,10 @@ func Join(r, s *rtree.Tree, cfg Config) Result {
 	// deques grow the total, so done meets total exactly at the drain.
 	prog := cfg.Progress
 	prog.Start()
+	defer prog.Finish()
 	prog.SetTotal(int64(len(tasks)), int64(len(tasks)))
 	if len(tasks) == 0 {
-		prog.Finish()
-		return res
+		return res, nil
 	}
 
 	var met *nativeMetrics
@@ -143,13 +186,13 @@ func Join(r, s *rtree.Tree, cfg Config) Result {
 	}
 	out := make([]join.CandidateBuf, cfg.Workers)
 	falseHits := make([]int, cfg.Workers)
+	workerErrs := make([]error, cfg.Workers)
 	sched := newStealScheduler(cfg.Workers, tasks)
 	sched.met = met
 	sched.perSteals = res.PerWorkerSteals
 	if rec != nil {
 		sched.rec, sched.epoch = rec, epoch
 	}
-	src := join.DirectSource{R: r, S: s}
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
 		w := w
@@ -162,6 +205,7 @@ func Join(r, s *rtree.Tree, cfg Config) Result {
 				rec.BeginSpan(w, wallSince(epoch), timeline.KindPhase,
 					sim.SpanArgs{A: timeline.PhaseSweep})
 			}
+			src, check := newSource()
 			var sc join.Scratch
 			// Hot-path counts stay in locals; flushed once on exit.
 			var pairs, comps, candTotal int64
@@ -179,6 +223,13 @@ func Join(r, s *rtree.Tree, cfg Config) Result {
 				nr := src.Node(join.SideR, p.RPage, p.RLevel)
 				ns := src.Node(join.SideS, p.SPage, p.SLevel)
 				cands, children, comparisons := sc.Expand(nr, ns, cfg.Opts)
+				if check != nil {
+					if err := check(); err != nil {
+						workerErrs[w] = err
+						sched.abort()
+						break
+					}
+				}
 				if rec != nil {
 					rec.Complete(w, t0, wallSince(epoch), timeline.KindCPUSweep, sim.SpanArgs{
 						A: int64(p.RPage), B: int64(p.SPage), C: int64(p.MaxLevel()), D: int64(comparisons),
@@ -224,6 +275,11 @@ func Join(r, s *rtree.Tree, cfg Config) Result {
 	res.PhaseNS[timeline.PhaseSweep] = t3.Sub(t2).Nanoseconds()
 	res.Steals = int(sched.steals.Load())
 	res.StealAttempts = int(sched.attempts.Load())
+	for _, err := range workerErrs {
+		if err != nil {
+			return res, fmt.Errorf("parnative: traversal: %w", err)
+		}
+	}
 
 	for _, fh := range falseHits {
 		res.FalseHits += fh
@@ -235,8 +291,7 @@ func Join(r, s *rtree.Tree, cfg Config) Result {
 			sim.SpanArgs{A: timeline.PhaseMerge})
 	}
 	met.finish(&res)
-	prog.Finish()
-	return res
+	return res, nil
 }
 
 // wallSince returns wall milliseconds since epoch on the recorder's clock.
@@ -249,7 +304,7 @@ func wallAt(t, epoch time.Time) sim.Time {
 	return sim.Time(float64(t.Sub(epoch)) / float64(time.Millisecond))
 }
 
-// gather is the output path shared by Join and JoinPaged: every worker
+// gather is the native join's output path: every worker
 // emits into its own chunked buffer, and once all have finished a prefix
 // sum over the buffer lengths gives each worker its slice of the exact-size
 // result, in worker-major order — copied there by one goroutine per

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sort"
 	"spjoin/internal/geom"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -44,6 +45,49 @@ func toSet(cands []join.Candidate) map[pairKey]bool {
 		out[pairKey{c.R, c.S}] = true
 	}
 	return out
+}
+
+// engine is one entry point of the native executor over a fixed pair of
+// trees.
+type engine struct {
+	name string
+	run  func(testing.TB, Config) Result
+}
+
+// engines returns Join over r and s, and JoinPaged over the same trees
+// persisted into page files with a pool of frames pages each.
+func engines(tb testing.TB, r, s *rtree.Tree, frames int) []engine {
+	pr, ps := persist(tb, r, frames), persist(tb, s, frames)
+	return []engine{
+		{"Join", func(_ testing.TB, cfg Config) Result { return Join(r, s, cfg) }},
+		{"JoinPaged", func(tb testing.TB, cfg Config) Result {
+			tb.Helper()
+			res, err := JoinPaged(pr, ps, cfg)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return res
+		}},
+	}
+}
+
+// persist saves tree into a page file and opens it with a pool of frames
+// pages.
+func persist(tb testing.TB, tree *rtree.Tree, frames int) *rtree.PagedTree {
+	tb.Helper()
+	pf, err := pagefile.Create(filepath.Join(tb.TempDir(), "tree.spjf"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { pf.Close() })
+	if err := tree.SaveToPageFile(pf); err != nil {
+		tb.Fatal(err)
+	}
+	pt, err := rtree.OpenPagedTree(pf, frames)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pt
 }
 
 func TestJoinMatchesSequential(t *testing.T) {
@@ -309,23 +353,7 @@ func TestWindowQueriesEmptyBatch(t *testing.T) {
 func pagedPair(t *testing.T, frames int) (*rtree.PagedTree, *rtree.PagedTree, *rtree.Tree, *rtree.Tree) {
 	t.Helper()
 	r, s := testTrees(t)
-	dir := t.TempDir()
-	save := func(tree *rtree.Tree, name string) *rtree.PagedTree {
-		pf, err := pagefile.Create(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { pf.Close() })
-		if err := tree.SaveToPageFile(pf); err != nil {
-			t.Fatal(err)
-		}
-		pt, err := rtree.OpenPagedTree(pf, frames)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pt
-	}
-	return save(r, "r.spjf"), save(s, "s.spjf"), r, s
+	return persist(t, r, frames), persist(t, s, frames), r, s
 }
 
 func TestJoinPagedMatchesInMemory(t *testing.T) {
@@ -396,24 +424,11 @@ func TestJoinPagedWithRefiner(t *testing.T) {
 // in-memory and the paged executor: PerWorkerSteals has one slot per
 // worker and splits Steals by thief, and every steal was an attempt.
 func TestStealAccounting(t *testing.T) {
-	pr, ps, r, s := pagedPair(t, 16)
-	engines := []struct {
-		name string
-		run  func(Config) Result
-	}{
-		{"Join", func(cfg Config) Result { return Join(r, s, cfg) }},
-		{"JoinPaged", func(cfg Config) Result {
-			res, err := JoinPaged(pr, ps, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		}},
-	}
-	for _, e := range engines {
+	r, s := testTrees(t)
+	for _, e := range engines(t, r, s, 16) {
 		for _, workers := range []int{1, 4, 8} {
 			t.Run(fmt.Sprintf("%s/w%d", e.name, workers), func(t *testing.T) {
-				res := e.run(Config{Workers: workers})
+				res := e.run(t, Config{Workers: workers})
 				if len(res.PerWorkerSteals) != res.Workers {
 					t.Fatalf("len(PerWorkerSteals) = %d, want %d", len(res.PerWorkerSteals), res.Workers)
 				}
@@ -432,62 +447,70 @@ func TestStealAccounting(t *testing.T) {
 	}
 }
 
-// TestJoinPhaseTimings pins the tree executor's PhaseNS buckets: prep,
-// partition (task creation), sweep and merge are always filled, and
-// PerWorkerSteals splits the steal total by the thief.
+// TestJoinPhaseTimings pins the tree executor's PhaseNS buckets on both
+// entry points: prep, partition (task creation), sweep and merge are
+// always filled, and PerWorkerSteals splits the steal total by the thief.
 func TestJoinPhaseTimings(t *testing.T) {
 	r, s := testTrees(t)
-	res := Join(r, s, Config{Workers: 4})
-	for _, p := range []int{timeline.PhasePrep, timeline.PhasePartition,
-		timeline.PhaseSweep, timeline.PhaseMerge} {
-		if res.PhaseNS[p] <= 0 {
-			t.Errorf("phase %s has no wall time", timeline.PhaseName(p))
-		}
-	}
-	for _, p := range []int{timeline.PhaseSort, timeline.PhaseRefine} {
-		if res.PhaseNS[p] != 0 {
-			t.Errorf("phase %s filled (%dns); the tree executor never runs it",
-				timeline.PhaseName(p), res.PhaseNS[p])
-		}
-	}
-	if len(res.PerWorkerSteals) != res.Workers {
-		t.Fatalf("PerWorkerSteals has %d slots, want %d", len(res.PerWorkerSteals), res.Workers)
-	}
-	sum := 0
-	for _, n := range res.PerWorkerSteals {
-		sum += n
-	}
-	if sum != res.Steals {
-		t.Errorf("PerWorkerSteals sums to %d, want Steals=%d", sum, res.Steals)
+	for _, e := range engines(t, r, s, 16) {
+		t.Run(e.name, func(t *testing.T) {
+			res := e.run(t, Config{Workers: 4})
+			for _, p := range []int{timeline.PhasePrep, timeline.PhasePartition,
+				timeline.PhaseSweep, timeline.PhaseMerge} {
+				if res.PhaseNS[p] <= 0 {
+					t.Errorf("phase %s has no wall time", timeline.PhaseName(p))
+				}
+			}
+			for _, p := range []int{timeline.PhaseSort, timeline.PhaseRefine} {
+				if res.PhaseNS[p] != 0 {
+					t.Errorf("phase %s filled (%dns); the tree executor never runs it",
+						timeline.PhaseName(p), res.PhaseNS[p])
+				}
+			}
+			if len(res.PerWorkerSteals) != res.Workers {
+				t.Fatalf("PerWorkerSteals has %d slots, want %d", len(res.PerWorkerSteals), res.Workers)
+			}
+			sum := 0
+			for _, n := range res.PerWorkerSteals {
+				sum += n
+			}
+			if sum != res.Steals {
+				t.Errorf("PerWorkerSteals sums to %d, want Steals=%d", sum, res.Steals)
+			}
+		})
 	}
 }
 
 // TestJoinTimelinePhaseSpans checks the wall recorder carries the phase
-// spans the Perfetto export names "phase:<name>".
+// spans the Perfetto export names "phase:<name>", on both entry points.
 func TestJoinTimelinePhaseSpans(t *testing.T) {
 	r, s := testTrees(t)
 	const workers = 3
-	rec := timeline.NewWallRecorder(workers)
-	Join(r, s, Config{Workers: workers, Timeline: rec})
-	var phases [timeline.NumPhases]int
-	for _, proc := range rec.Procs() {
-		for _, sp := range proc.Spans {
-			if sp.Kind != timeline.KindPhase {
-				continue
+	for _, e := range engines(t, r, s, 16) {
+		t.Run(e.name, func(t *testing.T) {
+			rec := timeline.NewWallRecorder(workers)
+			e.run(t, Config{Workers: workers, Timeline: rec})
+			var phases [timeline.NumPhases]int
+			for _, proc := range rec.Procs() {
+				for _, sp := range proc.Spans {
+					if sp.Kind != timeline.KindPhase {
+						continue
+					}
+					if sp.Args.A < 0 || sp.Args.A >= timeline.NumPhases {
+						t.Fatalf("phase span with out-of-range phase %d", sp.Args.A)
+					}
+					phases[sp.Args.A]++
+				}
 			}
-			if sp.Args.A < 0 || sp.Args.A >= timeline.NumPhases {
-				t.Fatalf("phase span with out-of-range phase %d", sp.Args.A)
+			if phases[timeline.PhaseSweep] != workers {
+				t.Errorf("%d sweep phase spans, want %d", phases[timeline.PhaseSweep], workers)
 			}
-			phases[sp.Args.A]++
-		}
-	}
-	if phases[timeline.PhaseSweep] != workers {
-		t.Errorf("%d sweep phase spans, want %d", phases[timeline.PhaseSweep], workers)
-	}
-	if phases[timeline.PhasePrep] != 1 || phases[timeline.PhasePartition] != 1 ||
-		phases[timeline.PhaseMerge] != 1 {
-		t.Errorf("owner phase spans prep=%d partition=%d merge=%d, want 1 each",
-			phases[timeline.PhasePrep], phases[timeline.PhasePartition], phases[timeline.PhaseMerge])
+			if phases[timeline.PhasePrep] != 1 || phases[timeline.PhasePartition] != 1 ||
+				phases[timeline.PhaseMerge] != 1 {
+				t.Errorf("owner phase spans prep=%d partition=%d merge=%d, want 1 each",
+					phases[timeline.PhasePrep], phases[timeline.PhasePartition], phases[timeline.PhaseMerge])
+			}
+		})
 	}
 }
 
@@ -513,20 +536,29 @@ func bigRectTrees(tb testing.TB) (*rtree.Tree, *rtree.Tree) {
 // count, blocks + O(workers); in bytes, what those hold — where a slice
 // grown by append allocates about five times the result. The traversal's
 // own allocations are measured by a run whose Refiner rejects every
-// candidate and subtracted.
+// candidate and subtracted. The paged entry point decodes the same nodes
+// in both runs (its pools hold every page), so the same subtraction
+// isolates its output path too.
 func TestJoinOutputAllocationBounded(t *testing.T) {
 	r, s := bigRectTrees(t)
+	for _, e := range engines(t, r, s, 1<<12) {
+		t.Run(e.name, func(t *testing.T) { outputAllocationBounded(t, e) })
+	}
+}
+
+func outputAllocationBounded(t *testing.T, e engine) {
 	const workers = 3
 	measure := func(cfg Config) (res Result, mallocs, bytes int64) {
 		var m0, m1 runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&m0)
-		res = Join(r, s, cfg)
+		res = e.run(t, cfg)
 		runtime.ReadMemStats(&m1)
 		return res, int64(m1.Mallocs - m0.Mallocs), int64(m1.TotalAlloc - m0.TotalAlloc)
 	}
-	_, baseN, baseB := measure(Config{Workers: workers,
-		Refiner: func(join.Candidate) bool { return false }})
+	reject := Config{Workers: workers, Refiner: func(join.Candidate) bool { return false }}
+	e.run(t, reject) // warm up: both measured runs start alike
+	_, baseN, baseB := measure(reject)
 	res, n, b := measure(Config{Workers: workers})
 
 	const candBytes = int64(unsafe.Sizeof(join.Candidate{}))
@@ -578,6 +610,32 @@ func TestSortedMatchesSortedUnsorted(t *testing.T) {
 			first = got
 		} else if !slices.Equal(got, first) {
 			t.Fatalf("workers=%d: sorted result differs from workers=1", workers)
+		}
+	}
+}
+
+// TestJoinPagedAbortsOnCorruptNode points every entry of one level-1 node
+// at the node itself: the workers that reach it read a level-1 page where
+// a leaf is expected, and the first such error must abort the whole join
+// — every worker stops, and the error is returned instead of a result.
+func TestJoinPagedAbortsOnCorruptNode(t *testing.T) {
+	r, s := testTrees(t)
+	n := r.Node(r.Root())
+	for n.Level > 1 {
+		n = r.Node(n.Entries[0].Child)
+	}
+	for i := range n.Entries {
+		n.Entries[i].Child = n.Page
+	}
+	pr, ps := persist(t, r, 16), persist(t, s, 16)
+	want := fmt.Sprintf("page %d is level 1, parent expects 0", n.Page)
+	for _, workers := range []int{1, 4, 8} {
+		res, err := JoinPaged(pr, ps, Config{Workers: workers})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("workers=%d: err %v, want %q", workers, err, want)
+		}
+		if res.Candidates != nil {
+			t.Fatalf("workers=%d: an aborted join returned %d candidates", workers, len(res.Candidates))
 		}
 	}
 }

@@ -6,16 +6,23 @@ import (
 	"spjoin/internal/runtimeobs"
 )
 
-// TestJoinProgress pins the tree executor's progress contract: every
-// expanded node pair is one unit, children grow the total as they enter
-// the deques, and at the drain done == total == the sum of PerWorker.
+// TestJoinProgress pins the tree executor's progress contract on both
+// entry points: every expanded node pair is one unit, children grow the
+// total as they enter the deques, and at the drain done == total == the
+// sum of PerWorker.
 func TestJoinProgress(t *testing.T) {
 	r, s := testTrees(t)
+	for _, e := range engines(t, r, s, 16) {
+		t.Run(e.name, func(t *testing.T) { joinProgress(t, e) })
+	}
+}
+
+func joinProgress(t *testing.T, e engine) {
 	live := runtimeobs.NewLive()
 	prog := live.NewProgress("native")
 
 	for seq, workers := range []int{1, 4} {
-		res := Join(r, s, Config{Workers: workers, Progress: prog})
+		res := e.run(t, Config{Workers: workers, Progress: prog})
 		st, ok := prog.Status()
 		if !ok || st.Running {
 			t.Fatalf("w=%d: slot not settled: %+v ok=%v", workers, st, ok)

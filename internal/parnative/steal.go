@@ -153,28 +153,21 @@ type stealScheduler struct {
 	done    bool
 }
 
-// newStealScheduler distributes the created tasks over the workers in
-// contiguous blocks — plane-sweep order, like the paper's static range
-// assignment (§3.1) — and lets stealing balance from there.
+// newStealScheduler distributes the created tasks over the workers by the
+// paper's static range assignment (§3.1, join.SplitRange: contiguous
+// blocks in plane-sweep order) and lets stealing balance from there.
 func newStealScheduler(workers int, tasks []join.NodePair) *stealScheduler {
 	s := &stealScheduler{
 		deques: make([]*workerDeque, workers),
 		bufs:   make([][]join.NodePair, workers),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	base, extra := len(tasks)/workers, len(tasks)%workers
-	pos := 0
-	for i := range s.deques {
-		size := base
-		if i < extra {
-			size++
-		}
-		d := &workerDeque{items: make([]join.NodePair, 0, 2*size+8)}
+	for i, block := range join.SplitRange(tasks, workers) {
+		d := &workerDeque{items: make([]join.NodePair, 0, 2*len(block)+8)}
 		// Load bottom-up so the top of the deque pops in plane-sweep order.
-		for j := pos + size - 1; j >= pos; j-- {
-			d.items = append(d.items, tasks[j])
+		for j := len(block) - 1; j >= 0; j-- {
+			d.items = append(d.items, block[j])
 		}
-		pos += size
 		s.deques[i] = d
 	}
 	s.inflight.Store(int64(len(tasks)))

@@ -234,11 +234,14 @@ func OpenTree(path string, bufferPages int) (t *PagedTree, close func() error, e
 }
 
 // JoinOutOfCore runs the filter join over two persisted trees with real
-// page I/O through their buffer pools. It returns the candidates and the
-// number of physical page reads performed.
+// page I/O through their buffer pools, on one worker of the native
+// executor. It returns the candidates and the number of physical page
+// reads performed (the pools' misses during the join).
 func JoinOutOfCore(r, s *PagedTree) ([]Candidate, int64, error) {
-	cands, stats, err := join.PagedSequential(r, s, join.Options{})
-	return cands, stats.Reads(), err
+	misses := func() int64 { return r.Pool().Misses() + s.Pool().Misses() }
+	before := misses()
+	res, err := parnative.JoinPaged(r, s, parnative.Config{Workers: 1})
+	return res.Candidates, misses() - before, err
 }
 
 // Assignment selects how tasks reach the simulated processors.

@@ -1,8 +1,13 @@
 package spjoin
 
 import (
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
+
+	"spjoin/internal/parnative"
 )
 
 func sampleTrees(tb testing.TB) (*Tree, *Tree) {
@@ -159,6 +164,106 @@ func TestOutOfCoreFacade(t *testing.T) {
 	}
 	if len(pairs) != len(Join(r, s)) {
 		t.Fatalf("out-of-core found %d pairs, in-memory %d", len(pairs), len(Join(r, s)))
+	}
+}
+
+// openOutOfCore persists r and s with SaveTree and opens both with a pool
+// of frames pages each.
+func openOutOfCore(t *testing.T, r, s *Tree, frames int) (*PagedTree, *PagedTree) {
+	t.Helper()
+	dir := t.TempDir()
+	open := func(tree *Tree, name string) *PagedTree {
+		path := filepath.Join(dir, name)
+		if err := SaveTree(tree, path); err != nil {
+			t.Fatal(err)
+		}
+		pt, closeTree, err := OpenTree(path, frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { closeTree() })
+		return pt
+	}
+	return open(r, "r.spjf"), open(s, "s.spjf")
+}
+
+// TestOutOfCoreReadsPinned pins the out-of-core join's candidates and
+// physical reads on the examples/outofcore input: the traversal order, and
+// with it every buffer-pool miss, is part of the contract.
+func TestOutOfCoreReadsPinned(t *testing.T) {
+	streets, features := SampleMaps(0.05, 42)
+	r, s := BuildSTR(streets, 0.73), BuildSTR(features, 0.73)
+	for _, tc := range []struct {
+		frames int
+		reads  int64
+	}{{64, 792}, {1024, 729}} {
+		pr, ps := openOutOfCore(t, r, s, tc.frames)
+		pairs, reads, err := JoinOutOfCore(pr, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pairs) != 407 || reads != tc.reads {
+			t.Errorf("%d frames: %d candidates, %d reads; want 407, %d",
+				tc.frames, len(pairs), reads, tc.reads)
+		}
+	}
+}
+
+func TestOutOfCoreSmallPoolMoreReads(t *testing.T) {
+	r, s := sampleTrees(t)
+	_, big, err := JoinOutOfCore(openOutOfCore(t, r, s, 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, small, err := JoinOutOfCore(openOutOfCore(t, r, s, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small <= big {
+		t.Fatalf("tiny pool reads %d <= big pool reads %d", small, big)
+	}
+}
+
+func TestOutOfCoreEmptyTrees(t *testing.T) {
+	empty := Build(nil)
+	pairs, reads, err := JoinOutOfCore(openOutOfCore(t, empty, empty, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pairs) != 0 || reads != 0 {
+		t.Fatalf("empty out-of-core join: %d pairs, %d reads", len(pairs), reads)
+	}
+}
+
+// TestOutOfCoreSelfReferencingRoot joins a crafted page file whose root
+// entries all point back at the root page. Both paged joins must fail with
+// the level mismatch instead of descending forever.
+func TestOutOfCoreSelfReferencingRoot(t *testing.T) {
+	streets, features := SampleMaps(0.05, 42)
+	r, s := BuildSTR(streets, 0.73), BuildSTR(features, 0.73)
+	root := r.Node(r.Root())
+	for i := range root.Entries {
+		root.Entries[i].Child = r.Root()
+	}
+	pr, ps := openOutOfCore(t, r, s, 64)
+	want := fmt.Sprintf("page %d is level %d, parent expects %d", r.Root(), root.Level, root.Level-1)
+	for name, run := range map[string]func() error{
+		"JoinOutOfCore": func() error { _, _, err := JoinOutOfCore(pr, ps); return err },
+		"JoinPaged": func() error {
+			_, err := parnative.JoinPaged(pr, ps, parnative.Config{Workers: 4})
+			return err
+		},
+	} {
+		done := make(chan error, 1)
+		go func() { done <- run() }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: err %v, want %q", name, err, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s still running after 10 s: the traversal loops", name)
+		}
 	}
 }
 
