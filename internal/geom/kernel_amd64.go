@@ -3,11 +3,11 @@
 package geom
 
 // AVX2 kernel bindings. The assembly (kernel_amd64.s) implements the exact
-// 4-wide float64 intersection test and the 64-wide quantized byte gate;
-// this file owns the CPU feature detection that decides whether they may
-// run. Builds with -tags purego exclude both files and fall back to the
-// scalar kernels (kernel_fallback.go), which is also the forced path of
-// SetKernel("purego").
+// 4-wide float64 intersection test, the 64-wide quantized byte gate and
+// the 8-lane plane-sweep scan; this file owns the CPU feature detection
+// that decides whether they may run. Builds with -tags purego exclude both
+// files and fall back to the scalar kernels (kernel_fallback.go), which
+// is also the forced path of SetKernel("purego").
 
 // avx2Available reports whether the CPU supports AVX2 and the OS has
 // enabled 256-bit vector state. Detected once at init.
@@ -52,6 +52,17 @@ func intersectBlocks(q *[4]float64, minx, miny, maxx, maxy *float64, n int) uint
 //
 //go:noescape
 func quantGate64(q *[4]uint8, minx, miny, maxx, maxy *uint8) uint64
+
+// sweepScan8 runs the plane sweep's inner scan eight lanes at a time: t
+// is the sweep rect as {MaxX, MinY, MaxY}, the planes start at the scan's
+// first lane and hold n of them. It steps while eight lanes and eight of
+// out's room slots remain, stores each compared lane's hit in lane order
+// as the pair whose bits are base + lane*mul, and stops at the first lane
+// starting past t.MaxX (brk = 1). It returns the lanes compared and the
+// pairs stored. See SweepPairsPlanesDense for the predicates it mirrors.
+//
+//go:noescape
+func sweepScan8(t *[3]float64, minx, miny, maxy *float64, n int, out *IndexPair, room int, base, mul uint64) (lanes, hits, brk int)
 
 // cpuid executes the CPUID instruction with the given leaf/subleaf.
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

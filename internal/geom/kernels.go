@@ -3,6 +3,7 @@ package geom
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Kernel dispatch. The filter kernels over Planes exist twice: a pure-Go
@@ -10,8 +11,9 @@ import (
 // (kernel_amd64.s) selected at init when the CPU and OS support 256-bit
 // vector state. The two are semantically identical — the vector code
 // evaluates the same closed-rectangle predicate, bit for bit, including
-// NaN and EmptyRect never matching — so dispatch is purely a performance
-// decision. SetKernel("purego") forces the fallback at runtime for A/B
+// NaN and EmptyRect never matching, and the dense sweep's vector scan the
+// same break and overlap tests as its scalar loop, down to the comparison
+// count — so dispatch is purely a performance decision. SetKernel("purego") forces the fallback at runtime for A/B
 // runs; builds with -tags purego never compile the assembly at all.
 
 var useAVX2 = avx2Available
@@ -157,6 +159,11 @@ func quantGateGo(qq *[4]uint8, p *Planes, lo, hi int) uint64 {
 // a step through a dense float64 stream — no index indirection, no
 // striding. Pair set, order and the comparison count equal
 // SweepPairsPlanes over the same rectangles with identity index slices.
+//
+// On the AVX2 path each scan runs eight lanes at a time (sweepScan8) while
+// eight or more lanes of the other side remain, and finishes its tail of
+// under eight lanes in the scalar loop below; the scalar loop alone is the
+// purego path and the oracle the vector scan is tested against.
 func SweepPairsPlanesDense(r, s *Planes, out []IndexPair) ([]IndexPair, int) {
 	rMinX, rMinY, rMaxX, rMaxY := r.MinX, r.MinY, r.MaxX, r.MaxY
 	sMinX, sMinY, sMaxX, sMaxY := s.MinX, s.MinY, s.MaxX, s.MaxY
@@ -164,12 +171,26 @@ func SweepPairsPlanesDense(r, s *Planes, out []IndexPair) ([]IndexPair, int) {
 	// checks vanish (the loop conditions already guard len(\*MinX)).
 	rMinY, rMaxX, rMaxY = rMinY[:len(rMinX)], rMaxX[:len(rMinX)], rMaxY[:len(rMinX)]
 	sMinY, sMaxX, sMaxY = sMinY[:len(sMinX)], sMaxX[:len(sMinX)], sMaxY[:len(sMinX)]
+	vec := useAVX2
 	comparisons := 0
 	i, j := 0, 0
 	for i < len(rMinX) && j < len(sMinX) {
 		if rMinX[i] <= sMinX[j] {
 			tMaxX, tMinY, tMaxY := rMaxX[i], rMinY[i], rMaxY[i]
-			for k := j; k < len(sMinX); k++ {
+			k := j
+			if vec && len(sMinX)-k >= 8 {
+				var n int
+				var brk bool
+				t := [3]float64{tMaxX, tMinY, tMaxY}
+				out, n, brk = sweepScanVec(&t, sMinX, sMinY, sMaxY, k, uint64(uint32(i)), 1<<32, out)
+				comparisons += n
+				k += n
+				if brk {
+					i++
+					continue
+				}
+			}
+			for ; k < len(sMinX); k++ {
 				if sMinX[k] > tMaxX {
 					break
 				}
@@ -181,7 +202,20 @@ func SweepPairsPlanesDense(r, s *Planes, out []IndexPair) ([]IndexPair, int) {
 			i++
 		} else {
 			tMaxX, tMinY, tMaxY := sMaxX[j], sMinY[j], sMaxY[j]
-			for k := i; k < len(rMinX); k++ {
+			k := i
+			if vec && len(rMinX)-k >= 8 {
+				var n int
+				var brk bool
+				t := [3]float64{tMaxX, tMinY, tMaxY}
+				out, n, brk = sweepScanVec(&t, rMinX, rMinY, rMaxY, k, uint64(uint32(j))<<32, 1, out)
+				comparisons += n
+				k += n
+				if brk {
+					j++
+					continue
+				}
+			}
+			for ; k < len(rMinX); k++ {
 				if rMinX[k] > tMaxX {
 					break
 				}
@@ -194,6 +228,30 @@ func SweepPairsPlanesDense(r, s *Planes, out []IndexPair) ([]IndexPair, int) {
 		}
 	}
 	return out, comparisons
+}
+
+// sweepScanVec runs sweepScan8 over the other side's lanes k0.. for the
+// sweep rect t, growing out whenever fewer than eight free slots are left.
+// fixed is the sweep rect's half of every pair and mul places the lane in
+// the other half (see sweepScan8). It returns the grown out, the lanes
+// compared, and whether the scan stopped at a lane past t's MaxX; when it
+// did not, fewer than eight lanes remain for the scalar tail.
+func sweepScanVec(t *[3]float64, minX, minY, maxY []float64, k0 int, fixed, mul uint64, out []IndexPair) ([]IndexPair, int, bool) {
+	k := k0
+	for len(minX)-k >= 8 {
+		if cap(out)-len(out) < 8 {
+			out = slices.Grow(out, 8)
+		}
+		free := out[len(out):cap(out)]
+		lanes, hits, brk := sweepScan8(t, &minX[k], &minY[k], &maxY[k], len(minX)-k,
+			&free[0], len(free), fixed+uint64(k)*mul, mul)
+		out = out[:len(out)+hits]
+		k += lanes
+		if brk != 0 {
+			return out, k - k0, true
+		}
+	}
+	return out, k - k0, false
 }
 
 // SweepPairsPlanes enumerates all intersecting pairs between r and s with

@@ -319,6 +319,153 @@ func checkSweepPlanesOracle(t *testing.T, rs, ss []Rect) {
 	}
 }
 
+// checkDenseOracle runs SweepPairsPlanesDense over rs and ss exactly as
+// laid out (no sort: every rect sits in the lane the test put it in) and
+// requires the scalar oracle's pairs, pair order and comparison count over
+// identity orders. The output goes behind a prefix of sentinel pairs in a
+// buffer too small for the result, so the vector scan's output growth
+// runs too, and the prefix must survive.
+func checkDenseOracle(t *testing.T, rs, ss []Rect) {
+	t.Helper()
+	want, wantComps := sweepIndexed(rs, ss, identity32(len(rs)), identity32(len(ss)))
+	var rp, sp Planes
+	rp.FromRects(rs)
+	sp.FromRects(ss)
+	for _, prefix := range []int{0, 3} {
+		out := make([]IndexPair, prefix, prefix+5)
+		for i := range out {
+			out[i] = IndexPair{R: -1, S: -1}
+		}
+		got, comps := SweepPairsPlanesDense(&rp, &sp, out)
+		if comps != wantComps {
+			t.Fatalf("prefix %d: comparisons %d, scalar %d", prefix, comps, wantComps)
+		}
+		if len(got) != prefix+len(want) {
+			t.Fatalf("prefix %d: %d pairs, scalar %d", prefix, len(got)-prefix, len(want))
+		}
+		for i := range got[:prefix] {
+			if got[i] != (IndexPair{R: -1, S: -1}) {
+				t.Fatalf("prefix %d: sentinel %d overwritten with %v", prefix, i, got[i])
+			}
+		}
+		for i, h := range got[prefix:] {
+			if h != want[i] {
+				t.Fatalf("prefix %d: pair %d is %v, scalar %v", prefix, i, h, want[i])
+			}
+		}
+	}
+}
+
+// TestSweepDenseBlockEdges drives the dense sweep's scans across the
+// vector scan's block edges: every scan length from 0 to 24 lanes (so the
+// break falls at lane 0, 7, 8, 9, 15, 16 and everywhere between), views
+// that end before, at and after the break, scans starting at every offset
+// into the other side, and both sides as the sweep side. Pair order and
+// comparison count must equal the scalar oracle's exactly.
+func TestSweepDenseBlockEdges(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		for b := 0; b <= 24; b++ {
+			for n := max(b-2, 0); n <= b+10; n++ {
+				// One R rect scanning S lanes 0..n-1 at MinX 1..n: the
+				// first b start within its MaxX, lane b (if any) past it.
+				// S's y-extents cycle through hit, hit, miss.
+				r := []Rect{NewRect(0, 0.5, float64(b)+0.5, 1.5)}
+				s := make([]Rect, n)
+				for k := range s {
+					x, y := float64(k+1), float64(k%3)
+					s[k] = NewRect(x, y, x+0.5, y+1)
+				}
+				checkDenseOracle(t, r, s)
+				checkDenseOracle(t, s, r)
+				// Staggered: R rect m starts between S lanes m and m+1 and
+				// scans b of them from offset m+1, so the scans start at
+				// every alignment.
+				rs := make([]Rect, n)
+				for m := range rs {
+					x := float64(m) + 1.5
+					rs[m] = NewRect(x, 0.5, x+float64(b), 1.5)
+				}
+				checkDenseOracle(t, rs, s)
+				checkDenseOracle(t, s, rs)
+			}
+		}
+	})
+}
+
+// TestSweepDenseEqualKeys runs scans through runs of equal MinX, with +0
+// and −0 mixed in the keys and in the sweep rect's MaxX: −0 > +0 is false,
+// so a run of zero keys stays in range for a zero MaxX of either sign.
+func TestSweepDenseEqualKeys(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	eachKernel(t, func(t *testing.T) {
+		for _, n := range []int{7, 8, 9, 16, 20} {
+			for _, maxX := range []float64{0, negZero} {
+				s := make([]Rect, n+4)
+				for k := range s {
+					x := 0.0
+					if k%2 == 1 {
+						x = negZero
+					}
+					if k >= n { // the run ends: keys past any zero MaxX
+						x = 1
+					}
+					s[k] = Rect{MinX: x, MinY: float64(k % 3), MaxX: x + 1, MaxY: float64(k%3) + 1}
+				}
+				var r []Rect
+				for m := 0; m < 3; m++ { // equal keys on the sweep side too
+					r = append(r, Rect{MinX: negZero, MinY: 0.5, MaxX: maxX, MaxY: 1.5})
+				}
+				checkDenseOracle(t, r, s)
+				checkDenseOracle(t, s, r)
+			}
+		}
+	})
+}
+
+// TestSweepDenseSpecials puts NaN, +Inf and −Inf into each coordinate of
+// one scanned lane, at positions around the block edges, and into each
+// coordinate of the sweep rect. A NaN key never stops a scan (NaN > MaxX
+// is false), +Inf stops it and −Inf does not; a NaN in the sweep rect's
+// MaxX keeps the scan going to the view's end, as the scalar loop does.
+func TestSweepDenseSpecials(t *testing.T) {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	// 32 S lanes at MinX 0..31; the sweep rect reaches MinX 20.5, so the
+	// scan breaks at lane 21.
+	base := func() (r, s []Rect) {
+		s = make([]Rect, 32)
+		for k := range s {
+			x, y := float64(k), float64(k%3)
+			s[k] = NewRect(x, y, x+1, y+1)
+		}
+		return []Rect{NewRect(0, 0.5, 20.5, 1.5)}, s
+	}
+	eachKernel(t, func(t *testing.T) {
+		for _, v := range specials {
+			for c := 0; c < 4; c++ {
+				for _, p := range []int{0, 1, 7, 8, 9, 15, 16, 20, 21, 22, 31} {
+					r, s := base()
+					setCoord(&s[p], c, v)
+					checkDenseOracle(t, r, s)
+					checkDenseOracle(t, s, r)
+				}
+				r, s := base()
+				setCoord(&r[0], c, v)
+				checkDenseOracle(t, r, s)
+				checkDenseOracle(t, s, r)
+			}
+		}
+		// The NaN MaxX case on its own: one scan over all 32 lanes.
+		r, s := base()
+		r[0].MaxX = math.NaN()
+		var rp, sp Planes
+		rp.FromRects(r)
+		sp.FromRects(s)
+		if _, comps := SweepPairsPlanesDense(&rp, &sp, nil); comps != len(s) {
+			t.Fatalf("NaN MaxX: %d comparisons, want a scan over all %d lanes", comps, len(s))
+		}
+	})
+}
+
 // TestPlanesView pins the zero-copy subrange view: the batch kernel over a
 // view (quantized mirror included) must agree with the scalar predicate
 // over the corresponding rect subslice, for spans straddling word and
@@ -431,13 +578,85 @@ func FuzzIntersectBatchPlanes(f *testing.F) {
 	})
 }
 
+// FuzzSweepPairsPlanes checks both sweep kernels on both kernel paths:
+// finite rects against the scalar sweep and brute force, then the same
+// rects with NaN, ±Inf or −0 coordinates injected against the scalar sweep
+// alone (a NaN key has no sweep order, so brute force does not apply).
+// The rects are wide enough for scans of many lanes, so the vector scan
+// runs (see fuzzSweepRects).
 func FuzzSweepPairsPlanes(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0})
+	long := []byte{40, 0x25}
+	for i := 0; i < 80; i++ {
+		long = append(long, byte(i*5), byte(i*11), byte(i*13), byte(i*7))
+	}
+	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rs, ss := fuzzRects(data)
-		checkSweepAgainstOracles(t, rs, ss)
+		defer SetKernel("auto")
+		rs, ss, sel := fuzzSweepRects(data)
+		for _, mode := range []string{"auto", "purego"} {
+			if err := SetKernel(mode); err != nil {
+				t.Fatal(err)
+			}
+			checkSweepAgainstOracles(t, rs, ss)
+		}
+		injectSpecials(rs, sel)
+		injectSpecials(ss, sel>>1)
+		for _, mode := range []string{"auto", "purego"} {
+			if err := SetKernel(mode); err != nil {
+				t.Fatal(err)
+			}
+			checkSweepPlanesOracle(t, rs, ss)
+		}
 	})
+}
+
+// fuzzSweepRects decodes a sweep fuzz payload: byte 0 picks how many rects
+// go to R, byte 1 is the special-value selector for injectSpecials, and
+// every further 4 bytes are one rect on a 64×64 integer grid with extents
+// under 32 — up to 128 rects, so a side holds up to 64 and a scan often
+// covers eight lanes or more.
+func fuzzSweepRects(data []byte) (rs, ss []Rect, sel byte) {
+	if len(data) < 2 {
+		return nil, nil, 0
+	}
+	nr, sel := int(data[0])%65, data[1]
+	var all []Rect
+	for data = data[2:]; len(data) >= 4 && len(all) < 128; data = data[4:] {
+		x, y := float64(data[0]%64), float64(data[1]%64)
+		all = append(all, NewRect(x, y, x+float64(data[2]%32), y+float64(data[3]%32)))
+	}
+	nr = min(nr, len(all))
+	return all[:nr], all[nr:], sel
+}
+
+// injectSpecials overwrites one coordinate of every few rects with a
+// special value. sel's low two bits pick the value (NaN, +Inf, −Inf, −0),
+// the next two the coordinate, and the high four the spacing; sel == 0
+// leaves the rects finite.
+func injectSpecials(rects []Rect, sel byte) {
+	if sel == 0 {
+		return
+	}
+	v := [...]float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}[sel&3]
+	for k := int(sel>>4) % 3; k < len(rects); k += int(sel>>4) + 1 {
+		setCoord(&rects[k], int(sel>>2)&3, v)
+	}
+}
+
+// setCoord sets coordinate c of r (0 MinX, 1 MinY, 2 MaxX, 3 MaxY) to v.
+func setCoord(r *Rect, c int, v float64) {
+	switch c {
+	case 0:
+		r.MinX = v
+	case 1:
+		r.MinY = v
+	case 2:
+		r.MaxX = v
+	default:
+		r.MaxY = v
+	}
 }
 
 func BenchmarkIntersectBatchPlanes(b *testing.B) {

@@ -17,9 +17,11 @@
 //     already sweep-sorted and the per-tile joins never sort.
 //   - Each tile segment carries a coordinate-plane (SoA) copy of its
 //     rectangles in segment position order, so the per-tile sweep
-//     (geom.SweepPairsPlanesDense) walks dense float64 streams with no
-//     index indirection; tiles are scheduled largest-first over a
-//     parnative.Pool so stragglers start early.
+//     (geom.SweepPairsPlanesDense, eight lanes per step on AVX2) walks
+//     dense float64 streams with no index indirection, and the emit takes
+//     each hit's reference point from the same planes; tiles are
+//     scheduled largest-first over a parnative.Pool so stragglers start
+//     early.
 //   - A pair intersecting in several tiles is reported exactly once, by
 //     the reference-point method: only the tile containing the top-left
 //     corner of the intersection of the two MBRs reports it.
@@ -1062,9 +1064,10 @@ func (j *Joiner) joinTile(ws *workerState, t int) int {
 // joinSegs joins one work unit's two segments and pushes the surviving
 // pairs onto ws.cands, returning the comparison count. The sweep runs in
 // segment position space over the contiguous plane views; hit positions
-// map back to rect indices through the idx segments for the dedup and
-// emit. node < 0 is a root tile; otherwise the refNode whose ownership
-// chain the emit must check.
+// map back to rect indices through the idx segments, and the emit takes
+// the reference point from the views at those positions. node < 0 is a
+// root tile; otherwise the refNode whose ownership chain the emit must
+// check.
 func (j *Joiner) joinSegs(ws *workerState, rSeg, sSeg []int32, rView, sView *geom.Planes, tx, ty int, node int32) int {
 	// Tiny-side units: batch-testing each small-side rect against the
 	// larger side's plane segment beats the sweep's bookkeeping.
@@ -1078,24 +1081,21 @@ func (j *Joiner) joinSegs(ws *workerState, rSeg, sSeg []int32, rView, sView *geo
 	ws.hits, comps = geom.SweepPairsPlanesDense(rView, sView, ws.hits[:0])
 	ws.comps += int64(comps)
 	for _, h := range ws.hits {
-		j.emit(ws, rSeg[h.R], sSeg[h.S], tx, ty, node)
+		j.emit(ws, rSeg[h.R], sSeg[h.S], rView.MinX[h.R], rView.MaxY[h.R], sView.MinX[h.S], sView.MaxY[h.S], tx, ty, node)
 	}
 	return comps
 }
 
 // joinTileBatch is the small-unit path: every rect of the smaller side is
 // batch-tested against the larger side's contiguous plane segment with
-// the vectorized bitmask kernel.
+// the vectorized bitmask kernel. Like joinSegs it takes every rect it
+// tests or emits from the unit's plane views.
 func (j *Joiner) joinTileBatch(ws *workerState, rSeg, sSeg []int32, rView, sView *geom.Planes, tx, ty int, node int32) int {
-	small, large, largeView := rSeg, sSeg, sView
+	small, large, smallView, largeView := rSeg, sSeg, rView, sView
 	rSmall := true
 	if len(sSeg) < len(rSeg) {
-		small, large, largeView = sSeg, rSeg, rView
+		small, large, smallView, largeView = sSeg, rSeg, sView, rView
 		rSmall = false
-	}
-	smallRects := j.rRects
-	if !rSmall {
-		smallRects = j.sRects
 	}
 	w := geom.MaskWords(len(large))
 	if cap(ws.mask) < w {
@@ -1103,15 +1103,16 @@ func (j *Joiner) joinTileBatch(ws *workerState, rSeg, sSeg []int32, rView, sView
 	}
 	ws.mask = ws.mask[:w]
 	comps := 0
-	for _, si := range small {
-		geom.IntersectBatchPlanes(smallRects[si], largeView, ws.mask)
+	for k, si := range small {
+		q := smallView.RectAt(k)
+		geom.IntersectBatchPlanes(q, largeView, ws.mask)
 		comps += len(large)
 		for i, li := range large {
 			if ws.mask[i>>6]>>(uint(i)&63)&1 != 0 {
 				if rSmall {
-					j.emit(ws, si, li, tx, ty, node)
+					j.emit(ws, si, li, q.MinX, q.MaxY, largeView.MinX[i], largeView.MaxY[i], tx, ty, node)
 				} else {
-					j.emit(ws, li, si, tx, ty, node)
+					j.emit(ws, li, si, largeView.MinX[i], largeView.MaxY[i], q.MinX, q.MaxY, tx, ty, node)
 				}
 			}
 		}
@@ -1126,17 +1127,18 @@ func (j *Joiner) joinTileBatch(ws *workerState, rSeg, sSeg []int32, rView, sView
 // MBRs. That corner lies inside both rects, hence inside one of the tiles
 // (and, per split level, one of the subcells) both were assigned to, so
 // every pair is reported exactly once. For refined units the root tile
-// check is followed by the node chain's frozen subcell checks.
-func (j *Joiner) emit(ws *workerState, rIdx, sIdx int32, tx, ty int, node int32) {
-	a := &j.rRects[rIdx]
-	b := &j.sRects[sIdx]
-	px := a.MinX // left edge of the intersection
-	if b.MinX > px {
-		px = b.MinX
+// check is followed by the node chain's frozen subcell checks. The
+// callers pass the two rects' MinX and MaxY from the unit's plane views:
+// they hold the same mirrored rects as j.rRects and j.sRects, in the
+// order the sweep just read, where the mirrors would be a random load.
+func (j *Joiner) emit(ws *workerState, rIdx, sIdx int32, rMinX, rMaxY, sMinX, sMaxY float64, tx, ty int, node int32) {
+	px := rMinX // left edge of the intersection
+	if sMinX > px {
+		px = sMinX
 	}
-	py := a.MaxY // top edge of the intersection
-	if b.MaxY < py {
-		py = b.MaxY
+	py := rMaxY // top edge of the intersection
+	if sMaxY < py {
+		py = sMaxY
 	}
 	ox, oy := j.tileOf(px, py)
 	if ox != tx || oy != ty {
