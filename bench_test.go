@@ -327,8 +327,7 @@ func BenchmarkPartitionJoinCold(b *testing.B) {
 	}
 }
 
-// skewedSides builds the clustered workload the refinement benchmarks
-// share: both sides pile up on the same gaussian hot spots (shared
+// skewedSides builds the clustered workload the skew benchmarks share: both sides pile up on the same gaussian hot spots (shared
 // centerSeed), the distribution where a uniform grid leaves one tile with
 // a quadratic sweep.
 func skewedSides() (r, s []rtree.Item) {
@@ -337,7 +336,7 @@ func skewedSides() (r, s []rtree.Item) {
 }
 
 // BenchmarkPartitionJoinSkewed is the adversarial baseline: the clustered
-// workload on the uniform grid with tile refinement disabled — the
+// workload on the uniform grid with the hot-tile split disabled — the
 // hottest tile dominates the join.
 func BenchmarkPartitionJoinSkewed(b *testing.B) {
 	r, s := skewedSides()
@@ -353,16 +352,15 @@ func BenchmarkPartitionJoinSkewed(b *testing.B) {
 }
 
 // BenchmarkPartitionJoinSkewedRefined is the same workload with the
-// adaptive refinement at its auto threshold: hot tiles split into
-// subtiles until every work unit is back in the sweep sweet spot. Steady
-// state reuses the cached refinement schedule, so this stays
-// allocation-free like BenchmarkPartitionJoin.
+// hot-tile split at its auto threshold: hot tiles' sweeps are cut into
+// several work units. Steady state reuses the cached schedule, so this
+// stays allocation-free like BenchmarkPartitionJoin.
 func BenchmarkPartitionJoinSkewedRefined(b *testing.B) {
 	r, s := skewedSides()
 	var j partjoin.Joiner
 	defer j.Close()
 	cfg := partjoin.Config{RefineThreshold: 0}
-	j.Join(r, s, cfg) // warm buffers, pool and refinement schedule
+	j.Join(r, s, cfg) // warm buffers, pool and schedule
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -386,12 +384,12 @@ func BenchmarkNativeTreeJoin(b *testing.B) {
 }
 
 // BenchmarkPartitionJoinColdSkewed is the cold path on clustered data at
-// 10x the refinement benchmarks' cardinality: every iteration disturbs the
+// 10x the skew benchmarks' cardinality: every iteration disturbs the
 // order of rebuildRects rectangles so the build re-sorts, recounts and
-// re-scatters a workload whose tiles are heavily skewed — hot tiles route
-// through the join phase's refinement hand-off instead of the uniform
-// sweep. Gates the cold build against the regime where the hand-off matters
-// most (many tiles, a few huge ones). Declared after the other snapshot
+// re-scatters a workload whose tiles are heavily skewed — hot tiles are
+// split into units by the schedule build. Gates the cold build against the
+// regime where the split matters most (many tiles, a few huge ones).
+// Declared after the other snapshot
 // benchmarks on purpose: its 240k-rect working set inflates the GC-paced
 // heap for the rest of the process, so it must run last in a
 // whole-snapshot `go test -bench` invocation to keep the smaller
@@ -418,8 +416,8 @@ func BenchmarkPartitionJoinColdSkewed(b *testing.B) {
 // changed), intile / crosstile / reorder (one rect changed — grown inside
 // its tile, moved two tile rows, mirrored across the world), restore3 (all
 // three put back at once) — and hottile, the in-tile growth applied to a rect
-// of the costliest tile, which is refined: the change goes down the tile's
-// refinement subtree and must leave the schedule standing. Only the re-join
+// of the costliest tile, which is split: the change edits the tile's
+// segments, re-costs its units and must leave the schedule standing. Only the re-join
 // that meets the change is timed; getting back to the base state happens off
 // the clock. Every tier is allocation-free. Declared after the small snapshot benchmarks, like the
 // other paper-scale ones.
@@ -489,7 +487,7 @@ func BenchmarkPartitionJoinRejoinMutated(b *testing.B) {
 	b.Run("hottile", func(b *testing.B) {
 		res := j.Join(r, s, cfg)
 		if res.RefinedTiles == 0 {
-			b.Fatal("no tile is refined")
+			b.Fatal("no tile is split")
 		}
 		hot, ok := tiger.HotTileGrowth(r, s, res.GX)
 		if !ok {

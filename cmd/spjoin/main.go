@@ -18,10 +18,11 @@
 // -engine=partition joins the raw rectangle sets with the grid-partitioned
 // in-memory engine (internal/partjoin): no trees are built and execution is
 // always native. -grid fixes the grid side (0 picks it from the input
-// size) and -refine sets the adaptive tile-refinement threshold (0 = auto,
-// negative = off). -engine=auto probes the inputs with internal/plan and
-// picks engine, grid, refinement and workers itself (printing the
-// decision). The default tree engine simulates the paper's machine, or
+// size) and -refine sets the hot-tile split threshold: a tile whose
+// estimated sweep cost exceeds it is joined as several units, each a range
+// of the tile sweep's events (0 = auto, negative = off). -engine=auto
+// probes the inputs with internal/plan and picks engine, grid, split and
+// workers itself (printing the decision). The default tree engine simulates the paper's machine, or
 // runs the native tree join with -native.
 //
 // -timeline writes a Perfetto/Chrome trace-event file (open it at
@@ -258,7 +259,7 @@ func main() {
 	bufferPages := flag.Int("buffer", 800, "total LRU buffer size in pages")
 	engine := flag.String("engine", "tree", "join engine: tree (R-tree based) | partition (grid-partitioned, native) | auto (planner picks)")
 	grid := flag.Int("grid", 0, "partition engine grid side (0 = choose from input size)")
-	refine := flag.Int64("refine", 0, "partition tile refinement threshold (0 = auto, negative = off)")
+	refine := flag.Int64("refine", 0, "partition hot-tile split threshold: tiles costlier than this are swept as several units (0 = auto, negative = off)")
 	variant := flag.String("variant", "gd", "lsr | gsrr | gd | sn (shared-nothing) | est (estimated static)")
 	reassign := flag.String("reassign", "all", "task reassignment: none | root | all")
 	victim := flag.String("victim", "loaded", "victim selection: loaded | random")
@@ -570,8 +571,8 @@ func repeatCount(n int) int {
 
 // generate builds the two input relations for the requested distribution.
 // uniform is the TIGER-like map pair the paper scales; gauss piles both
-// sides into the same gaussian hotspots (the skewed workload the refined
-// partition engine and the runtime-health smoke test exercise); diag
+// sides into the same gaussian hotspots (the skewed workload the hot-tile
+// split and the runtime-health smoke test exercise); diag
 // lays both sides along a jittered diagonal band.
 func generate(dist string, scale float64, seed int64) (streets, mixed []rtree.Item, err error) {
 	n := int(120000 * scale)
@@ -620,7 +621,7 @@ func runPartition(out io.Writer, r, s []rtree.Item, workers, grid int, refine in
 	fmt.Fprintf(out, "partition join with %d goroutines\n", res.Workers)
 	fmt.Fprintf(out, "grid:         %dx%d (%d work units)\n", res.GX, res.GY, res.Partitions)
 	if res.RefinedTiles > 0 {
-		fmt.Fprintf(out, "refined:      %d hot tiles -> %d subtiles\n", res.RefinedTiles, res.Subtiles)
+		fmt.Fprintf(out, "split:        %d hot tiles -> %d units\n", res.RefinedTiles, res.Subtiles)
 	}
 	fmt.Fprintf(out, "candidates:   %d\n", len(res.Candidates))
 	fmt.Fprintf(out, "duplicates:   %d suppressed\n", res.Duplicates)
@@ -685,8 +686,8 @@ func renderPartitionSummary(out io.Writer, snap metrics.Snapshot, intro *introsp
 	for _, row := range []struct{ label, counter string }{
 		{"grid tiles", "partjoin.grid_tiles"},
 		{"non-empty partitions", "partjoin.partitions"},
-		{"refined tiles", "partjoin.refined_tiles"},
-		{"subtiles", "partjoin.subtiles"},
+		{"split tiles", "partjoin.refined_tiles"},
+		{"units of split tiles", "partjoin.subtiles"},
 		{"comparisons", "partjoin.comparisons"},
 		{"candidates", "partjoin.candidates"},
 		{"duplicates suppressed", "partjoin.duplicates_suppressed"},

@@ -159,8 +159,8 @@ func TestExtensionExperimentsRender(t *testing.T) {
 }
 
 // TestSkewExperiment pins the skew extension's own contracts: the cells
-// record deterministic counters (two recordings are identical), refined
-// and unrefined cells agree on the candidate count for every
+// record deterministic counters (two recordings are identical), split
+// and unsplit cells agree on the candidate count for every
 // distribution, and the rendered table carries the whole skew ladder.
 func TestSkewExperiment(t *testing.T) {
 	record := func() (string, string) {
@@ -174,7 +174,7 @@ func TestSkewExperiment(t *testing.T) {
 		return buf.String(), store.String()
 	}
 	out, store1 := record()
-	for _, want := range []string{"uniform", "gauss60", "gauss20", "gauss5", "refined tiles"} {
+	for _, want := range []string{"uniform", "gauss60", "gauss20", "gauss5", "split tiles"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("skew table missing %q:\n%s", want, out)
 		}
@@ -201,7 +201,7 @@ func TestSkewExperiment(t *testing.T) {
 			t.Fatalf("missing skew cells for %s: %v %v", dist, err1, err2)
 		}
 		if off != auto {
-			t.Errorf("%s: candidate counts diverge refined vs unrefined: %v vs %v", dist, auto, off)
+			t.Errorf("%s: candidate counts diverge split vs unsplit: %v vs %v", dist, auto, off)
 		}
 	}
 }

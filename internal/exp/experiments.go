@@ -34,7 +34,7 @@ func All() []Experiment {
 		{"fig10", "Figure 10: Speed-up and disk accesses vs. number of processors", Fig10},
 		{"sn", "Extension (§5 future work): shared-virtual-memory vs. shared-nothing", ExpSN},
 		{"est", "Extension (§3.4): estimation-based static balancing vs. dynamic reassignment", ExpEst},
-		{"skew", "Extension: skew-adaptive tile refinement on the native partition engine", ExpSkew},
+		{"skew", "Extension: skew-adaptive hot-tile split on the native partition engine", ExpSkew},
 		{"metrics", "Cross-check: metrics registry vs. simulator results (observation-only instrumentation)", ExpMetrics},
 		{"timeline", "Cross-check: span profiler — critical path, utilization/skew, determinism (observation-only)", ExpTimeline},
 	}

@@ -68,7 +68,7 @@ func explainShape(w io.Writer, rec *Record) {
 	fmt.Fprintf(w, "\n")
 	switch rec.Engine {
 	case "partition":
-		fmt.Fprintf(w, "partition: grid=%dx%d units=%d refined_tiles=%d subtiles=%d\n",
+		fmt.Fprintf(w, "partition: grid=%dx%d units=%d split_tiles=%d split_units=%d\n",
 			rec.GX, rec.GY, rec.Partitions, rec.RefinedTiles, rec.Subtiles)
 		if rec.Reuse != "" {
 			fmt.Fprintf(w, "reuse: tier=%s delta_rects=%d\n", rec.Reuse, rec.DeltaRects)
@@ -179,7 +179,7 @@ func explainTiles(w io.Writer, rec *Record) {
 	for _, t := range rec.TopTiles {
 		kind := ""
 		if t.Refined {
-			kind = "  refined"
+			kind = "  split"
 		}
 		fmt.Fprintf(w, "  tile (%d,%d) cost=%d%s\n", t.TX, t.TY, t.Cost, kind)
 	}

@@ -24,13 +24,13 @@ func TestExplainPartitionReport(t *testing.T) {
 		"skew=5.50", "selectivity=0.0001",
 		"est. pairs", "drift",
 		"filter: candidates=300",
-		"partition: grid=24x24", "refined_tiles=2 subtiles=18",
+		"partition: grid=24x24", "split_tiles=2 split_units=18",
 		"reuse: tier=delta delta_rects=3\n",
 		"phases (measured",
 		"sweep", "prep",
 		"workers (pairs):",
 		"W0", "(steals 1)",
-		"top work units", "tile (3,4) cost=500  refined",
+		"top work units", "tile (3,4) cost=500  split",
 		"tile cost heat (24x24 grid -> 2x2 cells",
 	} {
 		if !strings.Contains(out, want) {

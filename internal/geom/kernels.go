@@ -159,12 +159,24 @@ func quantGateGo(qq *[4]uint8, p *Planes, lo, hi int) uint64 {
 // a step through a dense float64 stream — no index indirection, no
 // striding. Pair set, order and the comparison count equal
 // SweepPairsPlanes over the same rectangles with identity index slices.
+// It is SweepPairsPlanesDenseRange over all events.
+func SweepPairsPlanesDense(r, s *Planes, out []IndexPair) ([]IndexPair, int) {
+	return SweepPairsPlanesDenseRange(r, s, 0, r.Len(), 0, s.Len(), out)
+}
+
+// SweepPairsPlanesDenseRange runs the events R[i0:i1) and S[j0:j1) of the
+// dense sweep of r against s, starting from the merge state (i0, j0) and
+// stopping at (i1, j1); both states must be ones the sweep's event merge
+// passes through (see MergeSplit). Each event still scans the other side
+// from its current front to the end, so running the ranges between any
+// ascending merge states in turn appends exactly the pairs of the whole
+// sweep, in the same order, with the same summed comparison count.
 //
 // On the AVX2 path each scan runs eight lanes at a time (sweepScan8) while
 // eight or more lanes of the other side remain, and finishes its tail of
 // under eight lanes in the scalar loop below; the scalar loop alone is the
 // purego path and the oracle the vector scan is tested against.
-func SweepPairsPlanesDense(r, s *Planes, out []IndexPair) ([]IndexPair, int) {
+func SweepPairsPlanesDenseRange(r, s *Planes, i0, i1, j0, j1 int, out []IndexPair) ([]IndexPair, int) {
 	rMinX, rMinY, rMaxX, rMaxY := r.MinX, r.MinY, r.MaxX, r.MaxY
 	sMinX, sMinY, sMaxX, sMaxY := s.MinX, s.MinY, s.MaxX, s.MaxY
 	// Pin the sibling planes to the MinX lengths so the scans' bounds
@@ -173,9 +185,14 @@ func SweepPairsPlanesDense(r, s *Planes, out []IndexPair) ([]IndexPair, int) {
 	sMinY, sMaxX, sMaxY = sMinY[:len(sMinX)], sMaxX[:len(sMinX)], sMaxY[:len(sMinX)]
 	vec := useAVX2
 	comparisons := 0
-	i, j := 0, 0
-	for i < len(rMinX) && j < len(sMinX) {
-		if rMinX[i] <= sMinX[j] {
+	i, j := i0, j0
+	// Once a side is exhausted the other side's events scan nothing, so the
+	// loop ends there, as the whole sweep's does.
+	for i < len(rMinX) && j < len(sMinX) && (i < i1 || j < j1) {
+		// The merge takes R first on equal keys; past the end of the R
+		// range every remaining event is S's. (Past the end of the S range
+		// the comparison already picks R: the merge passes (i1, j1).)
+		if i < i1 && rMinX[i] <= sMinX[j] {
 			tMaxX, tMinY, tMaxY := rMaxX[i], rMinY[i], rMaxY[i]
 			k := j
 			if vec && len(sMinX)-k >= 8 {
@@ -228,6 +245,28 @@ func SweepPairsPlanesDense(r, s *Planes, out []IndexPair) ([]IndexPair, int) {
 		}
 	}
 	return out, comparisons
+}
+
+// MergeSplit returns the state (i, j), i+j = p, that the dense sweep's event
+// merge of two ascending key sequences passes through after its first p
+// events: the merge takes the R event first on equal keys, so i counts the
+// R keys among the p smallest. A binary search over the cross diagonal
+// i+j = p, O(log min(p, n)): for 0 ≤ p ≤ len(rMinX)+len(sMinX) the result
+// splits the sweep into the event ranges SweepPairsPlanesDenseRange runs.
+// The keys must be ordered (no NaN).
+func MergeSplit(rMinX, sMinX []float64, p int) (i, j int) {
+	lo, hi := max(0, p-len(sMinX)), min(p, len(rMinX))
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		// R[mid] precedes S[p-1-mid] in the merge: more than mid of the
+		// first p events are R's.
+		if rMinX[mid] <= sMinX[p-1-mid] {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, p - lo
 }
 
 // sweepScanVec runs sweepScan8 over the other side's lanes k0.. for the

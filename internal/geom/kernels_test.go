@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -466,6 +467,146 @@ func TestSweepDenseSpecials(t *testing.T) {
 	})
 }
 
+// mergeStates replays the dense sweep's event merge over two ascending key
+// sequences — the R event first on equal keys, the rest of one side once
+// the other is exhausted — and returns the state (i, j) after each of the
+// len(rMinX)+len(sMinX) events, the state before the first at index 0.
+func mergeStates(rMinX, sMinX []float64) [][2]int {
+	states := [][2]int{{0, 0}}
+	i, j := 0, 0
+	for i < len(rMinX) || j < len(sMinX) {
+		if i < len(rMinX) && (j == len(sMinX) || rMinX[i] <= sMinX[j]) {
+			i++
+		} else {
+			j++
+		}
+		states = append(states, [2]int{i, j})
+	}
+	return states
+}
+
+// checkDenseSplit sweeps rs against ss (brought into sweep order) whole and
+// then as the event ranges between the merge states MergeSplit finds at the
+// given ascending cut positions: the ranges' pairs, concatenated, must be
+// the whole sweep's in the same order, and their comparisons must sum to
+// the whole sweep's count. Each MergeSplit state must be the merge's own.
+func checkDenseSplit(t *testing.T, rs, ss []Rect, cuts []int) {
+	t.Helper()
+	ri, si := sweepOrders(rs, ss)
+	var rp, sp, rd, sd Planes
+	rp.FromRects(rs)
+	sp.FromRects(ss)
+	rd.Gather(&rp, ri)
+	sd.Gather(&sp, si)
+	want, wantComps := SweepPairsPlanesDense(&rd, &sd, nil)
+	states := mergeStates(rd.MinX, sd.MinX)
+	var got []IndexPair
+	comps := 0
+	i0, j0 := 0, 0
+	for _, p := range append(cuts, len(rs)+len(ss)) {
+		i1, j1 := MergeSplit(rd.MinX, sd.MinX, p)
+		if st := states[p]; i1 != st[0] || j1 != st[1] {
+			t.Fatalf("MergeSplit(p=%d) = (%d, %d), the merge passes (%d, %d)", p, i1, j1, st[0], st[1])
+		}
+		var c int
+		got, c = SweepPairsPlanesDenseRange(&rd, &sd, i0, i1, j0, j1, got)
+		comps += c
+		i0, j0 = i1, j1
+	}
+	if comps != wantComps {
+		t.Fatalf("cuts %v: %d comparisons, the whole sweep %d", cuts, comps, wantComps)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("cuts %v: %d pairs, the whole sweep %d", cuts, len(got), len(want))
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("cuts %v: pair %d is %v, the whole sweep's %v", cuts, k, got[k], want[k])
+		}
+	}
+}
+
+// splitRects draws n rects on a coarse lattice, so MinX runs of equal keys
+// are common; every few rects are swapped for a special: a ±0 key, a −Inf
+// key, a +Inf key, or EmptyRect.
+func splitRects(rng *rand.Rand, n int) []Rect {
+	negZero := math.Copysign(0, -1)
+	inf := math.Inf(1)
+	out := make([]Rect, n)
+	for k := range out {
+		x, y := float64(rng.Intn(12)), float64(rng.Intn(12))
+		out[k] = NewRect(x, y, x+float64(rng.Intn(6)), y+float64(rng.Intn(6)))
+		switch rng.Intn(16) {
+		case 0:
+			out[k].MinX = 0
+		case 1:
+			out[k].MinX = negZero
+		case 2:
+			out[k].MinX = -inf
+		case 3:
+			out[k] = Rect{MinX: inf, MinY: y, MaxX: inf, MaxY: y + 1}
+		case 4:
+			out[k] = EmptyRect()
+		}
+	}
+	return out
+}
+
+// TestSweepDenseRanges pins the range sweep's exactness: on random inputs
+// with runs of equal keys, ±0, ±Inf and EmptyRect lanes, sweeping the event
+// ranges between one to eight random cuts — and between cuts at every event
+// — gives exactly the whole sweep's pairs, order and comparison count.
+func TestSweepDenseRanges(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(83))
+		for round := 0; round < 200; round++ {
+			rs := splitRects(rng, rng.Intn(60))
+			ss := splitRects(rng, rng.Intn(60))
+			n := len(rs) + len(ss)
+			cuts := make([]int, 1+rng.Intn(8))
+			for k := range cuts {
+				cuts[k] = rng.Intn(n + 1)
+			}
+			slices.Sort(cuts)
+			checkDenseSplit(t, rs, ss, cuts)
+			every := make([]int, n+1)
+			for p := range every {
+				every[p] = p
+			}
+			checkDenseSplit(t, rs, ss, every)
+		}
+	})
+}
+
+// TestMergeSplitEdges covers MergeSplit's corners: the first and the last
+// state, one side empty, and all keys equal (the R events come first).
+func TestMergeSplitEdges(t *testing.T) {
+	keys := []float64{1, 2, 2, 3, 5}
+	for _, tc := range []struct {
+		name      string
+		r, s      []float64
+		p, wi, wj int
+	}{
+		{"p=0", keys, keys, 0, 0, 0},
+		{"p=n", keys, keys, 10, 5, 5},
+		{"both empty", nil, nil, 0, 0, 0},
+		{"R empty", nil, keys, 3, 0, 3},
+		{"S empty", keys, nil, 4, 4, 0},
+		{"all equal, R first", []float64{7, 7, 7}, []float64{7, 7}, 2, 2, 0},
+		{"all equal, R done", []float64{7, 7, 7}, []float64{7, 7}, 4, 3, 1},
+		{"equal run across sides", []float64{1, 2, 2}, []float64{2, 2, 3}, 3, 3, 0},
+		{"S before R", []float64{4, 5}, []float64{1, 2}, 2, 0, 2},
+	} {
+		if i, j := MergeSplit(tc.r, tc.s, tc.p); i != tc.wi || j != tc.wj {
+			t.Errorf("%s: MergeSplit(p=%d) = (%d, %d), want (%d, %d)", tc.name, tc.p, i, j, tc.wi, tc.wj)
+		}
+		st := mergeStates(tc.r, tc.s)[tc.p]
+		if st != [2]int{tc.wi, tc.wj} {
+			t.Errorf("%s: the merge passes %v at p=%d, the table says (%d, %d)", tc.name, st, tc.p, tc.wi, tc.wj)
+		}
+	}
+}
+
 // TestPlanesView pins the zero-copy subrange view: the batch kernel over a
 // view (quantized mirror included) must agree with the scalar predicate
 // over the corresponding rect subslice, for spans straddling word and
@@ -583,23 +724,27 @@ func FuzzIntersectBatchPlanes(f *testing.F) {
 // rects with NaN, ±Inf or −0 coordinates injected against the scalar sweep
 // alone (a NaN key has no sweep order, so brute force does not apply).
 // The rects are wide enough for scans of many lanes, so the vector scan
-// runs (see fuzzSweepRects).
+// runs (see fuzzSweepRects). Wherever the rects hold no NaN, the dense
+// sweep is also run as event ranges between the cuts the split byte picks
+// (checkDenseSplit).
 func FuzzSweepPairsPlanes(f *testing.F) {
-	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{3, 1, 5, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0})
-	long := []byte{40, 0x25}
+	long := []byte{40, 0x25, 0x93}
 	for i := 0; i < 80; i++ {
 		long = append(long, byte(i*5), byte(i*11), byte(i*13), byte(i*7))
 	}
 	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		defer SetKernel("auto")
-		rs, ss, sel := fuzzSweepRects(data)
+		rs, ss, sel, split := fuzzSweepRects(data)
+		cuts := splitCuts(split, len(rs)+len(ss))
 		for _, mode := range []string{"auto", "purego"} {
 			if err := SetKernel(mode); err != nil {
 				t.Fatal(err)
 			}
 			checkSweepAgainstOracles(t, rs, ss)
+			checkDenseSplit(t, rs, ss, cuts)
 		}
 		injectSpecials(rs, sel)
 		injectSpecials(ss, sel>>1)
@@ -608,27 +753,51 @@ func FuzzSweepPairsPlanes(f *testing.F) {
 				t.Fatal(err)
 			}
 			checkSweepPlanesOracle(t, rs, ss)
+			if !hasNaN(rs) && !hasNaN(ss) {
+				checkDenseSplit(t, rs, ss, cuts)
+			}
 		}
 	})
 }
 
 // fuzzSweepRects decodes a sweep fuzz payload: byte 0 picks how many rects
-// go to R, byte 1 is the special-value selector for injectSpecials, and
-// every further 4 bytes are one rect on a 64×64 integer grid with extents
-// under 32 — up to 128 rects, so a side holds up to 64 and a scan often
-// covers eight lanes or more.
-func fuzzSweepRects(data []byte) (rs, ss []Rect, sel byte) {
-	if len(data) < 2 {
-		return nil, nil, 0
+// go to R, byte 1 is the special-value selector for injectSpecials, byte 2
+// the split byte for splitCuts, and every further 4 bytes are one rect on a
+// 64×64 integer grid with extents under 32 — up to 128 rects, so a side
+// holds up to 64 and a scan often covers eight lanes or more.
+func fuzzSweepRects(data []byte) (rs, ss []Rect, sel, split byte) {
+	if len(data) < 3 {
+		return nil, nil, 0, 0
 	}
-	nr, sel := int(data[0])%65, data[1]
+	nr, sel, split := int(data[0])%65, data[1], data[2]
 	var all []Rect
-	for data = data[2:]; len(data) >= 4 && len(all) < 128; data = data[4:] {
+	for data = data[3:]; len(data) >= 4 && len(all) < 128; data = data[4:] {
 		x, y := float64(data[0]%64), float64(data[1]%64)
 		all = append(all, NewRect(x, y, x+float64(data[2]%32), y+float64(data[3]%32)))
 	}
 	nr = min(nr, len(all))
-	return all[:nr], all[nr:], sel
+	return all[:nr], all[nr:], sel, split
+}
+
+// splitCuts derives one to eight ascending cut positions in [0, n] from the
+// split byte: its low three bits give the count, the byte seeds the spread.
+func splitCuts(split byte, n int) []int {
+	cuts := make([]int, 1+int(split&7))
+	for k := range cuts {
+		cuts[k] = (int(split) + 1) * (2*k + 1) * 37 % (n + 1)
+	}
+	slices.Sort(cuts)
+	return cuts
+}
+
+// hasNaN reports whether any coordinate of any rect is NaN.
+func hasNaN(rects []Rect) bool {
+	for _, r := range rects {
+		if r.MinX != r.MinX || r.MinY != r.MinY || r.MaxX != r.MaxX || r.MaxY != r.MaxY {
+			return true
+		}
+	}
+	return false
 }
 
 // injectSpecials overwrites one coordinate of every few rects with a

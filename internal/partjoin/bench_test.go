@@ -26,16 +26,15 @@ func BenchmarkJoinGrid(b *testing.B) {
 	}
 }
 
-// BenchmarkRefinedVsUnrefinedClustered is the wall-clock side of
+// BenchmarkSplitVsWholeClustered is the wall-clock side of
 // TestRefinedBeatsUnrefinedClustered: warm re-joins of the clustered
-// 60k × 60k workload with tile refinement off and at its auto threshold.
-// The refined run is expected at least 1.25× faster at four workers.
-func BenchmarkRefinedVsUnrefinedClustered(b *testing.B) {
+// 60k × 60k workload with the hot-tile split off and at its auto trigger.
+func BenchmarkSplitVsWholeClustered(b *testing.B) {
 	r, s := clusteredExtreme()
 	for _, c := range []struct {
 		name string
 		thr  int64
-	}{{"unrefined", RefineDisabled}, {"refined", 0}} {
+	}{{"whole", RefineDisabled}, {"split", 0}} {
 		b.Run(c.name, func(b *testing.B) {
 			var j Joiner
 			defer j.Close()

@@ -7,16 +7,18 @@ import (
 
 	"spjoin/internal/geom"
 	"spjoin/internal/rtree"
+	"spjoin/internal/timeline"
 )
 
 // requireFreshJoin holds a resident Joiner's join of (r, s) — the result res
 // and the cache it left behind — against brute force and against a fresh
 // Joiner's cold join of the same inputs under cfg: the same pair sequence
 // (both sorted by the caller) always; the same cached structures wherever the grids
-// coincide (the delta tier keeps its grid frozen); and the same schedule,
-// unit for unit, with the counters that follow from it, wherever the two were
-// built under the same bounds (see freshStateDiff). It reports whether the
-// schedules were compared.
+// coincide (the delta tier keeps its grid frozen); the fresh schedule cut
+// into the resident one's frozen part counts wherever the two were built
+// under the same trigger; and, where the part counts agree too, the same
+// counters (see freshStateDiff). It reports whether the schedules were the
+// same, part counts included.
 func requireFreshJoin(t *testing.T, stage string, j *Joiner, res Result, r, s []rtree.Item, cfg Config) bool {
 	t.Helper()
 	requireBrute(t, stage, res, r, s)
@@ -52,8 +54,8 @@ func requireFreshJoin(t *testing.T, stage string, j *Joiner, res Result, r, s []
 // a fresh Joiner's cold join. Each round mutates the inputs so the
 // tiers exercise the per-side repair sort (one side's order broken), full
 // disorder (both sides), and clean re-joins in between. Run under -race this
-// is the join phase's concurrency stress: the early units, the refinement
-// hand-off and the late units all operate with real worker parallelism.
+// is the join phase's concurrency stress: the workers claim whole tiles and
+// the units of split tiles off one cursor with real parallelism.
 func TestPipelinedMatchesBarrier(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, workers := range []int{1, 2, 3, 4, 8} {
@@ -89,10 +91,9 @@ func TestPipelinedMatchesBarrier(t *testing.T) {
 }
 
 // TestPipelinedRefinementStress (the name is as old as the other's) forces
-// deep refinement on a clustered workload and checks the refinement
-// composes with the hand-off: subtiles
-// appear, the schedule is a fresh build's, and the clean fast path reuses it
-// allocation-free.
+// a fine split on a clustered workload: units appear, every join does the
+// unsplit join's work, the schedule is a fresh build's, and the clean fast
+// path reuses it allocation-free.
 func TestPipelinedRefinementStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	// A dense cluster in one corner plus background noise.
@@ -115,9 +116,11 @@ func TestPipelinedRefinementStress(t *testing.T) {
 		var j Joiner
 		res := j.Join(r, s, cfg)
 		if res.Subtiles == 0 {
-			t.Fatalf("w=%d: clustered workload did not refine", workers)
+			t.Fatalf("w=%d: clustered workload did not split", workers)
 		}
-		if !requireFreshJoin(t, fmt.Sprintf("w=%d", workers), &j, res, r, s, cfg) {
+		stage := fmt.Sprintf("w=%d", workers)
+		requireUnsplitWork(t, stage, res, r, s, cfg)
+		if !requireFreshJoin(t, stage, &j, res, r, s, cfg) {
 			t.Fatalf("w=%d: explicit threshold, yet the schedules were not comparable", workers)
 		}
 		// The schedule the build left must serve the clean fast path with
@@ -133,10 +136,10 @@ func TestPipelinedRefinementStress(t *testing.T) {
 	}
 }
 
-// TestHandoffCorners pins the corners of the join phase's hand-off — worker 0
-// refining the hot tiles while the others sweep, then publishing what the
-// tiles became — each with one worker and with more workers than units,
-// against brute force and a fresh Joiner.
+// TestHandoffCorners (named for the refinement hand-off the split replaced)
+// pins the split's corner cases, each with one worker and with more workers
+// than units, against brute force, a fresh Joiner and the unsplit join's
+// work.
 func TestHandoffCorners(t *testing.T) {
 	stack := func(n int, base rtree.EntryID) []rtree.Item {
 		rects := make([]geom.Rect, n)
@@ -164,70 +167,114 @@ func TestHandoffCorners(t *testing.T) {
 			if !requireFreshJoin(t, name(c), j, res, r, s, cfg) {
 				t.Fatalf("%s: schedules not comparable", name(c))
 			}
+			requireUnsplitWork(t, name(c), res, r, s, cfg)
+			if res.Partitions != len(j.units) {
+				t.Fatalf("%s: %d of %d units joined", name(c), res.Partitions, len(j.units))
+			}
 			return j, res
 		}
 
-		// (a) A stack of identical rects cannot be split: the one tile is
-		// hot, its split is refused, and it is joined once, as a root unit.
-		j, res := run("refused split", stack(6, 0), stack(5, 100), Config{Grid: 1, RefineThreshold: 1})
-		if res.Partitions != 1 || res.RefinedTiles != 0 || len(res.Candidates) != 30 ||
-			len(j.earlyUnits) != 0 || len(j.units) != 1 || j.units[0].node != -1 {
-			t.Fatalf("%s: %d units joined, %d refined tiles, %d pairs, schedule %v after %d early units",
-				name("refused split"), res.Partitions, res.RefinedTiles, len(res.Candidates), j.units, len(j.earlyUnits))
+		// (a) A small stack of identical rects: the one tile is hot, but the
+		// batch path joins it, so it stays one whole unit.
+		_, res := run("batch tile", stack(6, 0), stack(5, 100), Config{Grid: 1, RefineThreshold: 1})
+		if res.Partitions != 1 || res.RefinedTiles != 0 || len(res.Candidates) != 30 {
+			t.Fatalf("%s: %d units, %d split tiles, %d pairs",
+				name("batch tile"), res.Partitions, res.RefinedTiles, len(res.Candidates))
 		}
 
-		// (b) R in one corner of the only tile, S in the opposite one: the
-		// split commits, no subcell holds both sides, no unit is left.
-		j, res = run("pruned split", corner(6, 0, 0, 0), corner(6, 90, 90, 100), Config{Grid: 1, RefineThreshold: 1})
-		if res.Partitions != 0 || res.RefinedTiles != 1 || res.Subtiles != 0 || len(j.units) != 0 {
-			t.Fatalf("%s: %d units joined, %d refined tiles, %d subtiles, schedule %v",
-				name("pruned split"), res.Partitions, res.RefinedTiles, res.Subtiles, j.units)
+		// (b) A tile of identical rects: every MinX is equal, and the cut
+		// still gives one unit per event.
+		_, res = run("identical rects", stack(12, 0), stack(10, 100), Config{Grid: 1, RefineThreshold: 1})
+		if res.Partitions != 22 || res.RefinedTiles != 1 || res.Subtiles != 22 || len(res.Candidates) != 120 {
+			t.Fatalf("%s: %d units, %d split tiles into %d units, %d pairs",
+				name("identical rects"), res.Partitions, res.RefinedTiles, res.Subtiles, len(res.Candidates))
 		}
 
-		// (c) Every root tile hot: no early units, the workers wait for the
-		// refinement and everything joined comes out of it.
+		// (c) R in one corner of the only tile, S in the opposite one: the
+		// units run, nothing intersects.
+		_, res = run("disjoint corners", corner(12, 0, 0, 0), corner(12, 90, 90, 100), Config{Grid: 1, RefineThreshold: 1})
+		if res.RefinedTiles != 1 || res.Subtiles != 24 || len(res.Candidates) != 0 {
+			t.Fatalf("%s: %d split tiles into %d units, %d pairs",
+				name("disjoint corners"), res.RefinedTiles, res.Subtiles, len(res.Candidates))
+		}
+
+		// (d) Every root tile hot: everything joined is a split tile's unit
+		// or a batch tile.
 		rng := rand.New(rand.NewSource(79))
 		r := items(randomRects(rng, 300, 100, 6), 0)
 		s := items(randomRects(rng, 300, 100, 6), 10000)
-		j, res = run("all hot", r, s, Config{Grid: 3, RefineThreshold: 1})
-		if len(j.earlyUnits) != 0 || res.RefinedTiles == 0 || res.Partitions != len(j.units) {
-			t.Fatalf("%s: %d early units, %d refined tiles, %d of %d units joined",
-				name("all hot"), len(j.earlyUnits), res.RefinedTiles, res.Partitions, len(j.units))
+		_, res = run("all hot", r, s, Config{Grid: 3, RefineThreshold: 1})
+		if res.RefinedTiles == 0 {
+			t.Fatalf("%s: no tile split", name("all hot"))
 		}
 
-		// (d) Hot and cold tiles side by side, fewer units than workers at
-		// eight: a dense corner tile over a sparse background.
+		// (e) Hot and cold tiles side by side, fewer units than workers at
+		// eight: a dense corner tile, cost 1680, split four ways at trigger
+		// 1000, over a sparse background tile.
 		r = append(corner(40, 1, 1, 0), corner(2, 60, 60, 50)...)
 		s = append(corner(40, 1, 1, 100), corner(2, 60, 60, 150)...)
-		j, res = run("mixed", r, s, Config{Grid: 2, RefineThreshold: 20})
-		if len(j.earlyUnits) != 1 || res.RefinedTiles != 1 || res.Partitions != len(j.units) {
-			t.Fatalf("%s: %d early units, %d refined tiles, %d of %d units joined",
-				name("mixed"), len(j.earlyUnits), res.RefinedTiles, res.Partitions, len(j.units))
+		j, res := run("mixed", r, s, Config{Grid: 2, RefineThreshold: 1000})
+		if res.RefinedTiles != 1 || res.Subtiles != 4 || res.Partitions != 5 {
+			t.Fatalf("%s: %d split tiles into %d units, %d units joined",
+				name("mixed"), res.RefinedTiles, res.Subtiles, res.Partitions)
 		}
 
-		// (e) The warm schedule rebuild is the same build: first a changed
+		// (f) The warm schedule rebuild is the same build: first a changed
 		// threshold on unchanged inputs, then a delta whose change takes a
 		// cold tile across the trigger. Tile (1,1) holds two rects a side,
-		// cost 8; one more R rect makes it 11.
+		// cost 8; one more R rect makes it 11 — hot, but a batch tile.
 		cfg := Config{Workers: workers, Grid: 2, RefineThreshold: RefineDisabled}
 		j.Join(r, s, cfg)
 		cfg.RefineThreshold = 10
 		res = j.Join(r, s, cfg)
-		if res.Reuse != ReuseClean || res.RefinedTiles != 1 || len(j.earlyUnits) != 1 {
-			t.Fatalf("%s: tier %q, %d refined tiles, %d early units",
-				name("threshold changed"), res.Reuse, res.RefinedTiles, len(j.earlyUnits))
+		if res.Reuse != ReuseClean || res.RefinedTiles != 1 || res.PhaseNS[timeline.PhaseRefine] == 0 {
+			t.Fatalf("%s: tier %q, %d split tiles, %d ns of schedule build",
+				name("threshold changed"), res.Reuse, res.RefinedTiles, res.PhaseNS[timeline.PhaseRefine])
 		}
 		if !requireFreshJoin(t, name("threshold changed"), j, res, r, s, cfg) {
 			t.Fatalf("%s: schedules not comparable", name("threshold changed"))
 		}
 		r[5].Rect = geom.NewRect(50, 50, 50.5, 50.5)
 		res = j.Join(r, s, cfg)
-		if res.Reuse != ReuseDelta || res.RefinedTiles != 2 || len(j.earlyUnits) != 0 {
-			t.Fatalf("%s: tier %q, %d refined tiles, %d early units",
-				name("across the trigger"), res.Reuse, res.RefinedTiles, len(j.earlyUnits))
+		if res.Reuse != ReuseDelta || res.RefinedTiles != 1 || res.PhaseNS[timeline.PhaseRefine] == 0 {
+			t.Fatalf("%s: tier %q, %d split tiles, %d ns of schedule build",
+				name("across the trigger"), res.Reuse, res.RefinedTiles, res.PhaseNS[timeline.PhaseRefine])
 		}
 		if !requireFreshJoin(t, name("across the trigger"), j, res, r, s, cfg) {
 			t.Fatalf("%s: schedules not comparable", name("across the trigger"))
 		}
+		requireUnsplitWork(t, name("across the trigger"), res, r, s, cfg)
+
+		// (g) A split tile shrunk to a batch tile by deltas: tile (0,0) holds
+		// 12 R and 101 S rects (cost 1,325, 113 units at trigger 10); four R
+		// rects move to a tile without S rects, so the tile keeps its 113
+		// frozen units, stays hot at cost 917, and its 8 R rects take the
+		// batch path — joined whole by part 0, once.
+		var rs, ss []geom.Rect
+		for i := 0; i < 12; i++ {
+			d := float64(i) * 0.7
+			rs = append(rs, geom.NewRect(1+d, 1+d, 2.5+d, 2.5+d))
+		}
+		r = items(append(rs, geom.NewRect(99.9, 99.9, 100, 100)), 0)
+		for i := 0; i < 100; i++ {
+			x, y := 1+float64(i%10)*0.9, 1+float64(i/10)*0.9
+			ss = append(ss, geom.NewRect(x, y, x+1, y+1))
+		}
+		s = items(append(ss, geom.NewRect(0, 0, 0.1, 0.1)), 1000)
+		cfg = Config{Workers: workers, Grid: 2, RefineThreshold: 10}
+		j, res = run("shrunk to batch", r, s, cfg)
+		if res.RefinedTiles != 1 || res.Subtiles != 113 {
+			t.Fatalf("%s: %d split tiles into %d units", name("shrunk to batch"), res.RefinedTiles, res.Subtiles)
+		}
+		for i := 0; i < 4; i++ {
+			r[i].Rect = geom.NewRect(90+float64(i), 90, 90.5+float64(i), 90.5)
+		}
+		res = j.Join(r, s, cfg)
+		if res.Reuse != ReuseDelta || res.PhaseNS[timeline.PhaseRefine] != 0 || res.Partitions != 113 {
+			t.Fatalf("%s: tier %q, %d ns of schedule build, %d units joined; want delta, none and 113",
+				name("shrunk to batch"), res.Reuse, res.PhaseNS[timeline.PhaseRefine], res.Partitions)
+		}
+		requireFreshJoin(t, name("shrunk to batch"), j, res, r, s, cfg)
+		requireUnsplitWork(t, name("shrunk to batch"), res, r, s, cfg)
 	}
 }

@@ -28,11 +28,10 @@ import (
 //   - the work-unit schedule: a touched root tile's unit is re-costed and
 //     sifted to its place, removed when the tile loses a side's last rect,
 //     inserted when it gains a side's first. A touched tile that is hot under
-//     the trigger of the last schedule build has the change carried down its
-//     refinement subtree the same way (refdelta.go): the arena blocks are
-//     edited in place and every decision of the subtree's splits is taken
-//     again from the changed counts. Only a decision that comes out
-//     differently — or a tile crossing the trigger — clears unitsOK, and the
+//     the trigger of the last schedule build is split: its segments take the
+//     edit like any other's (its units find their event ranges at join time),
+//     and each of its frozen parts units takes its share of the new cost in
+//     place. Only a tile crossing the trigger clears unitsOK, and the
 //     schedule is then rebuilt by the same code a full build uses.
 //
 // Ordering invariant: a search by key never meets a rect whose mirror and
@@ -69,7 +68,8 @@ const (
 	// the clean tier whatever k is; the delta step costs 10–45 µs per rect
 	// moved by a tile or mirrored across the world (10–30 µs between cold
 	// tiles, 150–250 µs into or out of a refined one, whose arena tail it
-	// shifts; crossover between k = 256 and 1024) and about 90 µs per rect
+	// shifted before the split replaced refinement; crossover between
+	// k = 256 and 1024) and about 90 µs per rect
 	// grown over some twenty tiles (crossover between 64 and 256), plus at
 	// most one 4.4 ms schedule rebuild. 64 is the largest power of two at
 	// which the dearest kind still beats the rebuild.
@@ -115,8 +115,8 @@ func (e segEdit) step() int {
 
 // flatSegs is a flat segment layout the delta step edits in place: rect
 // indices grouped into consecutive sweep-sorted segments with no slack
-// between them, and their coordinates in position space. A side's root tile
-// segments and a side's refinement arena are both laid out this way.
+// between them, and their coordinates in position space — a side's tile
+// segments.
 type flatSegs struct {
 	idx    *[]int32
 	planes *geom.Planes
@@ -151,7 +151,6 @@ func (j *Joiner) runDelta() bool {
 	}
 	if j.edits == nil {
 		j.edits = make([]segEdit, 0, deltaMaxEdits)
-		j.hot = make([]hotTouch, 0, deltaMaxEdits)
 	}
 	j.deltaBudget = deltaMoveFactor * (len(j.rPart.idx) + len(j.sPart.idx))
 	ok := j.applyChanges()
@@ -216,11 +215,6 @@ func (j *Joiner) applyChange(c changeRef) bool {
 			return false
 		}
 		d.part.shiftStarts(j.edits)
-	}
-	// The root layout is final; carry the change down the refinement
-	// subtrees of the hot tiles it touched.
-	if j.unitsOK && len(j.hot) > 0 {
-		j.unitsOK = j.editRefined(c.side, i, &old, &nw, moved)
 	}
 	return true
 }
@@ -320,8 +314,7 @@ func (f flatSegs) search(lo, hi, skip int, kx, ky float64, i int32) int {
 // order. Tiles holding the rect before and after with an unchanged slot are
 // overwritten on the spot; every other tile contributes a removal, an
 // insertion, or both to j.edits. Touched tiles are re-costed in the schedule
-// as they are met, hot ones listed in j.hot. The mirror must still hold the
-// old rect.
+// as they are met. The mirror must still hold the old rect.
 func (j *Joiner) collectEdits(d *deltaSide, i int32, old, nw *geom.Rect, moved bool) bool {
 	ox0, oy0 := j.tileOf(old.MinX, old.MinY)
 	ox1, oy1 := j.tileOf(old.MaxX, old.MaxY)
@@ -329,7 +322,6 @@ func (j *Joiner) collectEdits(d *deltaSide, i int32, old, nw *geom.Rect, moved b
 	nx1, ny1 := j.tileOf(nw.MaxX, nw.MaxY)
 	g := d.part
 	j.edits = j.edits[:0]
-	j.hot = j.hot[:0]
 	for ty := min(oy0, ny0); ty <= max(oy1, ny1); ty++ {
 		oldRow := ty >= oy0 && ty <= oy1
 		newRow := ty >= ny0 && ty <= ny1
@@ -354,20 +346,20 @@ func (j *Joiner) collectEdits(d *deltaSide, i int32, old, nw *geom.Rect, moved b
 			if !ok {
 				return false
 			}
-			j.touchTile(int32(t), hi-lo, int(d.other.starts[t+1]-d.other.starts[t]), count, inOld, inNew)
+			j.touchTile(int32(t), hi-lo, int(d.other.starts[t+1]-d.other.starts[t]), count)
 		}
 	}
 	return true
 }
 
-// editSeg brings one segment [lo, hi) of f — a root tile's, or a subcell's in
-// an arena — in line with the change of rect i from old to nw. inOld and
-// inNew say whether the segment holds the rect before and after, moved
-// whether its sweep key changed. A rect that keeps its slot is overwritten on
-// the spot; otherwise a removal, an insertion or both go to j.edits. count is
-// the change of the segment's length; ok is false when the edit buffer is
-// full, the rect is not where its old key says, or the slot for its new key
-// is not strictly between its neighbours.
+// editSeg brings one tile segment [lo, hi) of f in line with the change of
+// rect i from old to nw. inOld and inNew say whether the segment holds the
+// rect before and after, moved whether its sweep key changed. A rect that
+// keeps its slot is overwritten on the spot; otherwise a removal, an
+// insertion or both go to j.edits. count is the change of the segment's
+// length; ok is false when the edit buffer is full, the rect is not where
+// its old key says, or the slot for its new key is not strictly between its
+// neighbours.
 func (j *Joiner) editSeg(f flatSegs, lo, hi int, tile, i int32, old, nw *geom.Rect, inOld, inNew, moved bool) (count int, ok bool) {
 	if len(j.edits)+2 > cap(j.edits) {
 		return 0, false
@@ -415,8 +407,8 @@ func (j *Joiner) editSeg(f flatSegs, lo, hi int, tile, i int32, old, nw *geom.Re
 	return 0, true
 }
 
-// unitCost is the scheduled cost of a tile or subtile holding a and b rects
-// of the two sides; 0 means it is not scheduled.
+// unitCost is the estimated sweep cost of a tile holding a and b rects of
+// the two sides; 0 means it is not scheduled.
 func unitCost(a, b int64) int64 {
 	if a == 0 || b == 0 {
 		return 0
@@ -428,24 +420,22 @@ func unitCost(a, b int64) int64 {
 // change touches: own and other are the two sides' rect counts before the
 // change, count the change to own. A tile that stays under the frozen
 // trigger has its unit re-costed and sifted to its place in the
-// largest-first order, removed, or inserted. One that stays past it — its
-// units came from the refinement — is listed for editRefined. One that
-// crosses it invalidates the schedule.
-func (j *Joiner) touchTile(t int32, own, other, count int, inOld, inNew bool) {
+// largest-first order, removed, or inserted; one that stays past it has
+// each of its units re-costed so. One that crosses it invalidates the
+// schedule.
+func (j *Joiner) touchTile(t int32, own, other, count int) {
 	if !j.unitsOK {
 		return
 	}
 	before := unitCost(int64(own), int64(other))
 	after := unitCost(int64(own+count), int64(other))
-	hot := j.trigger >= 0 && before > j.trigger
-	switch u := (workUnit{tile: t, node: -1}); {
-	case hot != (j.trigger >= 0 && after > j.trigger):
+	hot := j.isHot(before)
+	switch u := (workUnit{tile: t, parts: 1}); {
+	case hot != j.isHot(after):
 		j.unitsOK = false
-	case hot:
-		if j.unitsOK = len(j.hot) < cap(j.hot); j.unitsOK {
-			j.hot = append(j.hot, hotTouch{tile: t, count: int8(count), inOld: inOld, inNew: inNew})
-		}
 	case before == after:
+	case hot:
+		j.unitsOK = j.recostSplit(t, before, after)
 	case before == 0:
 		j.unitsOK = j.insertUnit(u, after)
 	case after == 0:
@@ -455,7 +445,23 @@ func (j *Joiner) touchTile(t int32, own, other, count int, inOld, inNew bool) {
 	}
 }
 
-// unitSlot returns the first position of the (cost descending, tile, node)
+// recostSplit gives each unit of hot tile t its share of the tile's new
+// cost; the part count stays as the last schedule build froze it.
+func (j *Joiner) recostSplit(t int32, before, after int64) bool {
+	parts, ok := j.tileParts(t)
+	if !ok {
+		return false
+	}
+	for k := int32(0); k < parts; k++ {
+		b, a := partCost(before, k, parts), partCost(after, k, parts)
+		if b != a && !j.recostUnit(workUnit{tile: t, part: k, parts: parts}, b, a) {
+			return false
+		}
+	}
+	return true
+}
+
+// unitSlot returns the first position of the (cost descending, tile, part)
 // order whose unit is not in front of u at cost c.
 func (j *Joiner) unitSlot(u workUnit, c int64) int {
 	lo, hi := 0, len(j.units)
@@ -463,7 +469,7 @@ func (j *Joiner) unitSlot(u workUnit, c int64) int {
 		mid := int(uint(lo+hi) >> 1)
 		m := j.units[mid]
 		if mc := j.ucost[mid]; mc > c || (mc == c &&
-			(m.tile < u.tile || (m.tile == u.tile && m.node < u.node))) {
+			(m.tile < u.tile || (m.tile == u.tile && m.part < u.part))) {
 			lo = mid + 1
 		} else {
 			hi = mid

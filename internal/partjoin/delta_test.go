@@ -2,9 +2,11 @@ package partjoin
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"spjoin/internal/geom"
@@ -36,25 +38,6 @@ func sameFloats(a, b []float64) bool {
 	})
 }
 
-// sameNode compares two refinement nodes field for field, floats by bits (a
-// split of an infinite extent freezes NaN origins).
-func sameNode(a, b refNode) bool {
-	ag := []float64{a.orgX, a.orgY, a.invW, a.invH}
-	bg := []float64{b.orgX, b.orgY, b.invW, b.invH}
-	a.orgX, a.orgY, a.invW, a.invH = 0, 0, 0, 0
-	b.orgX, b.orgY, b.invW, b.invH = 0, 0, 0, 0
-	return a == b && sameFloats(ag, bg)
-}
-
-// sameSplit compares two split records, the frozen geometry by bits.
-func sameSplit(a, b refSplit) bool {
-	ag := []float64{a.cell.orgX, a.cell.orgY, a.cell.invW, a.cell.invH}
-	bg := []float64{b.cell.orgX, b.cell.orgY, b.cell.invW, b.cell.invH}
-	a.cell.orgX, a.cell.orgY, a.cell.invW, a.cell.invH = 0, 0, 0, 0
-	b.cell.orgX, b.cell.orgY, b.cell.invW, b.cell.invH = 0, 0, 0, 0
-	return a == b && sameFloats(ag, bg)
-}
-
 // requireFreshState is the white-box exactness check of the delta tier: the
 // resident Joiner's sweep orders, segment boundaries, segment indices and
 // segment planes must be element for element what a fresh Joiner's cold
@@ -74,12 +57,11 @@ func requireFreshState(t testing.TB, stage string, j *Joiner, r, s []rtree.Item,
 // freshStateDiff compares j's cache with a fresh Joiner's cold build over
 // the same items and names the first structure that differs. comparable is
 // false when the two grids differ (j's geometry is frozen at its last full
-// build). Where both schedules were built under the same trigger and the
-// arena budget decided nothing (it is the same, or neither build had a split
-// refused for want of it), the work units, the refinement arenas, the nodes
-// and the split records must agree as well; an auto trigger drifts with the
-// cost total and the budget with the assignment size, both stay frozen
-// between schedule builds, and then the schedules may differ.
+// build). Where both schedules were built under the same trigger, j's work
+// units and their costs must be the fresh build's with every split tile cut
+// into j's part count — a split tile's part count drifts with its cost and
+// stays frozen between schedule builds, as an auto trigger does with the
+// cost total (then the schedules are not compared at all).
 func freshStateDiff(j *Joiner, r, s []rtree.Item, cfg Config) (diff string, comparable bool) {
 	var f Joiner
 	defer f.Close()
@@ -89,7 +71,8 @@ func freshStateDiff(j *Joiner, r, s []rtree.Item, cfg Config) (diff string, comp
 }
 
 // stateDiff is freshStateDiff against a given Joiner f; sched reports
-// whether the schedules were comparable too, and compared.
+// whether the schedules were compared and are the same, part counts
+// included.
 func stateDiff(j, f *Joiner) (diff string, comparable, sched bool) {
 	if j.gx != f.gx || j.minX != f.minX || j.minY != f.minY || j.invW != f.invW || j.invH != f.invH {
 		return "", false, false
@@ -116,19 +99,57 @@ func stateDiff(j, f *Joiner) (diff string, comparable, sched bool) {
 			return sd.name + " segment planes differ from a fresh build", true, false
 		}
 	}
-	switch {
-	case j.trigger != f.trigger || j.recur != f.recur ||
-		(j.refBudget != f.refBudget && (j.refStarved || f.refStarved)):
+	if j.trigger != f.trigger {
 		return "", true, false
-	case !slices.Equal(j.units, f.units) || !slices.Equal(j.ucost, f.ucost):
-		return "work-unit schedule differs from a fresh build", true, false
-	case !slices.Equal(j.refRIdx, f.refRIdx) || !slices.Equal(j.refSIdx, f.refSIdx) ||
-		!slices.EqualFunc(j.refNodes, f.refNodes, sameNode):
-		return "refinement arenas differ from a fresh build", true, false
-	case !slices.EqualFunc(j.refSplits, f.refSplits, sameSplit):
-		return "split records differ from a fresh build", true, false
 	}
-	return "", true, true
+	parts := splitTiles(j.units)
+	want := Joiner{}
+	for i, t := range f.tiles {
+		p := max(parts[t], 1)
+		for k := int32(0); k < p; k++ {
+			want.units = append(want.units, workUnit{tile: t, part: k, parts: p})
+			want.ucost = append(want.ucost, partCost(f.cost[i], k, p))
+		}
+	}
+	sort.Sort(&tileOrder{&want})
+	if !slices.Equal(j.units, want.units) || !slices.Equal(j.ucost, want.ucost) {
+		return "work-unit schedule differs from a fresh build's cut into the frozen part counts", true, false
+	}
+	return "", true, maps.Equal(parts, splitTiles(f.units))
+}
+
+// splitTiles maps every split tile of a schedule to its part count.
+func splitTiles(units []workUnit) map[int32]int32 {
+	out := map[int32]int32{}
+	for _, u := range units {
+		if u.parts > 1 {
+			out[u.tile] = u.parts
+		}
+	}
+	return out
+}
+
+// tileCosts returns every tile's estimated sweep cost in j's current
+// segments.
+func tileCosts(j *Joiner) []int64 {
+	out := make([]int64, j.gx*j.gy)
+	for t := range out {
+		out[t] = unitCost(int64(j.rPart.starts[t+1]-j.rPart.starts[t]),
+			int64(j.sPart.starts[t+1]-j.sPart.starts[t]))
+	}
+	return out
+}
+
+// crossedTrigger reports whether some tile's cost lies on the other side of
+// j's frozen trigger after a change than before it — the one change the
+// delta step answers with a schedule rebuild.
+func crossedTrigger(j *Joiner, before, after []int64) bool {
+	for t := range before {
+		if j.isHot(before[t]) != j.isHot(after[t]) {
+			return true
+		}
+	}
+	return false
 }
 
 // deltaWorld is the side of the square the delta tests' inputs span: two
@@ -341,11 +362,10 @@ func TestDeltaIdentityOnly(t *testing.T) {
 
 // TestDeltaRefinedTiles covers the schedule half of the delta step on a
 // clustered input with an explicit threshold (so a fresh build resolves the
-// same trigger and the schedules, arenas and split records are comparable
-// element for element): a change in a cold tile re-costs its unit in place,
-// a change inside, into or out of a refined tile is carried down its subtree
-// — all without a schedule rebuild — and only a tile pushed across the
-// trigger rebuilds it.
+// same trigger and the schedules are comparable unit for unit): a change in
+// a cold tile re-costs its unit in place, a change inside, into or out of a
+// split tile edits its segments and re-costs its units — all without a
+// schedule rebuild — and only a tile pushed across the trigger rebuilds it.
 func TestDeltaRefinedTiles(t *testing.T) {
 	r, s := clusteredItems(3000, 5, 21)
 	var j Joiner
@@ -353,7 +373,7 @@ func TestDeltaRefinedTiles(t *testing.T) {
 	base := Config{Workers: 3, Grid: 8}
 	j.Join(r, s, base)
 
-	// Pick the threshold between the tile costs so that some tiles refine
+	// Pick the threshold between the tile costs so that some tiles split
 	// and one sits exactly on it (cost == threshold is not hot).
 	tiles := j.gx * j.gy
 	count := func(g *gridSide, t int) int { return int(g.starts[t+1] - g.starts[t]) }
@@ -418,9 +438,9 @@ func TestDeltaRefinedTiles(t *testing.T) {
 	cfg.RefineThreshold = thr
 	first := j.Join(r, s, cfg)
 	if first.Reuse != ReuseClean || first.RefinedTiles == 0 {
-		t.Fatalf("threshold change: tier %q, %d refined tiles", first.Reuse, first.RefinedTiles)
+		t.Fatalf("threshold change: tier %q, %d split tiles", first.Reuse, first.RefinedTiles)
 	}
-	if j.rootSplit(int32(hot)) < 0 {
+	if parts, _ := j.tileParts(int32(hot)); parts < 2 {
 		t.Fatalf("test premise broken: the costliest tile %d was not split", hot)
 	}
 
@@ -433,30 +453,33 @@ func TestDeltaRefinedTiles(t *testing.T) {
 	}
 	// The fast path touches the refine bucket only when it rebuilds the
 	// schedule, so an empty bucket means the schedule was patched in place.
-	// Every step keeps the assignment size, hence the arena budget a fresh
-	// build derives: the fresh-state check then covers units, arenas, nodes
-	// and split records.
-	// A step given no expectation may go either way.
-	step := func(stage string, wantUnitsKept ...bool) {
+	// Every step is a delta that keeps the schedule exactly when no tile
+	// crosses the trigger, and leaves a fresh build's state, the schedule
+	// included wherever the split tiles kept their part counts.
+	var compared int
+	step := func(stage string, wantKept bool) {
 		t.Helper()
+		before := tileCosts(&j)
 		res := j.Join(r, s, cfg)
 		requireBrute(t, stage, res, r, s)
 		if res.Reuse != ReuseDelta {
 			t.Fatalf("%s: tier %q, want delta", stage, res.Reuse)
 		}
-		if kept := res.PhaseNS[timeline.PhaseRefine] == 0; len(wantUnitsKept) > 0 && kept != wantUnitsKept[0] {
-			t.Fatalf("%s: schedule kept = %v, want %v", stage, kept, wantUnitsKept[0])
+		kept := res.PhaseNS[timeline.PhaseRefine] == 0
+		if crossed := crossedTrigger(&j, before, tileCosts(&j)); kept != !crossed || kept != wantKept {
+			t.Fatalf("%s: schedule kept = %v with a tile crossing the trigger = %v, want kept = %v",
+				stage, kept, crossed, wantKept)
 		}
-		if j.refStarved || j.refBudget != refineBudgetFactor*(len(j.rPart.idx)+len(j.sPart.idx)) {
-			t.Fatalf("%s: test premise broken: the schedules are not comparable", stage)
+		if !requireFreshJoin(t, stage, &j, res, r, s, cfg) {
+			return
 		}
-		requireFreshState(t, stage, &j, r, s, cfg)
+		compared++
 	}
 	// Cold tile → another cold tile: two units re-costed in place.
 	r[movable(0, src)].Rect = centre(dst)
 	step("cold to cold", true)
-	// Inside a refined tile, both sides: same key with a new extent, then a
-	// new key.
+	// Inside a split tile, both sides: same key with a new extent, a new
+	// key, then grown over most of the tile.
 	for side, items := range [2][]rtree.Item{r, s} {
 		i := movable(side, hot)
 		rc := &items[i].Rect
@@ -466,13 +489,11 @@ func TestDeltaRefinedTiles(t *testing.T) {
 		*rc = centre(hot)
 		rc.MaxX, rc.MaxY = rc.MinX+w, rc.MinY+h
 		step(fmt.Sprintf("side %d: new key inside a hot tile", side), true)
-		// Grown over most of the tile it enters most subcells of every
-		// level; one of them may well come alive, which is a rebuild.
 		tw, th := 1/j.invW, 1/j.invH
 		*rc = geom.NewRect(rc.MinX-0.4*tw, rc.MinY-0.4*th, rc.MinX+0.4*tw, rc.MinY+0.4*th)
-		step(fmt.Sprintf("side %d: grown over a hot tile", side))
+		step(fmt.Sprintf("side %d: grown over a hot tile", side), true)
 	}
-	// Out of the refined tile into a cold one, and a cold tile's rect into it.
+	// Out of the split tile into a cold one, and a cold tile's rect into it.
 	r[movable(0, hot)].Rect = centre(dst)
 	step("hot to cold", true)
 	r[movable(0, src)].Rect = centre(hot)
@@ -480,6 +501,9 @@ func TestDeltaRefinedTiles(t *testing.T) {
 	// Onto the edge tile: its cost crosses the trigger.
 	r[movable(0, src)].Rect = centre(edge)
 	step("across the trigger", false)
+	if compared == 0 {
+		t.Fatal("no step's schedule was comparable with a fresh build's")
+	}
 }
 
 // TestDeltaTileEntersSchedule: a tile that gains its first rect of a side
@@ -578,17 +602,22 @@ func TestJoinerDeltaZeroAlloc(t *testing.T) {
 }
 
 // TestTigerRejoinCycleTiers is the acceptance check on the benchmark's
-// workload shape: over tiger.Maps, all five re-joins of a tiger_rejoin
-// cycle — restored (three rects put back), clean, in-tile growth,
-// cross-tile move, order-breaking move (tiger.RejoinMutations) — are served
-// by the clean or the delta tier without a schedule rebuild, and after every
-// delta the cache equals a fresh build's.
+// workload shape: over tiger.Maps, whose costliest tiles the auto trigger
+// splits, all five re-joins of a tiger_rejoin cycle — restored (three rects
+// put back), clean, in-tile growth, cross-tile move, order-breaking move
+// (tiger.RejoinMutations) — are served by the clean or the delta tier
+// without a schedule rebuild, and after every delta the cache equals a
+// fresh build's.
 func TestTigerRejoinCycleTiers(t *testing.T) {
 	r, s := tiger.Maps(0.05, 7)
 	for _, workers := range []int{1, 2, 3} {
 		cfg := Config{Workers: workers}
 		var j Joiner
-		muts, ok := tiger.RejoinMutations(r, s, j.Join(r, s, cfg).GX)
+		cold := j.Join(r, s, cfg)
+		if cold.RefinedTiles == 0 {
+			t.Fatalf("workers %d: test premise broken: no tile split", workers)
+		}
+		muts, ok := tiger.RejoinMutations(r, s, cold.GX)
 		if !ok {
 			t.Fatal("no rect qualifies for one of the mutations")
 		}
@@ -625,10 +654,11 @@ func TestTigerRejoinCycleTiers(t *testing.T) {
 }
 
 // TestTigerHotTileChangeKeepsSchedule: on tiger.Maps under the auto
-// threshold, a rect of the costliest — refined — tile grows inside it and
-// shrinks back (tiger.HotTileGrowth); both re-joins are deltas that carry the
-// change down the tile's refinement subtree and leave the schedule standing,
-// and the cache, schedule and arenas included, equals a fresh build's.
+// threshold, a rect of the costliest — split — tile grows inside it and
+// shrinks back (tiger.HotTileGrowth); both re-joins are deltas that edit the
+// tile's segments, re-cost its units in place and leave the schedule
+// standing, and the cache equals a fresh build's, the schedule included
+// whenever the tile kept its part count — which it must at least once.
 func TestTigerHotTileChangeKeepsSchedule(t *testing.T) {
 	r, s := tiger.Maps(0.05, 7)
 	for _, workers := range []int{1, 2, 3} {
@@ -640,10 +670,11 @@ func TestTigerHotTileChangeKeepsSchedule(t *testing.T) {
 		}
 		base := r[mut.Idx].Rect
 		tx, ty := j.tileOf(base.MinX, base.MinY)
-		if j.rootSplit(int32(ty*j.gx+tx)) < 0 {
-			t.Fatalf("workers %d: test premise broken: tile (%d,%d) is not refined", workers, tx, ty)
+		if parts, _ := j.tileParts(int32(ty*j.gx + tx)); parts < 2 {
+			t.Fatalf("workers %d: test premise broken: tile (%d,%d) is not split", workers, tx, ty)
 		}
 		trigger := j.trigger
+		compared := 0
 		for step, rc := range []geom.Rect{mut.Next, base, mut.Next, base} {
 			r[mut.Idx].Rect = rc
 			res := j.Join(r, s, cfg)
@@ -652,7 +683,12 @@ func TestTigerHotTileChangeKeepsSchedule(t *testing.T) {
 				t.Fatalf("%s: tier %q, %d rects, %d ns of schedule rebuild; want delta, 1 and none",
 					stage, res.Reuse, res.DeltaRects, res.PhaseNS[timeline.PhaseRefine])
 			}
-			requireFreshState(t, stage, &j, r, s, cfg)
+			if requireFreshJoin(t, stage, &j, res, r, s, Config{Workers: workers, RefineThreshold: trigger}) {
+				compared++
+			}
+		}
+		if compared == 0 {
+			t.Fatalf("workers %d: no step's schedule was comparable with a fresh build's", workers)
 		}
 		if j.trigger != trigger {
 			t.Fatalf("workers %d: the trigger moved from %d to %d", workers, trigger, j.trigger)
@@ -663,12 +699,13 @@ func TestTigerHotTileChangeKeepsSchedule(t *testing.T) {
 }
 
 // TestDeltaRefinedRandomWalk drives a resident Joiner over a clustered input
-// — several refined tiles, subtrees a few levels deep — through rounds of one
-// to three random moves on either side, each rect landing beside another
-// rect of its side (so the clusters, and the refined tiles, keep taking the
-// changes). Every round is checked against brute force and, while the data
-// MBR holds, against a fresh build's state, schedule and arenas included;
-// most rounds must have left the schedule standing.
+// — several split tiles — through rounds of one to three random moves on
+// either side, each rect landing beside another rect of its side (so the
+// clusters, and the split tiles, keep taking the changes). Every round is
+// checked against brute force and, while the data MBR holds, against a
+// fresh build's state, the schedule included wherever the split tiles kept
+// their part counts; a round keeps the schedule exactly when no tile crossed
+// the trigger, and most rounds must have kept it.
 func TestDeltaRefinedRandomWalk(t *testing.T) {
 	r, s := clusteredItems(1500, 5, 29)
 	base := Config{Workers: 2, Grid: 6}
@@ -676,9 +713,8 @@ func TestDeltaRefinedRandomWalk(t *testing.T) {
 	defer j.Close()
 	j.Join(r, s, base)
 	var costs []int64
-	for tile := 0; tile < j.gx*j.gy; tile++ {
-		if c := unitCost(int64(j.rPart.starts[tile+1]-j.rPart.starts[tile]),
-			int64(j.sPart.starts[tile+1]-j.sPart.starts[tile])); c > 0 {
+	for _, c := range tileCosts(&j) {
+		if c > 0 {
 			costs = append(costs, c)
 		}
 	}
@@ -686,11 +722,11 @@ func TestDeltaRefinedRandomWalk(t *testing.T) {
 	cfg := base
 	cfg.RefineThreshold = costs[len(costs)/2]
 	if res := j.Join(r, s, cfg); res.RefinedTiles < 2 {
-		t.Fatalf("test premise broken: %d refined tiles", res.RefinedTiles)
+		t.Fatalf("test premise broken: %d split tiles", res.RefinedTiles)
 	}
 	rng := rand.New(rand.NewSource(31))
 	const rounds = 60
-	kept, compared := 0, 0
+	kept, compared, scheduled := 0, 0, 0
 	for round := 0; round < rounds; round++ {
 		for k := 1 + rng.Intn(3); k > 0; k-- {
 			side := [2][]rtree.Item{r, s}[rng.Intn(2)]
@@ -700,25 +736,40 @@ func TestDeltaRefinedRandomWalk(t *testing.T) {
 			x, y := to.MinX+rng.Float64(), to.MinY+rng.Float64()
 			*rc = geom.Rect{MinX: x, MinY: y, MaxX: x + w, MaxY: y + h}
 		}
+		before := tileCosts(&j)
 		res := j.Join(r, s, cfg)
 		stage := fmt.Sprintf("round %d", round)
 		requireBrute(t, stage, res, r, s)
 		if res.Reuse != ReuseDelta {
 			t.Fatalf("%s: tier %q, want delta", stage, res.Reuse)
 		}
-		if res.PhaseNS[timeline.PhaseRefine] == 0 {
+		k := res.PhaseNS[timeline.PhaseRefine] == 0
+		if k {
 			kept++
 		}
-		diff, comparable := freshStateDiff(&j, r, s, cfg)
+		// Rounds that moved the data MBR run on a frozen grid: tile costs
+		// are the frozen grid's either way.
+		if crossed := crossedTrigger(&j, before, tileCosts(&j)); k == crossed {
+			t.Fatalf("%s: schedule kept = %v, a tile crossed the trigger = %v", stage, k, crossed)
+		}
+		var f Joiner
+		f.Join(r, s, cfg)
+		diff, comparable, sched := stateDiff(&j, &f)
+		f.Close()
 		if diff != "" {
 			t.Fatalf("%s: %s", stage, diff)
 		}
 		if comparable {
 			compared++
 		}
+		if sched {
+			scheduled++
+		}
 	}
-	t.Logf("%d of %d rounds kept the schedule, %d were comparable with a fresh build", kept, rounds, compared)
-	if kept < rounds/2 || compared < rounds/2 {
-		t.Fatalf("%d of %d rounds kept the schedule, %d were comparable with a fresh build; want most", kept, rounds, compared)
+	t.Logf("%d of %d rounds kept the schedule, %d were comparable with a fresh build, %d with its part counts too",
+		kept, rounds, compared, scheduled)
+	if kept < rounds/2 || compared < rounds/2 || scheduled == 0 {
+		t.Fatalf("%d of %d rounds kept the schedule, %d were comparable with a fresh build, %d schedules; want most and some",
+			kept, rounds, compared, scheduled)
 	}
 }

@@ -84,12 +84,12 @@ func FuzzPartitionJoin(f *testing.F) {
 	})
 }
 
-// fuzzRefinedInput decodes the refined-fuzz payload: the base layout of
-// fuzzJoinInput plus a refinement threshold selector and special-rect
+// fuzzRefinedInput decodes the split-fuzz payload: the base layout of
+// fuzzJoinInput plus a split threshold selector and special-rect
 // injection. Byte 1 (grid) doubles as the threshold source so tiny
-// explicit thresholds (forcing deep refinement on small inputs) and auto
-// mode both occur; rect bytes with a 0xF? x-coordinate are replaced by
-// NaN/EmptyRect/duplicate shapes.
+// explicit thresholds (splitting small tiles down to one event per unit)
+// and auto mode both occur; rect bytes with a 0xF? x-coordinate are
+// replaced by NaN/EmptyRect/duplicate shapes.
 func fuzzRefinedInput(data []byte) (r, s []rtree.Item, cfg Config) {
 	r, s, cfg = fuzzJoinInput(data)
 	if len(data) < 4 {
@@ -99,7 +99,7 @@ func fuzzRefinedInput(data []byte) (r, s []rtree.Item, cfg Config) {
 	case 0:
 		cfg.RefineThreshold = 0 // auto
 	case 1:
-		cfg.RefineThreshold = 1 // refine everything splittable
+		cfg.RefineThreshold = 1 // split every sweep tile into single events
 	case 2:
 		cfg.RefineThreshold = 16
 	case 3:
@@ -123,13 +123,15 @@ func fuzzRefinedInput(data []byte) (r, s []rtree.Item, cfg Config) {
 	return r, s, cfg
 }
 
-// FuzzPartitionJoinRefined pins the refined engine to the brute-force
-// oracle AND to the unrefined engine's exact sorted pair sequence, across
-// skewed/degenerate/duplicate-heavy inputs and the Joiner reuse tiers
-// after mutations (one changed rect: a grown extent, a broken sweep order,
-// an identity change; FuzzPartitionJoinMutateSequence drives the rebuild).
-// Both results are sorted by the caller so the two engines' outputs are
-// comparable element by element.
+// FuzzPartitionJoinRefined pins the split engine to the brute-force
+// oracle AND to the unsplit engine's exact sorted pair sequence,
+// comparisons and duplicates, across skewed/degenerate/duplicate-heavy
+// inputs and the Joiner reuse tiers after mutations (one changed rect: a
+// grown extent, a broken sweep order, an identity change;
+// FuzzPartitionJoinMutateSequence drives the rebuild). Both resident
+// Joiners see the same inputs in the same order, so they hold the same
+// grid. Both results are sorted by the caller so the two engines' outputs
+// are comparable element by element.
 func FuzzPartitionJoinRefined(f *testing.F) {
 	f.Add([]byte{2, 1, 1, 0, 0, 0, 4, 4, 1, 1, 4, 4, 3, 3, 2, 2, 8, 8, 1, 1})
 	f.Add([]byte{0, 0, 0, 0})
@@ -159,15 +161,21 @@ func FuzzPartitionJoinRefined(f *testing.F) {
 					t.Fatalf("cfg %+v %s: missing pair %v", cfg, stage, k)
 				}
 			}
-			// Exact pair-sequence equality against the unrefined engine.
-			seq, ref := sortedCands(res.Candidates), sortedCands(ju.Join(r, s, base).Candidates)
+			// Exact pair-sequence and work equality against the unsplit
+			// engine.
+			whole := ju.Join(r, s, base)
+			if res.Comparisons != whole.Comparisons || res.Duplicates != whole.Duplicates {
+				t.Fatalf("cfg %+v %s: split %d comparisons, %d duplicates; unsplit %d, %d",
+					cfg, stage, res.Comparisons, res.Duplicates, whole.Comparisons, whole.Duplicates)
+			}
+			seq, ref := sortedCands(res.Candidates), sortedCands(whole.Candidates)
 			if len(ref) != len(seq) {
-				t.Fatalf("cfg %+v %s: refined %d pairs, unrefined %d",
+				t.Fatalf("cfg %+v %s: split %d pairs, unsplit %d",
 					cfg, stage, len(seq), len(ref))
 			}
 			for i := range ref {
 				if ref[i] != seq[i] {
-					t.Fatalf("cfg %+v %s: pair %d differs: refined (%d,%d) vs unrefined (%d,%d)",
+					t.Fatalf("cfg %+v %s: pair %d differs: split (%d,%d) vs unsplit (%d,%d)",
 						cfg, stage, i, seq[i].R, seq[i].S, ref[i].R, ref[i].S)
 				}
 			}
@@ -206,7 +214,7 @@ func FuzzPartitionJoinMutateSequence(f *testing.F) {
 	f.Add([]byte{2, 4, 1, 0, 5, 0, 0, 4, 4, 1, 1, 4, 4, 3, 3, 2, 2, 8, 8, 1, 1, 20, 20, 3, 3,
 		0, 0, 3, 3, 3, 1, 9, 9, 4, 0, 0, 0})
 	f.Add([]byte{0, 0, 0, 0, 0})
-	// One tile, refine everything, sorted: all kinds in order on both sides.
+	// One tile, split everything, sorted: all kinds in order on both sides.
 	f.Add([]byte{7, 1, 3, 1, 12, 5, 5, 2, 2, 5, 5, 0, 0, 6, 6, 3, 3, 7, 5, 1, 1, 9, 9, 2, 2, 1, 1, 4, 4,
 		12, 3, 2, 2, 3, 12, 4, 4, 20, 20, 1, 1, 8, 8, 8, 8, 30, 2, 1, 1, 2, 30, 1, 1,
 		0, 1, 2, 3, 2, 2, 4, 5, 4, 3, 6, 7, 6, 4, 8, 9, 8, 5, 1, 2, 10, 6, 3, 4, 12, 7, 5, 6, 14, 8, 7, 8,

@@ -17,11 +17,16 @@
 //     already sweep-sorted and the per-tile joins never sort.
 //   - Each tile segment carries a coordinate-plane (SoA) copy of its
 //     rectangles in segment position order, so the per-tile sweep
-//     (geom.SweepPairsPlanesDense, eight lanes per step on AVX2) walks
+//     (geom.SweepPairsPlanesDenseRange, eight lanes per step on AVX2) walks
 //     dense float64 streams with no index indirection, and the emit takes
-//     each hit's reference point from the same planes; tiles are
+//     each hit's reference point from the same planes; work units are
 //     scheduled largest-first over a parnative.Pool so stragglers start
 //     early.
+//   - A hot tile — one whose estimated sweep cost approaches a worker's
+//     fair share — is split into several units by its sweep, not its data:
+//     each unit runs a contiguous range of the tile sweep's merge events,
+//     cut with geom.MergeSplit, so the units together make exactly the
+//     tile's comparisons and find exactly its pairs (see split.go).
 //   - A pair intersecting in several tiles is reported exactly once, by
 //     the reference-point method: only the tile containing the top-left
 //     corner of the intersection of the two MBRs reports it.
@@ -40,7 +45,6 @@ package partjoin
 import (
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -61,11 +65,11 @@ type Config struct {
 	// Grid is the number of tiles per axis (Grid×Grid tiles over the data
 	// MBR). 0 picks a size proportional to sqrt of the input cardinality.
 	Grid int
-	// RefineThreshold controls adaptive tile refinement (see refine.go):
-	// 0 derives a threshold from the tile cost distribution (the default —
-	// refinement engages only when the grid is skewed), RefineDisabled
-	// (any negative value) turns refinement off, and a positive value is
-	// the explicit per-tile sweep-cost bound above which a tile is split.
+	// RefineThreshold controls the hot-tile split (see split.go): 0 derives
+	// a trigger from the tile cost distribution (the default — the split
+	// engages only when the grid is skewed), RefineDisabled (any negative
+	// value) turns it off, and a positive value is the explicit per-tile
+	// sweep-cost bound above which a tile's sweep is split into units.
 	RefineThreshold int64
 	// Metrics, when set, receives the run's counters under the "partjoin."
 	// prefix (partitions joined, duplicates suppressed, per-worker pairs).
@@ -78,8 +82,8 @@ type Config struct {
 	Timeline *timeline.Recorder
 	// Progress, when set, receives live progress for the join: the slot is
 	// Started when the join begins, the work-unit schedule (units and
-	// summed sweep cost) is published once built — adjusted if refinement
-	// reshapes it — and every completed unit is reported as it finishes.
+	// summed sweep cost) is published once built, and every completed unit
+	// is reported as it finishes.
 	// Observation-only: a nil slot costs one nil-check per unit.
 	Progress *runtimeobs.Progress
 }
@@ -96,7 +100,7 @@ const (
 type TileCost struct {
 	// TX, TY are the root tile coordinates of the unit.
 	TX, TY int
-	// Refined marks a refined leaf subtile (false = whole root tile).
+	// Refined marks one event range of a split tile (false = whole tile).
 	Refined bool
 	// Cost is the unit's estimated sweep cost (rn*sn + rn + sn).
 	Cost int64
@@ -110,12 +114,12 @@ type Result struct {
 	Candidates []join.Candidate
 	// GX, GY are the grid dimensions used.
 	GX, GY int
-	// Partitions is the number of work units joined: unrefined non-empty
-	// tiles plus refined leaf subtiles (units holding rectangles of both
-	// sides).
+	// Partitions is the number of work units joined: whole non-empty tiles
+	// (tiles holding rectangles of both sides) plus the units of split
+	// tiles.
 	Partitions int
-	// RefinedTiles is the number of hot tiles the adaptive refinement
-	// split; Subtiles is the number of leaf subtile units they became.
+	// RefinedTiles is the number of hot tiles whose sweep was split;
+	// Subtiles is the number of units they became.
 	RefinedTiles int
 	Subtiles     int
 	// Duplicates is the number of cross-tile duplicate pairs suppressed by
@@ -138,9 +142,8 @@ type Result struct {
 	// than the wall time of the Join call, on any tier. Always filled — the
 	// cost is a handful of clock reads — and a phase the run skipped reads
 	// zero, so the clean tier is visible as empty sort/partition buckets.
-	// The delta step's wall time accrues to the partition bucket; the hot-tile
-	// refinement the caller's goroutine runs inside the join phase accrues to
-	// the refine bucket and is taken out of the sweep bucket.
+	// The delta step's wall time accrues to the partition bucket, a
+	// schedule build's to the refine bucket.
 	PhaseNS [timeline.NumPhases]int64
 	// TopTiles holds the TopTileK costliest work units of the schedule; Heat
 	// is the schedule's cost mass folded onto a row-major HeatW×HeatH grid
@@ -277,57 +280,37 @@ type Joiner struct {
 
 	// Change list of the mirror check: worker w lists the rects of its
 	// chunks whose item differs from the mirror in chg[w*deltaMax:][:chgN[w]];
-	// chgN[w] > deltaMax means the list overflowed. edits, hot and
-	// deltaBudget are the delta step's scratch (see delta.go, refdelta.go).
+	// chgN[w] > deltaMax means the list overflowed. edits and deltaBudget
+	// are the delta step's scratch (see delta.go).
 	chg         []changeRef
 	chgN        []int32
 	edits       []segEdit
-	hot         []hotTouch
 	deltaBudget int
 
 	bounds []geom.Rect // per-worker chunk MBR unions (phaseMirror)
 
-	tiles []int32 // non-empty tile ids (schedule source)
-	cost  []int64 // matching estimated cost per tiles entry
+	// Schedule source, from the last schedule build: the non-empty tile
+	// ids (ascending), their estimated costs then, and the part counts
+	// their sweeps were split into (frozen until the next build).
+	tiles []int32
+	cost  []int64
+	parts []int32
 
-	// Work-unit schedule: unrefined tiles plus refined leaf subtiles,
-	// sorted largest-first. The refinement arenas (refRIdx/refSIdx and
-	// their position-space planes) are the subtile analogue of
-	// gridSide.idx/planes; refNodes holds the frozen split geometry the
-	// emit-time ownership walk re-evaluates. unitsOK + cThr gate the reuse
-	// of the whole schedule on the fast path; trigger/recur are the cost
-	// bounds resolved at the last schedule build, which the delta step holds
-	// frozen until the next one. hotRoots is the number of root tiles a
-	// build under way has yet to refine: prepSchedule sets it, refineHot
-	// clears it.
+	// Work-unit schedule: whole tiles and the units of split tiles, sorted
+	// largest-first, claimed off cursor in the join phase. unitsOK + cThr
+	// gate the reuse of the whole schedule on the fast path; trigger is the
+	// cost bound resolved at the last schedule build, which the delta step
+	// holds frozen until the next one.
 	units                  []workUnit
 	ucost                  []int64
-	refNodes               []refNode
-	refSplits              []refSplit
-	refRIdx                []int32
-	refSIdx                []int32
-	refRPlanes             geom.Planes
-	refSPlanes             geom.Planes
-	refBudget              int
-	refStarved             bool // a split was refused for want of arena budget
 	refinedTiles, subtiles int
 	unitsOK                bool
 	cThr                   int64
-	trigger, recur         int64
-	hotRoots               int
+	trigger                int64
+	cursor                 atomic.Int64
 
 	order tileOrder            // reusable sorter over units/ucost
 	prog  *runtimeobs.Progress // live-progress slot of the current join (may be nil)
-
-	// Join-phase hand-out (see joinTiles). The early units are claimable from
-	// the start of the phase; the workers read them through these headers,
-	// captured before the phase starts, because worker 0 appends to units and
-	// ucost while it refines the hot tiles. What it appends are the late
-	// units, units[len(earlyUnits):], readable once late is released.
-	earlyUnits              []workUnit
-	earlyCost               []int64
-	earlyCursor, lateCursor atomic.Int64
-	late                    sync.WaitGroup // held by worker 0 while it refines
 
 	ws []workerState
 
@@ -519,34 +502,15 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 		ws.dups, ws.comps, ws.parts = 0, 0, 0
 	}
 	// A fast-path join reuses the previous schedule outright — assignment and
-	// refinement are functions of the coordinates, and the delta step clears
-	// unitsOK when a change reaches a tile whose units it cannot re-cost in
-	// place. Every other join builds it: the prep here, the hot tiles'
-	// refinement as worker 0's first item of the join phase, and the closing
-	// sort after it.
-	build := !(fast && j.unitsOK && j.cThr == cfg.RefineThreshold)
-	if build {
+	// the split are functions of the coordinates, and the delta step clears
+	// unitsOK when a change takes a tile across the trigger. Every other
+	// join builds it.
+	if !(fast && j.unitsOK && j.cThr == cfg.RefineThreshold) {
 		j.timeRefine(func() { j.prepSchedule(cfg.RefineThreshold) })
-	} else {
-		j.prog.SetTotal(int64(len(j.units)), sumCost(j.ucost))
 	}
-	// Join the work units over the pool. The workers claim the units on hand
-	// — the whole schedule, or on a build the unrefined tiles — through
-	// headers captured here: worker 0 appends to j.units while they run.
-	j.earlyUnits, j.earlyCost = j.units, j.ucost
-	j.earlyCursor.Store(0)
-	j.lateCursor.Store(0)
-	if j.hotRoots > 0 {
-		j.late.Add(1)
-	}
-	refBefore := j.phaseNS[timeline.PhaseRefine]
+	j.prog.SetTotal(int64(len(j.units)), sumCost(j.ucost))
+	j.cursor.Store(0)
 	j.runPhase(phaseJoin)
-	// Worker 0 is this goroutine: the refinement it timed inside the phase
-	// is an interval of the phase's wall, not of the sweeps'.
-	j.phaseNS[timeline.PhaseSweep] -= j.phaseNS[timeline.PhaseRefine] - refBefore
-	if build {
-		j.timeRefine(j.sortUnits)
-	}
 
 	// Assemble: a prefix sum over the workers' buffer lengths gives each
 	// worker its slice of out, and the gather copies the buffers there.
@@ -623,7 +587,7 @@ func (j *Joiner) fillIntrospection(res *Result) {
 		u := j.units[i]
 		j.topTiles = append(j.topTiles, TileCost{
 			TX: int(u.tile) % j.gx, TY: int(u.tile) / j.gx,
-			Refined: u.node >= 0, Cost: j.ucost[i],
+			Refined: u.parts > 1, Cost: j.ucost[i],
 		})
 	}
 	res.TopTiles = j.topTiles
@@ -705,7 +669,7 @@ func (j *Joiner) RunWorker(w int) {
 	}
 }
 
-// timeRefine runs f, a piece of schedule work on the owner goroutine, as a
+// timeRefine runs f, the schedule build on the owner goroutine, as a
 // refine-phase span on track 0 and accrues its wall time to the refine
 // bucket.
 func (j *Joiner) timeRefine(f func()) {
@@ -1000,48 +964,27 @@ func unpackTiles(c uint64) (x0, y0, x1, y1 int) {
 	return int(c & 1023), int(c >> 10 & 1023), int(c >> 20 & 1023), int(c >> 30 & 1023)
 }
 
-// joinTiles is the join phase, the one place work units are handed out.
-// Every worker claims early units (largest first) until they run out, waits
-// for the late ones and claims those the same way. When the schedule is being
-// built, worker 0 starts by refining the hot tiles — its first work item,
-// and the others' reason to wait: the leaf units it appends are the late
-// units, published by releasing j.late.
+// joinTiles is the join phase, the one place work units are handed out:
+// every worker claims units off the shared cursor, largest first, until it
+// passes the last one, joining each.
 func (j *Joiner) joinTiles(w int) {
 	ws := &j.ws[w]
-	if w == 0 && j.hotRoots > 0 {
-		j.timeRefine(j.refineHot)
-		j.late.Done()
-	}
-	j.sweepUnits(ws, w, &j.earlyCursor, j.earlyUnits, j.earlyCost)
-	j.late.Wait()
-	n := len(j.earlyUnits)
-	j.sweepUnits(ws, w, &j.lateCursor, j.units[n:], j.ucost[n:])
-}
-
-// sweepUnits claims units off the shared cursor until it passes the last
-// one, joining each.
-func (j *Joiner) sweepUnits(ws *workerState, w int, cursor *atomic.Int64, units []workUnit, cost []int64) {
 	for {
-		k := int(cursor.Add(1)) - 1
-		if k >= len(units) {
+		k := int(j.cursor.Add(1)) - 1
+		if k >= len(j.units) {
 			return
 		}
-		u := units[k]
-		t := int(u.tile)
+		u := j.units[k]
 		var t0 sim.Time
 		if j.rec != nil {
 			t0 = wallSince(j.epoch)
 		}
 		before := ws.cands.Len()
-		var comps int
-		if u.node < 0 {
-			comps = j.joinTile(ws, t)
-		} else {
-			comps = j.joinSub(ws, u.node)
-		}
+		comps := j.joinUnit(ws, u)
 		ws.parts++
-		j.prog.UnitDone(cost[k])
+		j.prog.UnitDone(j.ucost[k])
 		if j.rec != nil {
+			t := int(u.tile)
 			j.rec.Complete(w, t0, wallSince(j.epoch), timeline.KindCPUSweep, sim.SpanArgs{
 				A: int64(t % j.gx), B: int64(t / j.gx),
 				C: int64(ws.cands.Len() - before), D: int64(comps),
@@ -1050,47 +993,11 @@ func (j *Joiner) sweepUnits(ws *workerState, w int, cursor *atomic.Int64, units 
 	}
 }
 
-// joinTile joins one unrefined tile's two segments.
-func (j *Joiner) joinTile(ws *workerState, t int) int {
-	rLo, rHi := int(j.rPart.starts[t]), int(j.rPart.starts[t+1])
-	sLo, sHi := int(j.sPart.starts[t]), int(j.sPart.starts[t+1])
-	rSeg := j.rPart.idx[rLo:rHi]
-	sSeg := j.sPart.idx[sLo:sHi]
-	rView := j.rPart.planes.View(rLo, rHi)
-	sView := j.sPart.planes.View(sLo, sHi)
-	return j.joinSegs(ws, rSeg, sSeg, &rView, &sView, t%j.gx, t/j.gx, -1)
-}
-
-// joinSegs joins one work unit's two segments and pushes the surviving
-// pairs onto ws.cands, returning the comparison count. The sweep runs in
-// segment position space over the contiguous plane views; hit positions
-// map back to rect indices through the idx segments, and the emit takes
-// the reference point from the views at those positions. node < 0 is a
-// root tile; otherwise the refNode whose ownership chain the emit must
-// check.
-func (j *Joiner) joinSegs(ws *workerState, rSeg, sSeg []int32, rView, sView *geom.Planes, tx, ty int, node int32) int {
-	// Tiny-side units: batch-testing each small-side rect against the
-	// larger side's plane segment beats the sweep's bookkeeping.
-	if len(rSeg) <= batchMax || len(sSeg) <= batchMax {
-		return j.joinTileBatch(ws, rSeg, sSeg, rView, sView, tx, ty, node)
-	}
-
-	// Segments are already in sweep order (see scatterChunk; refinement
-	// scatters preserve the order level by level).
-	var comps int
-	ws.hits, comps = geom.SweepPairsPlanesDense(rView, sView, ws.hits[:0])
-	ws.comps += int64(comps)
-	for _, h := range ws.hits {
-		j.emit(ws, rSeg[h.R], sSeg[h.S], rView.MinX[h.R], rView.MaxY[h.R], sView.MinX[h.S], sView.MaxY[h.S], tx, ty, node)
-	}
-	return comps
-}
-
 // joinTileBatch is the small-unit path: every rect of the smaller side is
 // batch-tested against the larger side's contiguous plane segment with
-// the vectorized bitmask kernel. Like joinSegs it takes every rect it
+// the vectorized bitmask kernel. Like the sweep path it takes every rect it
 // tests or emits from the unit's plane views.
-func (j *Joiner) joinTileBatch(ws *workerState, rSeg, sSeg []int32, rView, sView *geom.Planes, tx, ty int, node int32) int {
+func (j *Joiner) joinTileBatch(ws *workerState, rSeg, sSeg []int32, rView, sView *geom.Planes, tx, ty int) int {
 	small, large, smallView, largeView := rSeg, sSeg, rView, sView
 	rSmall := true
 	if len(sSeg) < len(rSeg) {
@@ -1110,9 +1017,9 @@ func (j *Joiner) joinTileBatch(ws *workerState, rSeg, sSeg []int32, rView, sView
 		for i, li := range large {
 			if ws.mask[i>>6]>>(uint(i)&63)&1 != 0 {
 				if rSmall {
-					j.emit(ws, si, li, q.MinX, q.MaxY, largeView.MinX[i], largeView.MaxY[i], tx, ty, node)
+					j.emit(ws, si, li, q.MinX, q.MaxY, largeView.MinX[i], largeView.MaxY[i], tx, ty)
 				} else {
-					j.emit(ws, li, si, largeView.MinX[i], largeView.MaxY[i], q.MinX, q.MaxY, tx, ty, node)
+					j.emit(ws, li, si, largeView.MinX[i], largeView.MaxY[i], q.MinX, q.MaxY, tx, ty)
 				}
 			}
 		}
@@ -1121,17 +1028,16 @@ func (j *Joiner) joinTileBatch(ws *workerState, rSeg, sSeg []int32, rView, sView
 	return comps
 }
 
-// emit reports the intersecting pair (rIdx, sIdx) iff the current work
-// unit owns it: the reference-point method keeps the pair only in the
-// unit containing the top-left corner of the intersection of the two
-// MBRs. That corner lies inside both rects, hence inside one of the tiles
-// (and, per split level, one of the subcells) both were assigned to, so
-// every pair is reported exactly once. For refined units the root tile
-// check is followed by the node chain's frozen subcell checks. The
+// emit reports the intersecting pair (rIdx, sIdx) iff the current tile
+// owns it: the reference-point method keeps the pair only in the tile
+// containing the top-left corner of the intersection of the two MBRs.
+// That corner lies inside both rects, hence inside one of the tiles both
+// were assigned to, so every pair is reported exactly once (a split tile's
+// units each run their own events, and one event finds each pair). The
 // callers pass the two rects' MinX and MaxY from the unit's plane views:
 // they hold the same mirrored rects as j.rRects and j.sRects, in the
 // order the sweep just read, where the mirrors would be a random load.
-func (j *Joiner) emit(ws *workerState, rIdx, sIdx int32, rMinX, rMaxY, sMinX, sMaxY float64, tx, ty int, node int32) {
+func (j *Joiner) emit(ws *workerState, rIdx, sIdx int32, rMinX, rMaxY, sMinX, sMaxY float64, tx, ty int) {
 	px := rMinX // left edge of the intersection
 	if sMinX > px {
 		px = sMinX
@@ -1142,10 +1048,6 @@ func (j *Joiner) emit(ws *workerState, rIdx, sIdx int32, rMinX, rMaxY, sMinX, sM
 	}
 	ox, oy := j.tileOf(px, py)
 	if ox != tx || oy != ty {
-		ws.dups++
-		return
-	}
-	if node >= 0 && !j.ownsRefined(node, px, py) {
 		ws.dups++
 		return
 	}
@@ -1289,17 +1191,12 @@ func resetPlanes(p *geom.Planes, n int) {
 	p.Reset(n)
 }
 
-// tileOrder sorts j.units (and the parallel j.ucost) from position lo on by
-// descending cost, ties on ascending (tile, node) for determinism. lo is
-// zero outside sortUnitsFrom, so Less and Swap take schedule positions.
-type tileOrder struct {
-	j  *Joiner
-	lo int
-}
+// tileOrder sorts j.units (and the parallel j.ucost) by descending cost,
+// ties on ascending (tile, part) for determinism.
+type tileOrder struct{ j *Joiner }
 
-func (o *tileOrder) Len() int { return len(o.j.units) - o.lo }
+func (o *tileOrder) Len() int { return len(o.j.units) }
 func (o *tileOrder) Less(i, k int) bool {
-	i, k = i+o.lo, k+o.lo
 	if o.j.ucost[i] != o.j.ucost[k] {
 		return o.j.ucost[i] > o.j.ucost[k]
 	}
@@ -1307,10 +1204,9 @@ func (o *tileOrder) Less(i, k int) bool {
 	if a.tile != b.tile {
 		return a.tile < b.tile
 	}
-	return a.node < b.node
+	return a.part < b.part
 }
 func (o *tileOrder) Swap(i, k int) {
-	i, k = i+o.lo, k+o.lo
 	o.j.units[i], o.j.units[k] = o.j.units[k], o.j.units[i]
 	o.j.ucost[i], o.j.ucost[k] = o.j.ucost[k], o.j.ucost[i]
 }

@@ -511,8 +511,8 @@ func TestJoinRejectsMissizedTimeline(t *testing.T) {
 // to say, not an empty bucket's.
 func TestPartitionJoinPhaseTimings(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
-		// Clustered, with an explicit threshold: worker 0 refines inside
-		// the join phase, the interval the sweep bucket must not keep.
+		// Clustered, with an explicit threshold: the schedule build splits
+		// tiles, and its time lands in the refine bucket.
 		r, s := clusteredItems(1500, 0.05, 47)
 		cfg := Config{Workers: workers, Grid: 6, RefineThreshold: 64}
 		var j Joiner
@@ -540,7 +540,7 @@ func TestPartitionJoinPhaseTimings(t *testing.T) {
 
 		cold := timed("cold", ReuseCold)
 		if cold.DeltaRects != 0 || cold.RefinedTiles == 0 {
-			t.Errorf("w=%d cold: %d delta rects, %d refined tiles, want 0 and some",
+			t.Errorf("w=%d cold: %d delta rects, %d split tiles, want 0 and some",
 				workers, cold.DeltaRects, cold.RefinedTiles)
 		}
 		for _, p := range []int{timeline.PhasePrep, timeline.PhasePartition,

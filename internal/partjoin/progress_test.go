@@ -9,7 +9,7 @@ import (
 // checkProgressSettled pins the engine's progress contract after a join:
 // the slot is closed, both axes are fully consumed (done == total on
 // units and cost), and the unit count equals the work units the engine
-// says it joined — so pruned refinements and released claims all balance.
+// says it joined — a split tile counting once per unit, not once.
 func checkProgressSettled(t *testing.T, p *runtimeobs.Progress, res Result, stage string, seq uint64) {
 	t.Helper()
 	st, ok := p.Status()
@@ -40,10 +40,10 @@ func checkProgressSettled(t *testing.T, p *runtimeobs.Progress, res Result, stag
 	}
 }
 
-// TestPartitionJoinProgress drives the engine — a cold build (with the
-// in-phase refinement reshaping the schedule), a clean fast-path rejoin, and
-// a rebuild with refinement disabled — against one reusable progress slot
-// and pins the settled accounting.
+// TestPartitionJoinProgress drives the engine — a cold build (with split
+// tiles, so units outnumber tiles), a clean fast-path rejoin, and a rebuild
+// with the split disabled — against one reusable progress slot and pins the
+// settled accounting.
 func TestPartitionJoinProgress(t *testing.T) {
 	r, s := clusteredItems(1200, 0.02, 7)
 	live := runtimeobs.NewLive()
@@ -62,8 +62,9 @@ func TestPartitionJoinProgress(t *testing.T) {
 	}
 
 	cold := run("cold", Config{Workers: 4, RefineThreshold: 1})
-	if cold.RefinedTiles == 0 {
-		t.Fatal("cold run did not refine; the reshaped-schedule path is untested")
+	if cold.RefinedTiles == 0 || cold.Subtiles <= cold.RefinedTiles {
+		t.Fatalf("cold run split %d tiles into %d units; the split units are untested",
+			cold.RefinedTiles, cold.Subtiles)
 	}
 	run("clean-rejoin", Config{Workers: 4, RefineThreshold: 1})
 	run("unrefined", Config{Workers: 2, RefineThreshold: RefineDisabled})

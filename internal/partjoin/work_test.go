@@ -25,11 +25,11 @@ func pairDigest(cands []join.Candidate) uint64 {
 // TestPinnedWork pins the work the engine does on two fixed inputs at a
 // fixed grid: the comparisons its sweeps make, the duplicates the
 // reference-point test suppresses, the work units it joins, the tiles it
-// refines, and the pairs it returns (count and digest). A kernel or emit
+// splits, and the pairs it returns (count and digest). A kernel or emit
 // change that only makes the join faster leaves every figure as it is, on
 // the vector and the scalar kernel path alike (the purego build runs this
-// test too). Refinement depends on the worker count, so the clustered
-// input has one row per count.
+// test too). The split depends on the worker count, so the clustered
+// input has one row per count; its comparisons and duplicates do not.
 func TestPinnedWork(t *testing.T) {
 	streets, mixed := tiger.Maps(0.05, 42)
 	cr := tiger.GaussianClusters(6000, 4, 2, 0.1, 41, 7)
@@ -45,7 +45,7 @@ func TestPinnedWork(t *testing.T) {
 		{"tiger", streets, mixed, Config{Grid: 8, RefineThreshold: RefineDisabled},
 			map[int]work{1: {27427, 0, 64, 0, 407}, 4: {27427, 0, 64, 0, 407}}, 0x8f687a7d7f823b1f},
 		{"clusters", cr, cs, Config{Grid: 16},
-			map[int]work{1: {48602, 44, 181, 3, 1797}, 4: {21734, 54, 233, 4, 1797}}, 0x4abe067355ff4305},
+			map[int]work{1: {129105, 0, 16, 3, 1797}, 4: {129105, 0, 40, 4, 1797}}, 0x4abe067355ff4305},
 	} {
 		for _, workers := range []int{1, 4} {
 			cfg := tc.cfg

@@ -5,11 +5,11 @@
 // but replicates large ones into every overlapped tile, and the tree
 // engine (R*-tree build + internal/parnative) is insensitive to rectangle
 // size but pays a construction phase. Within the partition engine, the
-// adaptive tile refinement pass helps exactly when tile occupancy is
-// skewed and is a (small) waste of a scan when it is not. Analyze probes
-// both inputs with a single coarse grid pass — O(n), no sorting, no tree —
-// and Decide maps those statistics to an engine, grid resolution,
-// refinement threshold and worker count.
+// hot-tile split helps exactly when tile occupancy is skewed and is a
+// (small) waste of a scan when it is not. Analyze probes both inputs with a
+// single coarse grid pass — O(n), no sorting, no tree — and Decide maps
+// those statistics to an engine, grid resolution, split threshold and
+// worker count.
 package plan
 
 import (
@@ -118,7 +118,7 @@ const (
 	// partition engine too — a measured one-shot partition join beats a
 	// tree build even at a few hundred rectangles.)
 	treeRep = 3.0
-	// refineSkew is the occupancy skew above which tile refinement is
+	// refineSkew is the occupancy skew above which the hot-tile split is
 	// enabled (auto threshold). Uniform data probes ≈1.3; clustered data
 	// starts around 4 and climbs past 60 — 2.5 splits the two regimes.
 	refineSkew = 2.5
@@ -155,11 +155,12 @@ func (d Decision) String() string {
 // (≤0 means 1). The rules, in order:
 //
 //   - heavy replication → tree engine;
-//   - otherwise the partition engine at its auto grid, with tile
-//     refinement switched to auto exactly when the probe grid saw a
-//     skewed occupancy (refinement on uniform data is a wasted scan,
-//     refinement on clustered data is worth >1.5× — see
-//     partjoin's BenchmarkRefinedVsUnrefinedClustered).
+//   - otherwise the partition engine at its auto grid, with the hot-tile
+//     split switched to auto exactly when the probe grid saw a skewed
+//     occupancy (on uniform data its trigger scan is wasted; on clustered
+//     data it cuts the hottest work unit, the straggler, to a fraction —
+//     partjoin's TestRefinedBeatsUnrefinedClustered pins that on counters,
+//     BenchmarkSplitVsWholeClustered times it).
 func Decide(st Stats, maxWorkers int) Decision {
 	if maxWorkers <= 0 {
 		maxWorkers = 1
@@ -175,7 +176,7 @@ func Decide(st Stats, maxWorkers int) Decision {
 	workers := clampWorkers(float64(n)/workerShare, maxWorkers)
 	// The grid choice is skew-aware: the planner runs before the first
 	// (cold) join, where a clustered workload would otherwise
-	// start from the uniform-data grid and lean entirely on refinement to
+	// start from the uniform-data grid and lean entirely on the split to
 	// recover. Uniform probes (skew ≤ 2.5) resolve to plain AutoGrid.
 	d := Decision{
 		Engine:          EnginePartition,
@@ -184,7 +185,7 @@ func Decide(st Stats, maxWorkers int) Decision {
 		Workers:         workers,
 	}
 	if st.Skew >= refineSkew {
-		d.RefineThreshold = 0 // auto: fair-share trigger, sweet-spot recursion
+		d.RefineThreshold = 0 // auto: fair-share trigger, units of half of it
 	}
 	return d
 }

@@ -58,7 +58,7 @@ func Markdown(w io.Writer, s *runstore.Store) error {
 		"fig10": "Figure 10 — speed-up and disk accesses",
 		"sn":    "Extension SN — SVM vs. shared-nothing",
 		"est":   "Extension EST — estimation-based balancing",
-		"skew":  "Extension SKEW — skew-adaptive tile refinement",
+		"skew":  "Extension SKEW — skew-adaptive hot-tile split",
 	}
 	for _, sec := range Sections() {
 		body, err := sec.Gen(s)
@@ -303,12 +303,13 @@ func ESTTable(s *runstore.Store) (string, error) {
 // lexical sorting would interleave the sigma levels.
 var skewDistOrder = []string{"uniform", "gauss60", "gauss20", "gauss5"}
 
-// SkewTable renders the partition engine's refinement cells: comparisons
-// with the refinement off and on the auto threshold, the resulting tile
-// decomposition, and the candidate count both must agree on.
+// SkewTable renders the partition engine's hot-tile split cells:
+// comparisons and the hottest work unit's estimated cost with the split off
+// and on the auto trigger, the hottest unit's ratio, the tiles split and the
+// units they became, and the candidate count both must agree on.
 func SkewTable(s *runstore.Store) (string, error) {
 	header := []string{"distribution", "comparisons (off)", "comparisons (auto)",
-		"auto/off", "refined tiles", "subtiles", "candidates"}
+		"hottest unit (off)", "hottest unit (auto)", "auto/off", "split tiles", "their units", "candidates"}
 	var rows [][]string
 	for _, dist := range skewDistOrder {
 		var m [2]map[string]float64
@@ -325,11 +326,12 @@ func SkewTable(s *runstore.Store) (string, error) {
 				dist, off["candidates"], auto["candidates"])
 		}
 		ratio := 1.0
-		if off["comparisons"] > 0 {
-			ratio = auto["comparisons"] / off["comparisons"]
+		if off["hot_unit"] > 0 {
+			ratio = auto["hot_unit"] / off["hot_unit"]
 		}
 		rows = append(rows, []string{dist,
 			commas(off["comparisons"]), commas(auto["comparisons"]),
+			commas(off["hot_unit"]), commas(auto["hot_unit"]),
 			fmt.Sprintf("%.2f", ratio),
 			fmt.Sprintf("%.0f", auto["refined_tiles"]), fmt.Sprintf("%.0f", auto["subtiles"]),
 			commas(auto["candidates"])})

@@ -82,23 +82,25 @@ func sampleStore(t *testing.T) *runstore.Store {
 	add("est", map[string]string{"assignment": "lpt", "reassign": "none"}, run(190.5, 147.8, 1340, 20254))
 	add("est", map[string]string{"assignment": "lpt", "reassign": "all"}, run(180.2, 180.1, 1390, 20671))
 	add("est", map[string]string{"assignment": "dynamic", "reassign": "all"}, run(181.5, 180.7, 1395, 20407))
-	skew := func(comps, cands, units, refined, subtiles float64) map[string]float64 {
+	skew := func(comps, cands, units, hot, refined, subtiles float64) map[string]float64 {
 		return map[string]float64{"comparisons": comps, "candidates": cands,
-			"duplicates": 0, "units": units, "refined_tiles": refined, "subtiles": subtiles}
+			"duplicates": 0, "units": units, "hot_unit": hot, "refined_tiles": refined, "subtiles": subtiles}
 	}
 	for _, c := range []struct {
-		dist             string
-		off, auto        float64
-		cands            float64
-		units, ref, subt float64
+		dist            string
+		comps           float64
+		cands           float64
+		units           float64
+		hotOff, hotAuto float64
+		ref, subt       float64
 	}{
-		{"uniform", 22173, 22173, 106, 729, 0, 0},
-		{"gauss60", 59849, 59849, 1912, 588, 0, 0},
-		{"gauss20", 259164, 259164, 1194, 300, 0, 0},
-		{"gauss5", 2115908, 792680, 19084, 1190, 8, 1133},
+		{"uniform", 22173, 106, 729, 1640, 1640, 0, 0},
+		{"gauss60", 59849, 1912, 588, 5210, 5210, 0, 0},
+		{"gauss20", 259164, 1194, 300, 48802, 48802, 0, 0},
+		{"gauss5", 2115908, 19084, 1190, 1210000, 302500, 4, 32},
 	} {
-		add("skew", map[string]string{"dist": c.dist, "refine": "off"}, skew(c.off, c.cands, c.units, 0, 0))
-		add("skew", map[string]string{"dist": c.dist, "refine": "auto"}, skew(c.auto, c.cands, c.units, c.ref, c.subt))
+		add("skew", map[string]string{"dist": c.dist, "refine": "off"}, skew(c.comps, c.cands, c.units, c.hotOff, 0, 0))
+		add("skew", map[string]string{"dist": c.dist, "refine": "auto"}, skew(c.comps, c.cands, c.units+c.subt-c.ref, c.hotAuto, c.ref, c.subt))
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)

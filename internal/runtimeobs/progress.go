@@ -59,8 +59,7 @@ func (p *Progress) Start() {
 
 // SetTotal publishes the schedule size: units work units whose estimated
 // costs sum to cost. Engines call it once the schedule is built; a
-// schedule that grows later (refinement, task expansion) adjusts with
-// AddTotal.
+// schedule that grows later (task expansion) adjusts with AddTotal.
 func (p *Progress) SetTotal(units, cost int64) {
 	if p == nil {
 		return
@@ -70,8 +69,7 @@ func (p *Progress) SetTotal(units, cost int64) {
 }
 
 // AddTotal adjusts the published schedule by a (possibly negative) delta —
-// refined tiles replaced by their subtile leaves, tree tasks spawning
-// children.
+// tree tasks spawning children, or work found to be empty.
 func (p *Progress) AddTotal(units, cost int64) {
 	if p == nil {
 		return

@@ -38,9 +38,9 @@ func TestProgressLifecycle(t *testing.T) {
 		t.Fatalf("ETA %d exceeds elapsed %d at 75%% done", st.ETANS, st.ElapsedNS)
 	}
 
-	// A refined root pruned with no surviving leaves retracts its unit and
-	// cost from the schedule; the remaining unit finishes the window with
-	// done == total on both axes.
+	// A unit found to be empty retracts itself and its cost from the
+	// schedule; the remaining unit finishes the window with done == total
+	// on both axes.
 	p.AddTotal(-1, -20)
 	p.UnitDone(5)
 	p.Finish()

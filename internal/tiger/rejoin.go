@@ -16,7 +16,7 @@ type RejoinMutation struct {
 // HotTileGrowth aims the first kind of RejoinMutations — a rect of r grown
 // 1 % inside its tile — at the costliest tile of the grid×grid grid over the
 // joint data MBR: the one with the largest product of the two sides' rect
-// counts, which a partition Joiner refines before any other. ok is false
+// counts, which a partition Joiner splits before any other. ok is false
 // when no rect of r inside that tile qualifies.
 func HotTileGrowth(r, s []rtree.Item, grid int) (mut RejoinMutation, ok bool) {
 	mbr := geom.EmptyRect()

@@ -121,8 +121,8 @@ const (
 	// PhasePartition is work decomposition: the counting-sort count and
 	// scatter passes, or tree task creation.
 	PhasePartition
-	// PhaseRefine is the work-unit schedule build: listing and ordering the
-	// tiles, hot-tile splitting and the refinement-arena plane fill.
+	// PhaseRefine is the work-unit schedule build: listing the tiles,
+	// cutting the hot ones into units and ordering the schedule.
 	PhaseRefine
 	// PhaseSweep is the parallel join itself (tile sweeps / node-pair
 	// expansion).
