@@ -3,11 +3,11 @@
 package geom
 
 // AVX2 kernel bindings. The assembly (kernel_amd64.s) implements the exact
-// 4-wide float64 intersection test, the 64-wide quantized byte gate and
-// the 8-lane plane-sweep scan; this file owns the CPU feature detection
-// that decides whether they may run. Builds with -tags purego exclude both
-// files and fall back to the scalar kernels (kernel_fallback.go), which
-// is also the forced path of SetKernel("purego").
+// 4-wide float64 intersection test and the 8-lane plane-sweep scan; this
+// file owns the CPU feature detection that decides whether they may run.
+// Builds with -tags purego exclude both files and fall back to the scalar
+// kernels (kernel_fallback.go), which is also the forced path of
+// SetKernel("purego").
 
 // avx2Available reports whether the CPU supports AVX2 and the OS has
 // enabled 256-bit vector state. Detected once at init.
@@ -43,15 +43,6 @@ func detectAVX2() bool {
 //
 //go:noescape
 func intersectBlocks(q *[4]float64, minx, miny, maxx, maxy *float64, n int) uint64
-
-// quantGate64 evaluates the quantized byte prefilter for a fixed window
-// of 64 lanes starting at the given plane pointers, returning one bit per
-// lane. Callers only test the result against zero; lanes past the logical
-// end are garbage (the padding growQuant guarantees makes the overread
-// safe, and a spurious survivor merely disables a skip).
-//
-//go:noescape
-func quantGate64(q *[4]uint8, minx, miny, maxx, maxy *uint8) uint64
 
 // sweepScan8 runs the plane sweep's inner scan eight lanes at a time: t
 // is the sweep rect as {MaxX, MinY, MaxY}, the planes start at the scan's

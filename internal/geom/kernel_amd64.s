@@ -52,67 +52,6 @@ loop:
 	MOVQ BX, ret+48(FP)
 	RET
 
-// func quantGate64(q *[4]uint8, minx, miny, maxx, maxy *uint8) uint64
-//
-// Quantized byte prefilter over a fixed 64-lane window: the same four-way
-// test as above on the uint8 mirrors, using the unsigned-compare identity
-// a <= b  <=>  min(a, b) == a (VPMINUB + VPCMPEQB; AVX2 has no unsigned
-// byte compare). Two 32-byte groups, one VPMOVMSKB each. Reads exactly
-// 64 bytes per plane regardless of the logical length — growQuant pads
-// the allocations, and trailing garbage bits only cost a skipped skip.
-TEXT ·quantGate64(SB), NOSPLIT, $0-48
-	MOVQ q+0(FP), AX
-	VPBROADCASTB 0(AX), Y0 // q.MinX
-	VPBROADCASTB 1(AX), Y1 // q.MinY
-	VPBROADCASTB 2(AX), Y2 // q.MaxX
-	VPBROADCASTB 3(AX), Y3 // q.MaxY
-	MOVQ minx+8(FP), SI
-	MOVQ miny+16(FP), DI
-	MOVQ maxx+24(FP), R8
-	MOVQ maxy+32(FP), R9
-
-	// Lanes 0..31.
-	VMOVDQU  (SI), Y4
-	VPMINUB  Y2, Y4, Y5
-	VPCMPEQB Y4, Y5, Y4    // minx <= q.MaxX
-	VMOVDQU  (R8), Y5
-	VPMINUB  Y5, Y0, Y6
-	VPCMPEQB Y0, Y6, Y6    // q.MinX <= maxx
-	VPAND    Y6, Y4, Y4
-	VMOVDQU  (DI), Y5
-	VPMINUB  Y3, Y5, Y6
-	VPCMPEQB Y5, Y6, Y5    // miny <= q.MaxY
-	VPAND    Y5, Y4, Y4
-	VMOVDQU  (R9), Y5
-	VPMINUB  Y5, Y1, Y6
-	VPCMPEQB Y1, Y6, Y6    // q.MinY <= maxy
-	VPAND    Y6, Y4, Y4
-	VPMOVMSKB Y4, BX
-
-	// Lanes 32..63.
-	VMOVDQU  32(SI), Y4
-	VPMINUB  Y2, Y4, Y5
-	VPCMPEQB Y4, Y5, Y4
-	VMOVDQU  32(R8), Y5
-	VPMINUB  Y5, Y0, Y6
-	VPCMPEQB Y0, Y6, Y6
-	VPAND    Y6, Y4, Y4
-	VMOVDQU  32(DI), Y5
-	VPMINUB  Y3, Y5, Y6
-	VPCMPEQB Y5, Y6, Y5
-	VPAND    Y5, Y4, Y4
-	VMOVDQU  32(R9), Y5
-	VPMINUB  Y5, Y1, Y6
-	VPCMPEQB Y1, Y6, Y6
-	VPAND    Y6, Y4, Y4
-	VPMOVMSKB Y4, AX
-	SHLQ     $32, AX
-	ORQ      AX, BX
-
-	VZEROUPPER
-	MOVQ BX, ret+40(FP)
-	RET
-
 // func sweepScan8(t *[3]float64, minx, miny, maxy *float64, n int, out *IndexPair, room int, base, mul uint64) (lanes, hits, brk int)
 //
 // The plane sweep's inner scan, eight lanes per step. t holds the sweep

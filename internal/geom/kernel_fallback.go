@@ -13,10 +13,6 @@ func intersectBlocks(q *[4]float64, minx, miny, maxx, maxy *float64, n int) uint
 	panic("geom: vector kernel called on a purego build")
 }
 
-func quantGate64(q *[4]uint8, minx, miny, maxx, maxy *uint8) uint64 {
-	panic("geom: vector kernel called on a purego build")
-}
-
 func sweepScan8(t *[3]float64, minx, miny, maxy *float64, n int, out *IndexPair, room int, base, mul uint64) (lanes, hits, brk int) {
 	panic("geom: vector kernel called on a purego build")
 }

@@ -55,12 +55,6 @@ func MaskWords(n int) int { return (n + 63) >> 6 }
 // re-testing. out must hold at least MaskWords(p.Len()) words; used words
 // are fully overwritten with zero trailing bits. It returns the number of
 // intersecting rectangles.
-//
-// When p carries a quantized mirror, each 64-rectangle block first runs
-// the byte-compare prefilter; blocks with no quantized survivor skip the
-// exact float64 test entirely. The prefilter is conservative (outward
-// rounding), so the result mask is unchanged — only the work to compute
-// it shrinks.
 func IntersectBatchPlanes(q Rect, p *Planes, out []uint64) int {
 	n := p.Len()
 	words := MaskWords(n)
@@ -68,10 +62,6 @@ func IntersectBatchPlanes(q Rect, p *Planes, out []uint64) int {
 		return 0
 	}
 	out = out[:words]
-	var qq [4]uint8
-	if p.quantized {
-		qq = p.quantQuery(q)
-	}
 	count := 0
 	if useAVX2 {
 		qv := [4]float64{q.MinX, q.MinY, q.MaxX, q.MaxY}
@@ -80,10 +70,6 @@ func IntersectBatchPlanes(q Rect, p *Planes, out []uint64) int {
 			cnt := n - base
 			if cnt > 64 {
 				cnt = 64
-			}
-			if p.quantized && quantGate64(&qq, &p.qMinX[base], &p.qMinY[base], &p.qMaxX[base], &p.qMaxY[base]) == 0 {
-				out[wi] = 0
-				continue
 			}
 			full := cnt &^ 3
 			var word uint64
@@ -103,10 +89,6 @@ func IntersectBatchPlanes(q Rect, p *Planes, out []uint64) int {
 		end := base + 64
 		if end > n {
 			end = n
-		}
-		if p.quantized && quantGateGo(&qq, p, base, end) == 0 {
-			out[wi] = 0
-			continue
 		}
 		var word uint64
 		for i := base; i < end; i++ {
@@ -134,20 +116,6 @@ func b2u(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// quantGateGo is the scalar form of the quantized prefilter over lanes
-// [lo, hi): the returned word is nonzero iff any lane survives the
-// byte-compare test. Used on the fallback path so the quantized gate
-// behaves identically (conservatively) on every build.
-func quantGateGo(qq *[4]uint8, p *Planes, lo, hi int) uint64 {
-	var word uint64
-	for i := lo; i < hi; i++ {
-		m := b2u(p.qMinX[i] <= qq[2]) & b2u(qq[0] <= p.qMaxX[i]) &
-			b2u(p.qMinY[i] <= qq[3]) & b2u(qq[1] <= p.qMaxY[i])
-		word |= m << (uint(i-lo) & 63)
-	}
-	return word
 }
 
 // SweepPairsPlanesDense sweeps all of r against all of s, both already in

@@ -1,50 +1,30 @@
 package geom
 
-import "math"
-
 // Planes is the structure-of-arrays coordinate-plane view of a rectangle
 // sequence: the i-th rectangle is (MinX[i], MinY[i], MaxX[i], MaxY[i]).
 // Splitting the coordinates into per-axis planes is what lets the filter
 // kernels test several rectangles per instruction — each plane is a dense
 // float64 stream a 4-wide compare can load directly, where the []Rect
-// layout would need a gather.
+// layout would need a gather. The planes are the only copy of the
+// coordinates the kernels read.
 //
-// A Planes may additionally carry a quantized low-precision mirror: one
-// uint8 per axis per rectangle, rounded outward (mins down, maxes up) over
-// fixed bounds, so the byte-compare prefilter is conservative — every pair
-// that intersects exactly also intersects in quantized space. See Quantize.
-//
-// The zero value is an empty Planes ready for use; Reset/SetRect/Gather
-// reuse capacity and perform no allocation in steady state.
+// The zero value is an empty Planes ready for use; Reset/SetRect reuse
+// capacity and perform no allocation in steady state.
 type Planes struct {
 	MinX, MinY, MaxX, MaxY []float64
-
-	// Quantized mirror (present iff quantized). The byte slices are
-	// allocated with at least 64 bytes of capacity padding past the
-	// length so the fixed-width vector gate may overread; the padding
-	// content is irrelevant (spurious survivors only disable a skip).
-	qMinX, qMinY, qMaxX, qMaxY []uint8
-	// Outward quantization parameters: q = clamp((v-origin)*scale).
-	qOrgX, qOrgY     float64
-	qScaleX, qScaleY float64
-	quantized        bool
 }
 
 // Len returns the number of rectangles.
 func (p *Planes) Len() int { return len(p.MinX) }
 
-// HasQuant reports whether the quantized mirror is present.
-func (p *Planes) HasQuant() bool { return p.quantized }
-
 // Reset sizes the planes for n rectangles, reusing capacity and keeping
 // any prefix contents that were already present (callers overwrite the
-// lanes they own). The quantized mirror is dropped.
+// lanes they own).
 func (p *Planes) Reset(n int) {
 	p.MinX = growFloats(p.MinX, n)
 	p.MinY = growFloats(p.MinY, n)
 	p.MaxX = growFloats(p.MaxX, n)
 	p.MaxY = growFloats(p.MaxY, n)
-	p.quantized = false
 }
 
 func growFloats(s []float64, n int) []float64 {
@@ -56,20 +36,12 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// SetRect stores rectangle r at index i. If the quantized mirror is
-// present it is kept in sync (outward rounding under the stored bounds),
-// so point mutations of a quantized Planes stay conservative.
+// SetRect stores rectangle r at index i.
 func (p *Planes) SetRect(i int, r Rect) {
 	p.MinX[i] = r.MinX
 	p.MinY[i] = r.MinY
 	p.MaxX[i] = r.MaxX
 	p.MaxY[i] = r.MaxY
-	if p.quantized {
-		p.qMinX[i] = qDown(r.MinX, p.qOrgX, p.qScaleX)
-		p.qMinY[i] = qDown(r.MinY, p.qOrgY, p.qScaleY)
-		p.qMaxX[i] = qUp(r.MaxX, p.qOrgX, p.qScaleX)
-		p.qMaxY[i] = qUp(r.MaxY, p.qOrgY, p.qScaleY)
-	}
 }
 
 // RectAt returns rectangle i (the exact float64 coordinates).
@@ -79,30 +51,16 @@ func (p *Planes) RectAt(i int) Rect {
 
 // View returns the subrange [lo, hi) of p as a Planes sharing p's backing
 // arrays — no copying, valid as long as p's planes are not reallocated.
-// The quantized mirror (and its bounds) is carried over when present; the
-// vector gate's 64-byte overread stays inside the parent allocation
-// because the parent's capacity padding extends past any view's end.
 func (p *Planes) View(lo, hi int) Planes {
-	v := Planes{
+	return Planes{
 		MinX: p.MinX[lo:hi],
 		MinY: p.MinY[lo:hi],
 		MaxX: p.MaxX[lo:hi],
 		MaxY: p.MaxY[lo:hi],
 	}
-	if p.quantized {
-		v.qMinX = p.qMinX[lo:hi]
-		v.qMinY = p.qMinY[lo:hi]
-		v.qMaxX = p.qMaxX[lo:hi]
-		v.qMaxY = p.qMaxY[lo:hi]
-		v.qOrgX, v.qOrgY = p.qOrgX, p.qOrgY
-		v.qScaleX, v.qScaleY = p.qScaleX, p.qScaleY
-		v.quantized = true
-	}
-	return v
 }
 
-// FromRects fills the planes from an array-of-structs rect slice,
-// dropping any quantized mirror.
+// FromRects fills the planes from an array-of-structs rect slice.
 func (p *Planes) FromRects(rects []Rect) {
 	p.Reset(len(rects))
 	for i := range rects {
@@ -111,119 +69,5 @@ func (p *Planes) FromRects(rects []Rect) {
 		p.MinY[i] = r.MinY
 		p.MaxX[i] = r.MaxX
 		p.MaxY[i] = r.MaxY
-	}
-}
-
-// Gather fills p with src's rectangles at the selected indices, reusing
-// p's capacity. The quantized mirror (and its bounds) is carried over when
-// src has one — the bytes were rounded outward under bounds independent of
-// position, so a gathered subset stays conservative.
-func (p *Planes) Gather(src *Planes, sel []int32) {
-	p.Reset(len(sel))
-	for i, s := range sel {
-		p.MinX[i] = src.MinX[s]
-		p.MinY[i] = src.MinY[s]
-		p.MaxX[i] = src.MaxX[s]
-		p.MaxY[i] = src.MaxY[s]
-	}
-	if src.quantized {
-		p.qMinX = growQuant(p.qMinX, len(sel))
-		p.qMinY = growQuant(p.qMinY, len(sel))
-		p.qMaxX = growQuant(p.qMaxX, len(sel))
-		p.qMaxY = growQuant(p.qMaxY, len(sel))
-		for i, s := range sel {
-			p.qMinX[i] = src.qMinX[s]
-			p.qMinY[i] = src.qMinY[s]
-			p.qMaxX[i] = src.qMaxX[s]
-			p.qMaxY[i] = src.qMaxY[s]
-		}
-		p.qOrgX, p.qOrgY = src.qOrgX, src.qOrgY
-		p.qScaleX, p.qScaleY = src.qScaleX, src.qScaleY
-		p.quantized = true
-	}
-}
-
-// Quantize builds the quantized uint8 mirror of the current rectangles
-// over the given bounds (typically the MBR of the set). The rounding is
-// outward — mins round down, maxes round up, NaN maps to the widest value
-// for its role — which makes the byte prefilter conservative: if two
-// rectangles intersect under the exact float64 predicate, their quantized
-// images intersect too. Coordinates outside the bounds clamp to the edge
-// cells, so the mirror stays valid (just less selective) for rectangles
-// drifting out of bounds. Degenerate or non-finite bounds collapse the
-// axis (scale 0): every value maps to cell 0 and the gate never rejects.
-func (p *Planes) Quantize(bounds Rect) {
-	n := p.Len()
-	p.qMinX = growQuant(p.qMinX, n)
-	p.qMinY = growQuant(p.qMinY, n)
-	p.qMaxX = growQuant(p.qMaxX, n)
-	p.qMaxY = growQuant(p.qMaxY, n)
-	p.qOrgX, p.qScaleX = quantParams(bounds.MinX, bounds.MaxX)
-	p.qOrgY, p.qScaleY = quantParams(bounds.MinY, bounds.MaxY)
-	for i := 0; i < n; i++ {
-		p.qMinX[i] = qDown(p.MinX[i], p.qOrgX, p.qScaleX)
-		p.qMinY[i] = qDown(p.MinY[i], p.qOrgY, p.qScaleY)
-		p.qMaxX[i] = qUp(p.MaxX[i], p.qOrgX, p.qScaleX)
-		p.qMaxY[i] = qUp(p.MaxY[i], p.qOrgY, p.qScaleY)
-	}
-	p.quantized = true
-}
-
-// growQuant sizes a quantized plane, always keeping at least 64 bytes of
-// capacity beyond the length: the vector gate loads fixed 64-byte windows
-// from any in-range word base, so the overread must stay inside the
-// allocation.
-func growQuant(s []uint8, n int) []uint8 {
-	if cap(s) < n+64 {
-		return make([]uint8, n, n+64)
-	}
-	return s[:n]
-}
-
-// quantParams derives one axis' quantization mapping from its bounds.
-func quantParams(lo, hi float64) (origin, scale float64) {
-	w := hi - lo
-	if !(w > 0) || math.IsInf(w, 0) || math.IsInf(lo, 0) {
-		return 0, 0 // degenerate: everything maps to cell 0
-	}
-	return lo, 255 / w
-}
-
-// qDown quantizes a lower bound: round down, clamp to [0,255], NaN and
-// -Inf map to 0 (the most permissive lower cell).
-func qDown(v, origin, scale float64) uint8 {
-	t := (v - origin) * scale
-	if !(t > 0) { // NaN, -Inf, or <= 0
-		return 0
-	}
-	if t >= 255 {
-		return 255
-	}
-	return uint8(t) // truncation == floor for t > 0
-}
-
-// qUp quantizes an upper bound: round up, clamp to [0,255], NaN and +Inf
-// map to 255 (the most permissive upper cell).
-func qUp(v, origin, scale float64) uint8 {
-	t := math.Ceil((v - origin) * scale)
-	if !(t < 255) { // NaN, +Inf, or >= 255
-		return 255
-	}
-	if t <= 0 {
-		return 0
-	}
-	return uint8(t)
-}
-
-// quantQuery returns the query rectangle's outward-rounded image under p's
-// quantization: {MinX, MinY, MaxX, MaxY} with mins rounded down and maxes
-// rounded up, so the gate test (data.min <= q.max && q.min <= data.max,
-// per axis, in bytes) is a superset of the exact predicate.
-func (p *Planes) quantQuery(q Rect) [4]uint8 {
-	return [4]uint8{
-		qDown(q.MinX, p.qOrgX, p.qScaleX),
-		qDown(q.MinY, p.qOrgY, p.qScaleY),
-		qUp(q.MaxX, p.qOrgX, p.qScaleX),
-		qUp(q.MaxY, p.qOrgY, p.qScaleY),
 	}
 }

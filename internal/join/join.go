@@ -91,9 +91,8 @@ type Scratch struct {
 	rIdx, sIdx []int32          // restricted entry sets
 	rMask      []uint64         // batch-intersect bitmask, R side / one-sided
 	sMask      []uint64         // batch-intersect bitmask, S side
-	hits       []geom.IndexPair // sweep output batch
+	hits       []geom.IndexPair // same-level pairs found, as entry positions
 	cands      []Candidate      // leaf/leaf results of the last Expand
-	leafPos    []geom.IndexPair // entry positions of cands, in lockstep
 	pairs      []NodePair       // directory results of the last Expand
 }
 
@@ -101,9 +100,10 @@ type Scratch struct {
 // Expand, in lockstep with them: LeafPairs()[k] = (i, j) means the k-th
 // candidate is (nr.Entries[i].Obj, ns.Entries[j].Obj), so a caller that
 // needs the pair's MBRs reads them from the two leaves instead of every
-// candidate carrying copies. The slice is read-only and valid until the
-// next Expand call; it is empty unless that Expand was leaf/leaf.
-func (sc *Scratch) LeafPairs() []geom.IndexPair { return sc.leafPos }
+// candidate carrying copies. They are the expansion's own hits (every
+// leaf/leaf hit is a candidate). The slice is read-only and valid until
+// the next Expand call; it is empty unless that Expand was leaf/leaf.
+func (sc *Scratch) LeafPairs() []geom.IndexPair { return sc.hits[:len(sc.cands)] }
 
 // growMask returns m resized to hold a bitmask over n rects, reallocating
 // only when the capacity is insufficient (steady state: never).
@@ -134,7 +134,6 @@ func growMask(m []uint64, n int) []uint64 {
 // lets the cached order replace the per-visit sort of the original code.
 func (sc *Scratch) Expand(nr, ns *rtree.Node, opts Options) (cands []Candidate, pairs []NodePair, comparisons int) {
 	sc.cands = sc.cands[:0]
-	sc.leafPos = sc.leafPos[:0]
 	sc.pairs = sc.pairs[:0]
 	switch {
 	case nr.Level == 0 && ns.Level == 0:
@@ -153,7 +152,8 @@ func (sc *Scratch) Expand(nr, ns *rtree.Node, opts Options) (cands []Candidate, 
 }
 
 // expandEqual enumerates intersecting entry pairs of two same-level nodes
-// into sc.cands (leaf) or sc.pairs (directory).
+// into sc.hits, then emits them into sc.cands (leaf) or sc.pairs
+// (directory).
 func (sc *Scratch) expandEqual(nr, ns *rtree.Node, opts Options, leaf bool) int {
 	comparisons := 0
 	rRects, rOrder, rMBR := nr.SweepView()
@@ -187,24 +187,26 @@ func (sc *Scratch) expandEqual(nr, ns *rtree.Node, opts Options, leaf bool) int 
 			}
 		}
 		sc.rIdx, sc.sIdx = rIdx, sIdx
+		hits := sc.hits[:0]
 		for _, i := range rIdx {
 			for _, j := range sIdx {
 				comparisons++
 				if rRects[i].Intersects(sRects[j]) {
-					sc.emit(nr, ns, i, j, leaf)
+					hits = append(hits, geom.IndexPair{R: i, S: j})
 				}
 			}
 		}
+		sc.hits = hits
+		sc.emit(nr, ns, leaf)
 		return comparisons
 	}
 
 	// Technique (i): restrict both entry sets to the intersection of the
 	// node MBRs. The tests run through the vectorized batch kernel over the
 	// cached coordinate planes (the predicate is bit-identical to
-	// Rect.Intersects, so the comparison count is unchanged — the quantized
-	// prefilter only skips computing blocks whose bits are all zero);
-	// walking the cached order against the bitmask keeps the restricted
-	// sets in ascending MinX for free.
+	// Rect.Intersects, so the comparison count is unchanged); walking the
+	// cached order against the bitmask keeps the restricted sets in
+	// ascending MinX for free.
 	rIdx, sIdx := sc.rIdx[:0], sc.sIdx[:0]
 	if opts.DisableRestriction {
 		rIdx = append(rIdx, rOrder...)
@@ -234,25 +236,26 @@ func (sc *Scratch) expandEqual(nr, ns *rtree.Node, opts Options, leaf bool) int 
 	var n int
 	sc.hits, n = geom.SweepPairsPlanes(rPlanes, sPlanes, rIdx, sIdx, sc.hits[:0])
 	comparisons += n
-	for _, h := range sc.hits {
-		sc.emit(nr, ns, h.R, h.S, leaf)
-	}
+	sc.emit(nr, ns, leaf)
 	return comparisons
 }
 
-// emit records one qualifying entry pair (i of nr, j of ns); a leaf pair
-// also records its positions for LeafPairs.
-func (sc *Scratch) emit(nr, ns *rtree.Node, i, j int32, leaf bool) {
-	er, es := &nr.Entries[i], &ns.Entries[j]
+// emit records the qualifying entry pairs in sc.hits (positions in nr and
+// ns): leaf pairs as candidates, directory pairs as node pairs to descend
+// into. The hits stay behind as LeafPairs.
+func (sc *Scratch) emit(nr, ns *rtree.Node, leaf bool) {
 	if leaf {
-		sc.cands = append(sc.cands, Candidate{R: er.Obj, S: es.Obj})
-		sc.leafPos = append(sc.leafPos, geom.IndexPair{R: i, S: j})
+		for _, h := range sc.hits {
+			sc.cands = append(sc.cands, Candidate{R: nr.Entries[h.R].Obj, S: ns.Entries[h.S].Obj})
+		}
 		return
 	}
-	sc.pairs = append(sc.pairs, NodePair{
-		RPage: er.Child, SPage: es.Child,
-		RLevel: nr.Level - 1, SLevel: ns.Level - 1,
-	})
+	for _, h := range sc.hits {
+		sc.pairs = append(sc.pairs, NodePair{
+			RPage: nr.Entries[h.R].Child, SPage: ns.Entries[h.S].Child,
+			RLevel: nr.Level - 1, SLevel: ns.Level - 1,
+		})
+	}
 }
 
 // expandOneSided enumerates the entries of the deeper node that intersect

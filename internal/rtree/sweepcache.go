@@ -28,10 +28,10 @@ type sweepCache struct {
 	order []int32
 	// mbr is the union of all entry rects.
 	mbr geom.Rect
-	// planes is the coordinate-plane (SoA) view of rects, in entry order,
-	// with the quantized mirror built over mbr — what the vectorized
-	// filter kernels consume. Entry order (not sweep order) keeps visit
-	// orders and bitmask index spaces identical to the rect view.
+	// planes is the coordinate-plane (SoA) view of rects, in entry order —
+	// what the vectorized filter kernels consume. Entry order (not sweep
+	// order) keeps visit orders and bitmask index spaces identical to the
+	// rect view.
 	planes geom.Planes
 }
 
@@ -56,7 +56,6 @@ func (n *Node) ensureSweep() *sweepCache {
 	}
 	geom.SortOrderByMinX(c.rects, c.order)
 	c.planes.FromRects(c.rects)
-	c.planes.Quantize(c.mbr)
 	n.sweep = c
 	return c
 }
@@ -72,8 +71,7 @@ func (n *Node) SweepView() (rects []geom.Rect, order []int32, mbr geom.Rect) {
 }
 
 // PlanesView returns the node's cached coordinate-plane view (aligned
-// with Entries, quantized over the node MBR), the MinX-sorted entry
-// order, and the node MBR. Shared, read-only; same build/concurrency
+// with Entries), the MinX-sorted entry order, and the node MBR. Shared, read-only; same build/concurrency
 // contract as SweepView.
 func (n *Node) PlanesView() (planes *geom.Planes, order []int32, mbr geom.Rect) {
 	c := n.ensureSweep()
@@ -114,9 +112,6 @@ func (n *Node) checkSweepCache() error {
 	if c.planes.Len() != len(n.Entries) {
 		return fmt.Errorf("rtree: page %d sweep cache planes hold %d rects for %d entries (stale cache)",
 			n.Page, c.planes.Len(), len(n.Entries))
-	}
-	if !c.planes.HasQuant() {
-		return fmt.Errorf("rtree: page %d sweep cache planes lack the quantized mirror", n.Page)
 	}
 	for i := range n.Entries {
 		if !rectBitsEqual(c.planes.RectAt(i), n.Entries[i].Rect) {

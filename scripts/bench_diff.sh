@@ -107,7 +107,7 @@ diff_suite() {
 
 diff_suite BENCH_kernel.json \
     . '^(BenchmarkKernelExpand|BenchmarkSequentialJoin$)' \
-    ./internal/geom/ '^(BenchmarkIntersectBatchPlanes(Quant)?$|BenchmarkSweepPairsPlanes(Dense)?$|BenchmarkSortOrderCold$)'
+    ./internal/geom/ '^(BenchmarkIntersectBatchPlanes$|BenchmarkSweepPairsPlanes(Dense)?$|BenchmarkSortOrderCold$)'
 diff_suite BENCH_partjoin.json \
     . '^(BenchmarkPartitionJoin(Cold|ColdSkewed|Skewed|SkewedRefined|Introspected|Health|RejoinMutated)?$|BenchmarkNativeTreeJoin$|BenchmarkBulkLoadSTRParallel$)'
 

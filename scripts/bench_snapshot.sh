@@ -64,7 +64,7 @@ snapshot() {
 
 snapshot BENCH_kernel.json \
     . '^(BenchmarkKernelExpand|BenchmarkSequentialJoin$)' \
-    ./internal/geom/ '^(BenchmarkIntersectBatchPlanes(Quant)?$|BenchmarkSweepPairsPlanes(Dense)?$|BenchmarkSortOrderCold$)'
+    ./internal/geom/ '^(BenchmarkIntersectBatchPlanes$|BenchmarkSweepPairsPlanes(Dense)?$|BenchmarkSortOrderCold$)'
 snapshot BENCH_partjoin.json \
     . '^(BenchmarkPartitionJoin(Cold|ColdSkewed|Skewed|SkewedRefined|Introspected|Health|RejoinMutated)?$|BenchmarkNativeTreeJoin$|BenchmarkBulkLoadSTRParallel$)'
 
