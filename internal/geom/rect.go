@@ -36,9 +36,14 @@ func EmptyRect() Rect {
 	}
 }
 
-// IsEmpty reports whether r contains no point.
+// IsEmpty reports whether r contains no point. A rect with a NaN
+// coordinate counts as empty, so Union never lets a NaN into an MBR: an
+// R*-tree holding such a rect still joins everything else. A finite
+// inverted rect (MinX > MaxX or MinY > MaxY) is empty here too, but
+// Intersects may still match it; what the engines answer for inverted
+// rects is not yet defined.
 func (r Rect) IsEmpty() bool {
-	return r.MinX > r.MaxX || r.MinY > r.MaxY
+	return !(r.MinX <= r.MaxX && r.MinY <= r.MaxY)
 }
 
 // Valid reports whether r is a well-formed, non-empty rectangle with finite
@@ -87,13 +92,18 @@ func (r Rect) Margin() float64 {
 	return (r.MaxX - r.MinX) + (r.MaxY - r.MinY)
 }
 
-// Union returns the minimum bounding rectangle of r and s.
+// Union returns the minimum bounding rectangle of r and s. An empty operand
+// (IsEmpty, so also one with a NaN coordinate) adds nothing, and the union
+// of two empty rects is EmptyRect.
 func (r Rect) Union(s Rect) Rect {
+	if s.IsEmpty() {
+		if r.IsEmpty() {
+			return EmptyRect()
+		}
+		return r
+	}
 	if r.IsEmpty() {
 		return s
-	}
-	if s.IsEmpty() {
-		return r
 	}
 	return Rect{
 		MinX: math.Min(r.MinX, s.MinX),

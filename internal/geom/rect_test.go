@@ -17,6 +17,37 @@ func TestNewRectNormalizes(t *testing.T) {
 	}
 }
 
+// TestNaNRectIsEmpty pins that a NaN coordinate makes a rect empty, so that
+// Union never carries it into an MBR.
+func TestNaNRectIsEmpty(t *testing.T) {
+	r := NewRect(0, 0, 1, 1)
+	for i := 0; i < 4; i++ {
+		n := r
+		switch i {
+		case 0:
+			n.MinX = math.NaN()
+		case 1:
+			n.MinY = math.NaN()
+		case 2:
+			n.MaxX = math.NaN()
+		case 3:
+			n.MaxY = math.NaN()
+		}
+		if !n.IsEmpty() {
+			t.Errorf("%v not empty", n)
+		}
+		if got := r.Union(n); got != r {
+			t.Errorf("%v.Union(%v) = %v, want %v", r, n, got, r)
+		}
+		if got := n.Union(r); got != r {
+			t.Errorf("%v.Union(%v) = %v, want %v", n, r, got, r)
+		}
+		if got := EmptyRect().Union(n); got != EmptyRect() {
+			t.Errorf("EmptyRect().Union(%v) = %v, want EmptyRect", n, got)
+		}
+	}
+}
+
 func TestEmptyRect(t *testing.T) {
 	e := EmptyRect()
 	if !e.IsEmpty() {

@@ -80,6 +80,29 @@ func (b *CandidateBuf) Reset() {
 	}
 }
 
+// Filter keeps, among the candidates at positions from and after, those
+// keep accepts, in push order, and returns how many it dropped. Positions
+// before from are untouched; capacity is kept.
+func (b *CandidateBuf) Filter(from int, keep func(Candidate) bool) int {
+	n := b.Len()
+	w := from
+	for r := from; r < n; r++ {
+		c := b.blocks[r/CandidateBlock][r%CandidateBlock]
+		if keep(c) {
+			b.blocks[w/CandidateBlock][w%CandidateBlock] = c
+			w++
+		}
+	}
+	if w < n {
+		// Keep the invariant that only a full tail is followed by a grow:
+		// a length on a block edge leaves the previous block as the full
+		// tail.
+		b.full = max(w-1, 0) / CandidateBlock
+		b.tail = b.blocks[b.full][:w-b.full*CandidateBlock]
+	}
+	return n - w
+}
+
 // CopyTo copies the held candidates, in push order, to the front of dst,
 // which must have room for Len() of them, and returns that count.
 func (b *CandidateBuf) CopyTo(dst []Candidate) int {

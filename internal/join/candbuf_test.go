@@ -118,6 +118,45 @@ func TestCandidateBuf(t *testing.T) {
 	}
 }
 
+// TestCandidateBufFilter filters the tail of buffers whose lengths straddle
+// the first block's growth and the block edges: the prefix stays, the kept
+// candidates close up in order, and further pushes continue behind them.
+func TestCandidateBufFilter(t *testing.T) {
+	const cb = CandidateBlock
+	for _, tc := range []struct{ n, from, keepEvery int }{
+		{0, 0, 1}, {10, 0, 2}, {10, 10, 2}, {100, 37, 3}, {cb, 0, 1}, {cb, 1, cb + 1},
+		{cb + 1, cb, 2}, {2 * cb, 5, 2}, {2*cb + 3, cb - 1, 1 << 30}, {3 * cb, 0, cb},
+	} {
+		t.Run(fmt.Sprintf("n%d_from%d_every%d", tc.n, tc.from, tc.keepEvery), func(t *testing.T) {
+			var b CandidateBuf
+			for i := 0; i < tc.n; i++ {
+				b.Push(seqCandidate(i))
+			}
+			dropped := b.Filter(tc.from, func(c Candidate) bool { return int(c.R)%tc.keepEvery == 0 })
+			var want []Candidate
+			for i := 0; i < tc.n; i++ {
+				if i < tc.from || i%tc.keepEvery == 0 {
+					want = append(want, seqCandidate(i))
+				}
+			}
+			if dropped != tc.n-len(want) || b.Len() != len(want) {
+				t.Fatalf("dropped %d, Len %d; want %d, %d", dropped, b.Len(), tc.n-len(want), len(want))
+			}
+			for k := 0; k < cb+5; k++ {
+				b.Push(seqCandidate(-k - 1))
+				want = append(want, seqCandidate(-k-1))
+			}
+			got := make([]Candidate, b.Len())
+			b.CopyTo(got)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("candidate %d = %v, want %v", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
 // TestCandidateBufCopyToShortPanics pins CopyTo's contract: a destination
 // shorter than Len() is a caller bug and must not be truncated silently.
 func TestCandidateBufCopyToShortPanics(t *testing.T) {

@@ -367,7 +367,7 @@ func TestCreateTasksGeneric(t *testing.T) {
 		t.Skip("no overlap")
 	}
 	src := DirectSource{R: tr, S: ts}
-	tasks, level, comparisons := CreateTasks(src, root, Options{}, 16)
+	tasks, level, comparisons := CreateTasks(src, root, Options{}, 16, 0)
 	if comparisons <= 0 {
 		t.Fatal("no comparisons counted")
 	}
@@ -396,7 +396,7 @@ func TestCreateTasksLeafOnlyTrees(t *testing.T) {
 	if !ok {
 		t.Skip("no overlap")
 	}
-	tasks, level, _ := CreateTasks(DirectSource{R: tr, S: ts}, root, Options{}, 8)
+	tasks, level, _ := CreateTasks(DirectSource{R: tr, S: ts}, root, Options{}, 8, 0)
 	if level != 0 {
 		t.Fatalf("level = %d, want 0", level)
 	}

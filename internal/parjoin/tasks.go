@@ -20,7 +20,7 @@ func CreateTasks(r, s *rtree.Tree, opts join.Options, minTasks int) (tasks []joi
 	if !ok {
 		return nil, 0, 0
 	}
-	return join.CreateTasks(join.DirectSource{R: r, S: s}, root, opts, minTasks)
+	return join.CreateTasks(join.DirectSource{R: r, S: s}, root, opts, minTasks, 0)
 }
 
 // splitRoundRobin deals tasks to processors round-robin in plane-sweep

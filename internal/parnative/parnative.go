@@ -5,8 +5,9 @@
 // created tasks are balanced across workers with per-worker deques plus
 // work-stealing whose victim selection mirrors the paper's §3.3 task
 // reassignment heuristic (help the worker with the largest remaining
-// (level, tasks) work load). Each worker expands node pairs with the
-// zero-allocation sequential kernel and emits candidates in batches.
+// (level, tasks) work load). Each worker expands directory node pairs with
+// the zero-allocation sequential kernel, joins the bottom level of in-memory
+// trees as dense blocks (blocks.go), and emits candidates in batches.
 package parnative
 
 import (
@@ -30,8 +31,6 @@ type Config struct {
 	// TaskFactor requests at least TaskFactor*Workers tasks from task
 	// creation, like the simulated executor (default 3).
 	TaskFactor int
-	// Opts are the sequential engine's tuning switches.
-	Opts join.Options
 	// Refiner, when set, is the refinement step: it receives every filter
 	// candidate and keeps only those passing the exact join predicate.
 	// Like in the paper, the worker that found a candidate refines it, so
@@ -42,17 +41,18 @@ type Config struct {
 	// prefix. Workers accumulate locally and flush on exit, so the hot
 	// expansion loop is not slowed by shared counters.
 	Metrics *metrics.Registry
-	// Timeline, when set, records wall-clock spans (cpu-sweep per expanded
-	// pair, refine-wait, queue-idle, reassign) — the lighter native mirror
+	// Timeline, when set, records wall-clock spans (cpu-sweep per unit,
+	// refine-wait, queue-idle, reassign) — the lighter native mirror
 	// of the simulator's virtual-time profiler. Size it with
 	// timeline.NewWallRecorder over the resolved worker count; each worker
 	// writes only its own track, so recording needs no locks.
 	Timeline *timeline.Recorder
 	// Progress, when set, receives live progress: the initial task count
-	// is published when the schedule exists, every expanded node pair
-	// reports one unit done, and children entering the deques grow the
-	// total — so done converges on total exactly as the join drains.
-	// Observation-only: a nil slot costs one nil-check per expansion.
+	// is published when the schedule exists, every unit (an expanded node
+	// pair or a part of a block pair) reports one unit done, and children
+	// entering the deques grow the total — so done converges on total
+	// exactly as the join drains. Observation-only: a nil slot costs one
+	// nil-check per unit.
 	Progress *runtimeobs.Progress
 }
 
@@ -60,13 +60,14 @@ type Config struct {
 type Result struct {
 	// Candidates is the filter-step output.
 	Candidates []join.Candidate
-	// Tasks is the number of created tasks (m).
+	// Tasks is the number of created tasks (m): the units task creation
+	// scheduled, a block pair cut into parts counting once per part.
 	Tasks int
 	// Workers is the number of goroutines actually used.
 	Workers int
-	// PerWorker counts the node pairs each worker expanded (diagnostic for
-	// load-balance inspection). The sum is the total pairs visited, which
-	// is at least Tasks: every task is itself a pair, and deeper pairs are
+	// PerWorker counts the units each worker ran (diagnostic for
+	// load-balance inspection). The sum is the total units run, which is
+	// at least Tasks: every task is itself a unit, and deeper pairs are
 	// scheduled individually so they can be stolen.
 	PerWorker []int
 	// Steals counts how often an idle worker took work from a loaded one;
@@ -79,21 +80,26 @@ type Result struct {
 	FalseHits int
 	// PhaseNS is the wall time spent in each pipeline phase, indexed by the
 	// timeline.Phase* constants. The tree executor fills the subset that
-	// applies: prep (sweep-cache build, or the root reads of paged trees),
+	// applies: prep (PrepareBlocks, or the root reads of paged trees),
 	// partition (task creation), sweep (the parallel expansion loop) and
 	// merge (result assembly).
 	PhaseNS [timeline.NumPhases]int64
 }
 
 // Join runs the parallel filter step of r ⋈ s and returns all candidate
-// pairs. The result set is exactly the sequential join's result set.
+// pairs. The result set is exactly the sequential join's result set. It
+// joins pairs of level-1 nodes (or leaf roots) as blocks; the trees are
+// prepared for that first (rtree.Tree.PrepareBlocks), which writes to them
+// unless they are prepared already — the bulk loaders prepare their trees.
 func Join(r, s *rtree.Tree, cfg Config) Result {
 	// The in-memory source cannot fail, so run's error is always nil.
-	res, _ := run(cfg, func() (join.NodePair, bool, error) {
-		// Workers share the in-memory nodes; build every node's sweep cache
-		// up front so no lazy construction races inside the join.
-		r.PrepareSweep()
-		s.PrepareSweep()
+	var blockMax [2]int
+	res, _ := run(cfg, &blockMax, func() (join.NodePair, bool, error) {
+		// Workers share the in-memory nodes; build the directory caches and
+		// the blocks up front so no lazy construction races inside the join.
+		r.PrepareBlocks()
+		s.PrepareBlocks()
+		blockMax = [2]int{r.MaxBlockLen(), s.MaxBlockLen()}
 		root, ok := join.RootPair(r, s)
 		return root, ok, nil
 	}, func() (join.Source, func() error) {
@@ -106,21 +112,26 @@ func Join(r, s *rtree.Tree, cfg Config) Result {
 // real page files and every node access goes through their (concurrency-
 // safe) buffer pools. It is Join over a paged source: each worker drives
 // its own, and the first read error (I/O, checksum, or a node at the wrong
-// level) aborts the whole join at the next scheduling point.
+// level) aborts the whole join at the next scheduling point. The page file
+// has no block format, so every node pair, leaf pairs included, is expanded
+// with the node-pair kernel.
 func JoinPaged(r, s *rtree.PagedTree, cfg Config) (Result, error) {
-	return run(cfg, func() (join.NodePair, bool, error) {
+	return run(cfg, nil, func() (join.NodePair, bool, error) {
 		return join.PagedRootPair(r, s)
 	}, func() (join.Source, func() error) {
 		return join.NewPagedSource(r, s)
 	})
 }
 
-// run is the native tree join behind Join and JoinPaged. root prepares the
-// trees and returns their root pair (false: nothing to join); its time is
-// the prep phase. newSource gives task creation and each worker its own
-// node source plus that source's error check (nil for a source that cannot
-// fail); a worker whose check fails aborts the join.
-func run(cfg Config, root func() (join.NodePair, bool, error),
+// run is the native tree join behind Join and JoinPaged. A non-nil blockMax
+// says the source's level-1 nodes and leaf roots carry blocks, so pairs of
+// them are joined as block units instead of expanded; once root has run it
+// holds the longest block of either side. root prepares the trees and
+// returns their root pair (false: nothing to join); its time is the prep
+// phase. newSource gives task creation and each worker its own node source
+// plus that source's error check (nil for a source that cannot fail); a
+// worker whose check fails aborts the join.
+func run(cfg Config, blockMax *[2]int, root func() (join.NodePair, bool, error),
 	newSource func() (join.Source, func() error)) (Result, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -147,10 +158,18 @@ func run(cfg Config, root func() (join.NodePair, bool, error),
 		return res, fmt.Errorf("parnative: roots: %w", err)
 	}
 	t1 := time.Now()
-	var tasks []join.NodePair
+	blocks := blockMax != nil
+	var tasks []unit
 	if ok {
 		src, check := newSource()
-		tasks, _, _ = join.CreateTasks(src, rootPair, cfg.Opts, cfg.TaskFactor*cfg.Workers)
+		budget := cfg.TaskFactor * cfg.Workers
+		if blocks {
+			pairs, _, _ := join.CreateTasks(src, rootPair, join.Options{}, budget, 1)
+			tasks = splitTasks(src, pairs, budget)
+		} else {
+			pairs, _, _ := join.CreateTasks(src, rootPair, join.Options{}, budget, 0)
+			tasks = wholeUnits(pairs)
+		}
 		if check != nil {
 			if err := check(); err != nil {
 				return res, fmt.Errorf("parnative: task creation: %w", err)
@@ -169,9 +188,9 @@ func run(cfg Config, root func() (join.NodePair, bool, error),
 	res.Tasks = len(tasks)
 	res.PhaseNS[timeline.PhasePrep] = t1.Sub(t0).Nanoseconds()
 	res.PhaseNS[timeline.PhasePartition] = t2.Sub(t1).Nanoseconds()
-	// Live progress: the unit is one expanded node pair at unit cost (the
-	// tree walk has no per-pair cost estimate); children entering the
-	// deques grow the total, so done meets total exactly at the drain.
+	// Live progress: one unit at unit cost each (the tree walk has no
+	// per-unit cost estimate); children entering the deques grow the total,
+	// so done meets total exactly at the drain.
 	prog := cfg.Progress
 	prog.Start()
 	defer prog.Finish()
@@ -207,55 +226,64 @@ func run(cfg Config, root func() (join.NodePair, bool, error),
 			}
 			src, check := newSource()
 			var sc join.Scratch
+			var bs *blockScratch
+			if blocks {
+				bs = newBlockScratch(blockMax[0], blockMax[1])
+			}
 			// Hot-path counts stay in locals; flushed once on exit.
 			var pairs, comps, candTotal int64
 			for {
-				p, ok := sched.next(w)
+				u, ok := sched.next(w)
 				if !ok {
 					break
 				}
 				res.PerWorker[w]++
-				pairs++
+				if u.part == 0 {
+					pairs++
+				}
 				var t0 sim.Time
 				if rec != nil {
 					t0 = wallSince(epoch)
 				}
-				nr := src.Node(join.SideR, p.RPage, p.RLevel)
-				ns := src.Node(join.SideS, p.SPage, p.SLevel)
-				cands, children, comparisons := sc.Expand(nr, ns, cfg.Opts)
-				if check != nil {
-					if err := check(); err != nil {
-						workerErrs[w] = err
-						sched.abort()
-						break
+				before := out[w].Len()
+				var children []join.NodePair
+				var comparisons int
+				if blocks && isBlockPair(u.NodePair) {
+					a, b := blockPair(src, u.NodePair)
+					comparisons = bs.joinBlocks(a, b, u.part, u.parts, &out[w])
+				} else {
+					nr := src.Node(join.SideR, u.RPage, u.RLevel)
+					ns := src.Node(join.SideS, u.SPage, u.SLevel)
+					var cands []join.Candidate
+					cands, children, comparisons = sc.Expand(nr, ns, join.Options{})
+					if check != nil {
+						if err := check(); err != nil {
+							workerErrs[w] = err
+							sched.abort()
+							break
+						}
 					}
+					out[w].Append(cands)
 				}
 				if rec != nil {
 					rec.Complete(w, t0, wallSince(epoch), timeline.KindCPUSweep, sim.SpanArgs{
-						A: int64(p.RPage), B: int64(p.SPage), C: int64(p.MaxLevel()), D: int64(comparisons),
+						A: int64(u.RPage), B: int64(u.SPage), C: int64(u.MaxLevel()), D: int64(comparisons),
 					})
 				}
 				comps += int64(comparisons)
-				candTotal += int64(len(cands))
-				if len(cands) > 0 {
-					if cfg.Refiner != nil {
-						r0 := sim.Time(0)
-						if rec != nil {
-							r0 = wallSince(epoch)
-						}
-						for _, c := range cands {
-							if cfg.Refiner(c) {
-								out[w].Push(c)
-							} else {
-								falseHits[w]++
-							}
-						}
-						if rec != nil {
-							rec.Complete(w, r0, wallSince(epoch), timeline.KindRefineWait,
-								sim.SpanArgs{A: int64(len(cands))})
-						}
-					} else {
-						out[w].Append(cands)
+				found := out[w].Len() - before
+				candTotal += int64(found)
+				if cfg.Refiner != nil && found > 0 {
+					// The unit's candidates are refined in place, behind its
+					// sweep, like a node pair's.
+					r0 := sim.Time(0)
+					if rec != nil {
+						r0 = wallSince(epoch)
+					}
+					falseHits[w] += out[w].Filter(before, cfg.Refiner)
+					if rec != nil {
+						rec.Complete(w, r0, wallSince(epoch), timeline.KindRefineWait,
+							sim.SpanArgs{A: int64(found)})
 					}
 				}
 				if n := len(children); n > 0 {

@@ -11,7 +11,7 @@ import (
 )
 
 // Work-stealing scheduler for the native executor. Every worker owns a
-// deque of pending node pairs: the owner pushes and pops at the top
+// deque of pending units (node pairs, or parts of a block pair): the owner pushes and pops at the top
 // (depth-first, preserving local plane-sweep order), idle workers steal
 // from the bottom — the least imminent, highest-level pairs, exactly the
 // work the paper's task reassignment moves (§3.3 "the processors are
@@ -29,16 +29,16 @@ import (
 // (owner side); index 0 is the bottom (steal side).
 type workerDeque struct {
 	mu    sync.Mutex
-	items []join.NodePair
+	items []unit
 }
 
-// pop removes the top pair (the next in the owner's plane-sweep order).
-func (d *workerDeque) pop() (join.NodePair, bool) {
+// pop removes the top unit (the next in the owner's plane-sweep order).
+func (d *workerDeque) pop() (unit, bool) {
 	d.mu.Lock()
 	n := len(d.items)
 	if n == 0 {
 		d.mu.Unlock()
-		return join.NodePair{}, false
+		return unit{}, false
 	}
 	item := d.items[n-1]
 	d.items = d.items[:n-1]
@@ -46,12 +46,12 @@ func (d *workerDeque) pop() (join.NodePair, bool) {
 	return item, true
 }
 
-// push adds a node pair's children, given in plane-sweep order; they are
-// pushed reversed so the owner pops them in order.
+// push adds a node pair's children, given in plane-sweep order, as whole
+// units; they are pushed reversed so the owner pops them in order.
 func (d *workerDeque) push(children []join.NodePair) {
 	d.mu.Lock()
 	for i := len(children) - 1; i >= 0; i-- {
-		d.items = append(d.items, children[i])
+		d.items = append(d.items, unit{NodePair: children[i], parts: 1})
 	}
 	d.mu.Unlock()
 }
@@ -85,7 +85,7 @@ func (d *workerDeque) report() (hl, ns int) {
 // stealHalf moves half of the deque (at least one pair) from the bottom
 // into buf and returns it, preserving deque order. The remaining items are
 // compacted so the owner's capacity is retained.
-func (d *workerDeque) stealHalf(buf []join.NodePair) []join.NodePair {
+func (d *workerDeque) stealHalf(buf []unit) []unit {
 	d.mu.Lock()
 	n := len(d.items)
 	if n == 0 {
@@ -107,12 +107,12 @@ func (d *workerDeque) stealHalf(buf []join.NodePair) []join.NodePair {
 // order. The thief's deque is normally empty when this runs (it only steals
 // out of work), but other thieves may race it, so the general case is
 // handled too.
-func (d *workerDeque) pushBottom(items []join.NodePair) {
+func (d *workerDeque) pushBottom(items []unit) {
 	d.mu.Lock()
 	if len(d.items) == 0 {
 		d.items = append(d.items[:0], items...)
 	} else {
-		merged := make([]join.NodePair, 0, len(items)+len(d.items))
+		merged := make([]unit, 0, len(items)+len(d.items))
 		merged = append(merged, items...)
 		merged = append(merged, d.items...)
 		d.items = merged
@@ -124,7 +124,7 @@ func (d *workerDeque) pushBottom(items []join.NodePair) {
 // an in-flight pair count, sleeping idle workers, and steal bookkeeping.
 type stealScheduler struct {
 	deques []*workerDeque
-	bufs   [][]join.NodePair // per-worker steal scratch
+	bufs   [][]unit // per-worker steal scratch
 
 	// inflight counts pairs that are queued or being processed; the join is
 	// complete when it reaches zero.
@@ -156,14 +156,14 @@ type stealScheduler struct {
 // newStealScheduler distributes the created tasks over the workers by the
 // paper's static range assignment (§3.1, join.SplitRange: contiguous
 // blocks in plane-sweep order) and lets stealing balance from there.
-func newStealScheduler(workers int, tasks []join.NodePair) *stealScheduler {
+func newStealScheduler(workers int, tasks []unit) *stealScheduler {
 	s := &stealScheduler{
 		deques: make([]*workerDeque, workers),
-		bufs:   make([][]join.NodePair, workers),
+		bufs:   make([][]unit, workers),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for i, block := range join.SplitRange(tasks, workers) {
-		d := &workerDeque{items: make([]join.NodePair, 0, 2*len(block)+8)}
+		d := &workerDeque{items: make([]unit, 0, 2*len(block)+8)}
 		// Load bottom-up so the top of the deque pops in plane-sweep order.
 		for j := len(block) - 1; j >= 0; j-- {
 			d.items = append(d.items, block[j])
@@ -178,9 +178,9 @@ func newStealScheduler(workers int, tasks []join.NodePair) *stealScheduler {
 // next returns the next pair for worker w: its own top, else stolen work,
 // else it sleeps until work appears or the join completes. ok is false when
 // the whole join is done (or aborted).
-func (s *stealScheduler) next(w int) (join.NodePair, bool) {
+func (s *stealScheduler) next(w int) (unit, bool) {
 	if s.aborted.Load() {
-		return join.NodePair{}, false
+		return unit{}, false
 	}
 	if item, ok := s.deques[w].pop(); ok {
 		return item, true
@@ -189,7 +189,7 @@ func (s *stealScheduler) next(w int) (join.NodePair, bool) {
 		s.mu.Lock()
 		if s.done {
 			s.mu.Unlock()
-			return join.NodePair{}, false
+			return unit{}, false
 		}
 		v := s.version
 		s.mu.Unlock()
@@ -219,7 +219,7 @@ func (s *stealScheduler) next(w int) (join.NodePair, bool) {
 		done := s.done
 		s.mu.Unlock()
 		if done {
-			return join.NodePair{}, false
+			return unit{}, false
 		}
 	}
 }
@@ -249,7 +249,7 @@ func (s *stealScheduler) complete(w int, children []join.NodePair) {
 // steal picks the victim with the largest (hl, ns) work report, takes half
 // of its deque from the bottom, and returns the first stolen pair (the rest
 // goes under w's own deque).
-func (s *stealScheduler) steal(w int) (join.NodePair, bool) {
+func (s *stealScheduler) steal(w int) (unit, bool) {
 	s.attempts.Add(1)
 	best, bestHl, bestNs := -1, -1, 0
 	for i := range s.deques {
@@ -265,12 +265,12 @@ func (s *stealScheduler) steal(w int) (join.NodePair, bool) {
 		}
 	}
 	if best < 0 {
-		return join.NodePair{}, false
+		return unit{}, false
 	}
 	moved := s.deques[best].stealHalf(s.bufs[w])
 	s.bufs[w] = moved[:0]
 	if len(moved) == 0 {
-		return join.NodePair{}, false // raced: the victim drained meanwhile
+		return unit{}, false // raced: the victim drained meanwhile
 	}
 	s.steals.Add(1)
 	if s.perSteals != nil {
@@ -291,7 +291,7 @@ func (s *stealScheduler) steal(w int) (join.NodePair, bool) {
 		return item, true
 	}
 	// Another thief took everything we just published; treat as a miss.
-	return join.NodePair{}, false
+	return unit{}, false
 }
 
 // finish marks the join complete and wakes every sleeping worker.

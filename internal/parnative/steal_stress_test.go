@@ -76,7 +76,7 @@ func TestStealSchedulerNoLossNoDuplication(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			f := buildForest(tc.seed, tc.roots, tc.maxChildren, tc.depth)
 			reg := metrics.NewRegistry()
-			sched := newStealScheduler(tc.workers, f.roots)
+			sched := newStealScheduler(tc.workers, wholeUnits(f.roots))
 			sched.met = newNativeMetrics(reg, tc.workers)
 
 			seen := make([]map[storage.PageID]int, tc.workers)
@@ -140,7 +140,7 @@ func TestStealSchedulerNoLossNoDuplication(t *testing.T) {
 func TestStealSchedulerRepeatable(t *testing.T) {
 	f := buildForest(7, 2, 5, 5)
 	for round := 0; round < 200; round++ {
-		sched := newStealScheduler(8, f.roots)
+		sched := newStealScheduler(8, wholeUnits(f.roots))
 		var delivered [8]int64
 		var wg sync.WaitGroup
 		for w := 0; w < 8; w++ {

@@ -29,8 +29,8 @@ func BulkLoadSTR(params Params, items []Item, fill float64) *Tree {
 // bulkLoadSTR is the loader behind BulkLoadSTR and BulkLoadSTRParallel.
 // Everything that decides the tree — the two orderings per level, the node
 // boundaries, the page numbering — is independent of workers; the goroutines
-// only share out key computation, per-slab sorts, entry copies and the sweep
-// caches.
+// only share out key computation, per-slab sorts, entry copies, the sweep
+// caches and the blocks.
 func bulkLoadSTR(params Params, items []Item, fill float64, workers int) *Tree {
 	params.validate()
 	if fill <= 0 || fill > 1 {
@@ -84,9 +84,10 @@ func bulkLoadSTR(params Params, items []Item, fill float64, workers int) *Tree {
 	}
 	t.root = nodes[0].Page
 	t.size = len(items)
-	// Build time is the one moment every node is known immutable: precompute
-	// the join sweep caches so the first join never sorts.
-	t.prepareSweep(workers)
+	// Build time is the one moment every node is known immutable: prepare
+	// the native join's directory caches and blocks so the first join never
+	// sorts.
+	t.prepareBlocks(workers)
 	return t
 }
 

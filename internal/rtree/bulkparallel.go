@@ -9,8 +9,8 @@ import (
 // count: each level's center-x order is one keyed radix sort on the calling
 // goroutine (≈2 ms at 131k entries — a barrier per radix pass would cost
 // more than it shares out), and the slabs' center-y orders, the key
-// computation, the entry copies and the sweep caches fan out over disjoint
-// ranges. Both orderings are stable sorts, whose result is a unique
+// computation, the entry copies, the sweep caches and the blocks fan out
+// over disjoint ranges. Both orderings are stable sorts, whose result is a unique
 // sequence (equal keys keep input order, NaN keys go first — see
 // geom.StableOrderByKey), and page numbers are assigned on the calling
 // goroutine in final order, so the trees are byte-identical to
@@ -26,7 +26,7 @@ var (
 
 // BulkLoadSTRParallel builds the same tree as BulkLoadSTR — byte-identical
 // under WriteTo — using the given number of goroutines for the key, slab
-// sort, pack, and sweep-cache phases. workers <= 0 means GOMAXPROCS. Small
+// sort, pack, and join-preparation phases. workers <= 0 means GOMAXPROCS. Small
 // inputs run on the calling goroutine alone.
 func BulkLoadSTRParallel(params Params, items []Item, fill float64, workers int) *Tree {
 	if workers <= 0 {

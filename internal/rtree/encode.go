@@ -58,8 +58,9 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// ReadTree deserializes a tree written by WriteTo and verifies its
-// structural integrity.
+// ReadTree deserializes a tree written by WriteTo, verifies its structural
+// integrity and prepares it for the native join, as the bulk loaders do
+// (PrepareBlocks).
 func ReadTree(r io.Reader) (*Tree, error) {
 	br := &byteReader{r: r}
 	magic := make([]byte, 4)
@@ -128,7 +129,7 @@ func ReadTree(r io.Reader) (*Tree, error) {
 	if err := t.CheckIntegrity(); err != nil {
 		return nil, fmt.Errorf("rtree: decoded tree invalid: %w", err)
 	}
-	t.PrepareSweep()
+	t.prepareBlocks(1)
 	return t, nil
 }
 

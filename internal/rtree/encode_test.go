@@ -33,11 +33,14 @@ func assertTreesEqual(t *testing.T, a, b *Tree) {
 	if len(a.nodes) != len(b.nodes) {
 		t.Fatalf("page counts differ: %d vs %d", len(a.nodes), len(b.nodes))
 	}
-	// Sweep caches are derived data built at different times (decode builds
-	// eagerly, dynamic trees lazily); materialize both sides so DeepEqual
-	// compares their contents instead of nil vs. built.
-	a.PrepareSweep()
-	b.PrepareSweep()
+	// Sweep caches and blocks are derived data built at different times
+	// (the loaders build them eagerly, dynamic trees lazily); materialize
+	// both sides so DeepEqual compares their contents instead of nil vs.
+	// built.
+	for _, tr := range []*Tree{a, b} {
+		tr.PrepareSweep()
+		tr.PrepareBlocks()
+	}
 	for i := range a.nodes {
 		na, nb := a.nodes[i], b.nodes[i]
 		if (na == nil) != (nb == nil) {

@@ -24,7 +24,7 @@ func (t *Tree) Insert(id EntryID, r geom.Rect) {
 func (t *Tree) insertEntry(e Entry, level int, reinserted map[int]bool) {
 	n := t.chooseSubtree(e.Rect, level)
 	n.Entries = append(n.Entries, e)
-	n.invalidateSweep()
+	t.invalidate(n)
 	if level > 0 {
 		t.Node(e.Child).Parent = n.Page
 	}
@@ -146,7 +146,7 @@ func (t *Tree) reinsert(n *Node, reinserted map[int]bool) {
 	for i := p; i < len(all); i++ {
 		n.Entries = append(n.Entries, all[i].e)
 	}
-	n.invalidateSweep()
+	t.invalidate(n)
 	t.adjustMBRUp(n)
 
 	// Close reinsert: smallest distance first (reverse of removal order).
@@ -167,7 +167,7 @@ func (t *Tree) adjustMBRUp(n *Node) {
 			return
 		}
 		parent.Entries[i].Rect = mbr
-		parent.invalidateSweep()
+		t.invalidate(parent)
 		n = parent
 	}
 }

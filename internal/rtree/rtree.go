@@ -44,6 +44,9 @@ type Node struct {
 	// sweep caches the join views of this node (SoA rects, MinX order,
 	// MBR); nil until built. See sweepcache.go.
 	sweep *sweepCache
+	// block is the native join's view of the data entries under a level-1
+	// node or a leaf root; nil until built. See block.go.
+	block *Block
 }
 
 // Kind returns the storage classification of the node's page.
@@ -117,6 +120,11 @@ type Tree struct {
 	nodes  []*Node // node store indexed by PageID
 	root   storage.PageID
 	size   int // number of data entries
+	// blocksReady says every node PrepareBlocks prepares carries its cache
+	// or block; a mutation clears it.
+	blocksReady bool
+	// maxBlock is the length of the longest block built so far.
+	maxBlock int
 }
 
 // New returns an empty R*-tree with the given page parameters.

@@ -16,7 +16,7 @@ func (t *Tree) splitNode(n *Node, reinserted map[int]bool) {
 
 	sibling := t.allocNode(n.Level)
 	n.Entries = group1
-	n.invalidateSweep()
+	t.invalidate(n)
 	sibling.Entries = group2
 	if n.Level > 0 {
 		for i := range sibling.Entries {
@@ -42,7 +42,7 @@ func (t *Tree) splitNode(n *Node, reinserted map[int]bool) {
 	parent.Entries[parent.entryIndexOf(n.Page)].Rect = n.MBR()
 	parent.Entries = append(parent.Entries,
 		Entry{Rect: sibling.MBR(), Child: sibling.Page, Obj: -1})
-	parent.invalidateSweep()
+	t.invalidate(parent)
 	if len(parent.Entries) > t.capacity(parent) {
 		t.overflow(parent, reinserted)
 	} else {
@@ -156,7 +156,7 @@ func (t *Tree) Delete(id EntryID, r geom.Rect) bool {
 		return false
 	}
 	leaf.Entries = append(leaf.Entries[:idx], leaf.Entries[idx+1:]...)
-	leaf.invalidateSweep()
+	t.invalidate(leaf)
 	t.size--
 	t.condense(leaf)
 
@@ -207,7 +207,7 @@ func (t *Tree) condense(n *Node) {
 		if len(n.Entries) < t.minFill(n) {
 			i := parent.entryIndexOf(n.Page)
 			parent.Entries = append(parent.Entries[:i], parent.Entries[i+1:]...)
-			parent.invalidateSweep()
+			t.invalidate(parent)
 			orphans = append(orphans, orphan{level: n.Level, entries: n.Entries})
 			t.freeNode(n.Page)
 		} else {

@@ -52,7 +52,9 @@ func (t *Tree) Stats() Stats {
 //     root holds between 1 (or 0 when empty) and capacity;
 //  3. all leaves are at level 0 and each level decreases by one per step;
 //  4. parent pointers match the directory structure;
-//  5. the number of reachable data entries equals Len().
+//  5. the number of reachable data entries equals Len();
+//  6. every present sweep cache and block matches the entries it was built
+//     from, bit for bit.
 func (t *Tree) CheckIntegrity() error {
 	root := t.node(t.root)
 	if root == nil {
@@ -72,6 +74,9 @@ func (t *Tree) CheckIntegrity() error {
 	var check func(n *Node) error
 	check = func(n *Node) error {
 		if err := n.checkSweepCache(); err != nil {
+			return err
+		}
+		if err := t.checkBlock(n); err != nil {
 			return err
 		}
 		if n.Page != t.root {

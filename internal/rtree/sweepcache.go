@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"spjoin/internal/geom"
+	"spjoin/internal/storage"
 )
 
 // Per-node sweep cache. R*-tree nodes are immutable once a tree is built
@@ -13,9 +14,12 @@ import (
 // therefore needs, over and over, the same three derived views of a node:
 // a structure-of-arrays copy of the entry rectangles, the entry order
 // sorted by lower x-value (the plane-sweep order of §2.2), and the node's
-// MBR. The cache computes them once per node — at bulk-load/decode time for
-// trees built in one shot, lazily on first join use otherwise — so the
-// kernel never sorts or copies entry rects on the hot path.
+// MBR. The cache computes them once per node, so the kernel never sorts or
+// copies entry rects on the hot path. The bulk loaders and PrepareBlocks
+// build the caches of the directory nodes, which the native join expands;
+// the native join reads its bottom level from blocks (block.go), so leaf
+// caches are built lazily, on first use by a single-goroutine join
+// (join.Sequential, the simulator), or all at once by PrepareSweep.
 //
 // Dynamic trees stay correct: every operation that changes a node's entry
 // list (insert, split, reinsertion, deletion, MBR adjustment) drops the
@@ -24,7 +28,9 @@ type sweepCache struct {
 	// rects[i] is Entries[i].Rect — contiguous, so the sweep's inner loop
 	// walks 32-byte rects instead of 48-byte entries.
 	rects []geom.Rect
-	// order holds the entry indices sorted by (MinX, MinY, index).
+	// order holds the entry indices sorted by (MinX, MinY, index), with the
+	// entries that have a NaN coordinate (which intersect nothing) last, in
+	// index order.
 	order []int32
 	// mbr is the union of all entry rects.
 	mbr geom.Rect
@@ -48,13 +54,29 @@ func (n *Node) ensureSweep() *sweepCache {
 		order: make([]int32, len(n.Entries)),
 		mbr:   geom.EmptyRect(),
 	}
+	nan := 0
 	for i := range n.Entries {
 		r := n.Entries[i].Rect
 		c.rects[i] = r
-		c.order[i] = int32(i)
 		c.mbr = c.mbr.Union(r)
+		if hasNaN(r) {
+			nan++
+		}
 	}
-	geom.SortOrderByMinX(c.rects, c.order)
+	// A NaN coordinate would make the sort's comparison partial, and the
+	// others could come out unordered; such an entry matches nothing, so it
+	// waits behind the sorted ones.
+	k, tail := 0, len(n.Entries)-nan
+	for i := range c.rects {
+		if hasNaN(c.rects[i]) {
+			c.order[tail] = int32(i)
+			tail++
+		} else {
+			c.order[k] = int32(i)
+			k++
+		}
+	}
+	geom.SortOrderByMinX(c.rects, c.order[:k])
 	c.planes.FromRects(c.rects)
 	n.sweep = c
 	return c
@@ -78,14 +100,20 @@ func (n *Node) PlanesView() (planes *geom.Planes, order []int32, mbr geom.Rect) 
 	return &c.planes, c.order, c.mbr
 }
 
-// invalidateSweep drops the cached views. Every mutation of n.Entries —
-// appends, rebuilds, and in-place rectangle adjustments — must call this.
-func (n *Node) invalidateSweep() {
-	n.sweep = nil
+// invalidate drops n's cached views and block, and, for a leaf, its
+// parent's block, which holds the leaf's entries. Every mutation of
+// n.Entries — appends, rebuilds, and in-place rectangle adjustments — must
+// call this.
+func (t *Tree) invalidate(n *Node) {
+	n.sweep, n.block = nil, nil
+	if n.Level == 0 && n.Parent != storage.InvalidPage {
+		t.Node(n.Parent).block = nil
+	}
+	t.blocksReady = false
 }
 
 // checkSweepCache verifies that a present cache still matches the node's
-// entries — a stale cache means some mutation path forgot invalidateSweep.
+// entries — a stale cache means some mutation path forgot invalidate.
 // CheckIntegrity runs it on every node, so the test suite catches missed
 // invalidations immediately. A nil cache is always fine.
 func (n *Node) checkSweepCache() error {
@@ -98,14 +126,24 @@ func (n *Node) checkSweepCache() error {
 			n.Page, len(c.rects), len(n.Entries))
 	}
 	for i := range n.Entries {
-		if c.rects[i] != n.Entries[i].Rect {
+		if !rectBitsEqual(c.rects[i], n.Entries[i].Rect) {
 			return fmt.Errorf("rtree: page %d sweep cache rect %d = %v, entry has %v (stale cache)",
 				n.Page, i, c.rects[i], n.Entries[i].Rect)
 		}
 	}
 	for i := 1; i < len(c.order); i++ {
-		a, b := c.rects[c.order[i-1]], c.rects[c.order[i]]
-		if !rectOrderOK(a, b, int(c.order[i-1]), int(c.order[i])) {
+		ia, ib := int(c.order[i-1]), int(c.order[i])
+		a, b := c.rects[ia], c.rects[ib]
+		var ok bool
+		switch {
+		case hasNaN(b):
+			ok = !hasNaN(a) || ia < ib
+		case hasNaN(a):
+			ok = false
+		default:
+			ok = rectOrderOK(a, b, ia, ib)
+		}
+		if !ok {
 			return fmt.Errorf("rtree: page %d sweep order broken at %d (stale cache)", n.Page, i)
 		}
 	}
@@ -142,19 +180,16 @@ func rectOrderOK(a, b geom.Rect, ia, ib int) bool {
 	return ia < ib
 }
 
-// PrepareSweep precomputes the sweep cache of every live node. Call it once
-// before joining a tree from multiple goroutines: afterwards SweepView only
-// reads, so concurrent joins need no synchronization on the tree.
-func (t *Tree) PrepareSweep() { t.prepareSweep(1) }
-
-// prepareSweep is PrepareSweep spread over workers goroutines; each node's
-// cache is built by exactly one of them.
-func (t *Tree) prepareSweep(workers int) {
-	parallelRanges(workers, len(t.nodes), func(lo, hi int) {
-		for _, n := range t.nodes[lo:hi] {
-			if n != nil {
-				n.ensureSweep()
-			}
+// PrepareSweep precomputes the sweep cache of every live node, leaves
+// included. Call it once before running node-pair expansions
+// (join.Scratch.Expand, the simulator) on a tree from multiple goroutines:
+// afterwards SweepView only reads, so concurrent joins need no
+// synchronization on the tree. The native join needs PrepareBlocks instead,
+// which builds no leaf cache.
+func (t *Tree) PrepareSweep() {
+	for _, n := range t.nodes {
+		if n != nil {
+			n.ensureSweep()
 		}
-	})
+	}
 }

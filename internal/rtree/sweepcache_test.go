@@ -91,7 +91,7 @@ func TestSweepCacheInterleavedMutations(t *testing.T) {
 
 func TestPrepareSweepBuildsEveryNode(t *testing.T) {
 	tree := BulkLoadSTR(DefaultParams(), randomItems(2000, 36), 0.73)
-	// BulkLoadSTR prepares eagerly already; verify the invariant holds.
+	tree.PrepareSweep()
 	count := 0
 	tree.eachNode(func(n *Node) {
 		count++

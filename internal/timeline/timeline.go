@@ -111,10 +111,11 @@ func KindName(k sim.SpanKind) string {
 // engines' Result.PhaseNS arrays, the KindPhase span arg and the flight
 // recorder's EXPLAIN waterfall. The partition engine uses all of them; the
 // native tree executor maps its pipeline onto the subset that applies
-// (prep = sweep-cache build, partition = task creation).
+// (prep = PrepareBlocks or the paged root reads, partition = task
+// creation).
 const (
 	// PhasePrep is input synchronization: partjoin's SoA mirroring and
-	// mirror-check/verify passes, parnative's PrepareSweep.
+	// mirror-check/verify passes, parnative's PrepareBlocks.
 	PhasePrep = iota
 	// PhaseSort is the global sweep-order sort (cold or mutated inputs).
 	PhaseSort

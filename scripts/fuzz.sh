@@ -16,6 +16,7 @@ FuzzSweepPairsPlanes             ./internal/geom/      30s
 FuzzPartitionJoin                ./internal/partjoin/  30s
 FuzzPartitionJoinRefined         ./internal/partjoin/  30s
 FuzzPartitionJoinMutateSequence  ./internal/partjoin/  30s
+FuzzNativeJoinBlocks             ./internal/parnative/ 30s
 '
 
 echo "$TARGETS" | while read -r target pkg fuzztime; do

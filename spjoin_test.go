@@ -2,6 +2,7 @@ package spjoin
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -32,6 +33,35 @@ func TestBuildAndJoin(t *testing.T) {
 	for _, c := range par {
 		if !seen[[2]ID{c.R, c.S}] {
 			t.Fatalf("parallel produced unexpected pair %v/%v", c.R, c.S)
+		}
+	}
+}
+
+// TestNaNRectJoinsEverythingElse pins the public API on an STR-built tree
+// holding one rect with a NaN coordinate: that rect matches nothing, and
+// every other pair is still found, sequentially and in parallel.
+func TestNaNRectJoinsEverythingElse(t *testing.T) {
+	streets, mixed := SampleMaps(0.05, 42)
+	streets[len(streets)/2].Rect.MinY = math.NaN()
+	mixed[len(mixed)/3].Rect.MinX = math.NaN()
+	want := 0
+	for _, a := range streets {
+		for _, b := range mixed {
+			if a.Rect.Intersects(b.Rect) {
+				want++
+			}
+		}
+	}
+	if want == 0 {
+		t.Fatal("brute force found no pairs — test premise broken")
+	}
+	r, s := BuildSTR(streets, 0.73), BuildSTR(mixed, 0.73)
+	if got := len(Join(r, s)); got != want {
+		t.Errorf("Join: %d pairs, brute force %d", got, want)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		if got := len(JoinParallel(r, s, workers)); got != want {
+			t.Errorf("JoinParallel(%d workers): %d pairs, brute force %d", workers, got, want)
 		}
 	}
 }
