@@ -20,11 +20,15 @@ import (
 //     searches and one copy of the span between;
 //   - the tile segments: in every tile of old-range ∪ new-range the rect is
 //     removed, inserted, repositioned or — same key, same tile — overwritten
-//     in idx and the four coordinate planes. The flat layout has no per-tile
-//     slack, so removals and insertions shift what lies between them; all of
-//     one change's edits are applied as block moves over the span from its
-//     first to its last edited segment (and the tail, when the rect's tile
-//     count changed), each entry moving at most once;
+//     in idx, the four coordinate planes, the ID plane and the ownership
+//     bits (a rect that keeps its slot in a tile can still flip a bit there,
+//     say when it grows left into the previous column; an ID-only change
+//     rewrites the ID at every position that holds the rect). The flat
+//     layout has no per-tile slack, so removals and insertions shift what
+//     lies between them; all of one change's edits are applied as block
+//     moves over the span from its first to its last edited segment (and the
+//     tail, when the rect's tile count changed), each entry moving at most
+//     once;
 //   - the work-unit schedule: a touched root tile's unit is re-costed and
 //     sifted to its place, removed when the tile loses a side's last rect,
 //     inserted when it gains a side's first. A touched tile that is hot under
@@ -54,7 +58,7 @@ import (
 //   - one change edits more tiles than the edit buffer holds, or the block
 //     moves so far would have taken longer than one whole fill
 //     (deltaMoveFactor);
-//   - idx or a plane would have to grow.
+//   - idx, a plane, the IDs or the ownership bits would have to grow.
 //
 // A decline may come after earlier changes were applied; that is safe because
 // the sweep orders are valid permutations after every single change and the
@@ -98,11 +102,13 @@ type changeRef struct {
 
 // segEdit is one removal or insertion in a side's flat segment layout. pos
 // is a position in the layout as it was before the change: a removal drops
-// the entry at pos, an insertion places the rect before the entry at pos.
+// the entry at pos, an insertion places the rect, with ownership bits own,
+// before the entry at pos.
 type segEdit struct {
 	pos  int32
 	tile int32
 	ins  bool
+	own  uint8
 }
 
 // step is the edit's effect on the layout's length.
@@ -115,14 +121,31 @@ func (e segEdit) step() int {
 
 // flatSegs is a flat segment layout the delta step edits in place: rect
 // indices grouped into consecutive sweep-sorted segments with no slack
-// between them, and their coordinates in position space — a side's tile
-// segments.
+// between them, and their coordinates, IDs and ownership bits in position
+// space — a side's tile segments.
 type flatSegs struct {
 	idx    *[]int32
 	planes *geom.Planes
+	ids    *[]rtree.EntryID
+	own    *[]uint8
 }
 
-func (g *gridSide) flat() flatSegs { return flatSegs{&g.idx, &g.planes} }
+func (g *gridSide) flat() flatSegs { return flatSegs{&g.idx, &g.planes, &g.ids, &g.own} }
+
+// segPut is what a tile segment holds of a rect after its change: the new
+// rect, its ID and its ownership bits in that tile.
+type segPut struct {
+	rect *geom.Rect
+	id   rtree.EntryID
+	own  uint8
+}
+
+// put writes v at position p.
+func (f flatSegs) put(p int, v segPut) {
+	f.planes.SetRect(p, *v.rect)
+	(*f.ids)[p] = v.id
+	(*f.own)[p] = v.own
+}
 
 // deltaSide is the per-side view the delta step works on.
 type deltaSide struct {
@@ -193,7 +216,12 @@ func (j *Joiner) applyChange(c changeRef) bool {
 	d.ids[i] = it.ID
 	old, nw := d.rects[i], mirrorForm(it.Rect)
 	if !rectChanged(&old, &nw) {
-		return true // identity only: nothing geometric depends on the ID
+		// Identity only: the ID plane is rewritten at every position that
+		// holds the rect, which no segment boundary or unit cost depends
+		// on. The rect's tiles are where tileOf put it whatever its
+		// coordinates: the build or an earlier delta placed it under this
+		// same frozen grid, so no range check applies.
+		return j.collectEdits(&d, i, &old, &old, false)
 	}
 	if !j.deltaRectOK(&old) || !j.deltaRectOK(&nw) {
 		return false
@@ -211,7 +239,7 @@ func (j *Joiner) applyChange(c changeRef) bool {
 	}
 	d.rects[i] = nw
 	if len(j.edits) > 0 {
-		if !j.applyEdits(d.part.flat(), i, &nw) {
+		if !j.applyEdits(d.part.flat(), i, &nw, d.ids[i]) {
 			return false
 		}
 		d.part.shiftStarts(j.edits)
@@ -312,9 +340,10 @@ func (f flatSegs) search(lo, hi, skip int, kx, ky float64, i int32) int {
 
 // collectEdits walks the tiles of old-range ∪ new-range in ascending tile
 // order. Tiles holding the rect before and after with an unchanged slot are
-// overwritten on the spot; every other tile contributes a removal, an
-// insertion, or both to j.edits. Touched tiles are re-costed in the schedule
-// as they are met. The mirror must still hold the old rect.
+// overwritten on the spot — coordinates, ID and the ownership bits of the
+// new range; every other tile contributes a removal, an insertion, or both
+// to j.edits. Touched tiles are re-costed in the schedule as they are met.
+// The mirror must still hold the old rect, the ID mirror the new ID.
 func (j *Joiner) collectEdits(d *deltaSide, i int32, old, nw *geom.Rect, moved bool) bool {
 	ox0, oy0 := j.tileOf(old.MinX, old.MinY)
 	ox1, oy1 := j.tileOf(old.MaxX, old.MaxY)
@@ -342,7 +371,8 @@ func (j *Joiner) collectEdits(d *deltaSide, i int32, old, nw *geom.Rect, moved b
 			}
 			t := ty*j.gx + tx
 			lo, hi := int(g.starts[t]), int(g.starts[t+1])
-			count, ok := j.editSeg(g.flat(), lo, hi, int32(t), i, old, nw, inOld, inNew, moved)
+			put := segPut{nw, d.ids[i], ownBits(nx0, ny1, tx, ty)}
+			count, ok := j.editSeg(g.flat(), lo, hi, int32(t), i, old, put, inOld, inNew, moved)
 			if !ok {
 				return false
 			}
@@ -353,14 +383,14 @@ func (j *Joiner) collectEdits(d *deltaSide, i int32, old, nw *geom.Rect, moved b
 }
 
 // editSeg brings one tile segment [lo, hi) of f in line with the change of
-// rect i from old to nw. inOld and inNew say whether the segment holds the
-// rect before and after, moved whether its sweep key changed. A rect that
-// keeps its slot is overwritten on the spot; otherwise a removal, an
+// rect i from old to nw.rect. inOld and inNew say whether the segment holds
+// the rect before and after, moved whether its sweep key changed. A rect
+// that keeps its slot is overwritten on the spot; otherwise a removal, an
 // insertion or both go to j.edits. count is the change of the segment's
 // length; ok is false when the edit buffer is full, the rect is not where
 // its old key says, or the slot for its new key is not strictly between its
 // neighbours.
-func (j *Joiner) editSeg(f flatSegs, lo, hi int, tile, i int32, old, nw *geom.Rect, inOld, inNew, moved bool) (count int, ok bool) {
+func (j *Joiner) editSeg(f flatSegs, lo, hi int, tile, i int32, old *geom.Rect, nw segPut, inOld, inNew, moved bool) (count int, ok bool) {
 	if len(j.edits)+2 > cap(j.edits) {
 		return 0, false
 	}
@@ -377,32 +407,30 @@ func (j *Joiner) editSeg(f flatSegs, lo, hi int, tile, i int32, old, nw *geom.Re
 		j.edits = append(j.edits, segEdit{pos: int32(at), tile: tile})
 		return -1, true
 	case inOld && !moved:
-		pl.SetRect(at, *nw)
+		f.put(at, nw)
 		return 0, true
 	}
 	// Slot of the new key among the entries that stay: the first of them
 	// not less than it — which must then be strictly greater — sits at to.
-	to := lo + f.search(lo, hi, at, nw.MinX, nw.MinY, i)
+	k := nw.rect
+	to := lo + f.search(lo, hi, at, k.MinX, k.MinY, i)
 	if inOld && to >= at {
 		to++
 	}
-	if to < hi && !keyLess(nw.MinX, nw.MinY, i, pl.MinX[to], pl.MinY[to], idx[to]) {
+	if to < hi && !keyLess(k.MinX, k.MinY, i, pl.MinX[to], pl.MinY[to], idx[to]) {
 		return 0, false
 	}
+	ins := segEdit{pos: int32(to), tile: tile, ins: true, own: nw.own}
 	switch {
 	case !inOld:
-		j.edits = append(j.edits, segEdit{pos: int32(to), tile: tile, ins: true})
+		j.edits = append(j.edits, ins)
 		return 1, true
 	case to == at+1: // same slot under the new key
-		pl.SetRect(at, *nw)
+		f.put(at, nw)
 	case to < at:
-		j.edits = append(j.edits,
-			segEdit{pos: int32(to), tile: tile, ins: true},
-			segEdit{pos: int32(at), tile: tile})
+		j.edits = append(j.edits, ins, segEdit{pos: int32(at), tile: tile})
 	default:
-		j.edits = append(j.edits,
-			segEdit{pos: int32(at), tile: tile},
-			segEdit{pos: int32(to), tile: tile, ins: true})
+		j.edits = append(j.edits, segEdit{pos: int32(at), tile: tile}, ins)
 	}
 	return 0, true
 }
@@ -522,14 +550,15 @@ func (j *Joiner) insertUnit(u workUnit, c int64) bool {
 }
 
 // applyEdits applies j.edits (ascending by position) to the flat layout f
-// and writes rect i with coordinates nw into the inserted slots; segment
-// boundaries are the caller's to adjust. The entries between two consecutive
+// and writes rect i with coordinates nw, ID id and each insertion's
+// ownership bits into the inserted slots; segment boundaries are the
+// caller's to adjust. The entries between two consecutive
 // edits form a block that shifts by the net insertions minus removals before
 // it; blocks shifting left are moved first, left to right, then blocks
 // shifting right, right to left, so no move overwrites an entry that has yet
 // to move. It declines, having changed nothing, when an array would have to
 // grow or the move budget is spent.
-func (j *Joiner) applyEdits(f flatSegs, i int32, nw *geom.Rect) bool {
+func (j *Joiner) applyEdits(f flatSegs, i int32, nw *geom.Rect, id rtree.EntryID) bool {
 	edits := j.edits
 	oldLen := len(*f.idx)
 	net, moving := 0, 0
@@ -540,7 +569,8 @@ func (j *Joiner) applyEdits(f flatSegs, i int32, nw *geom.Rect) bool {
 	}
 	newLen := oldLen + net
 	pl := f.planes
-	if newLen > cap(*f.idx) || newLen > cap(pl.MinX) || newLen > cap(pl.MinY) ||
+	if newLen > cap(*f.idx) || newLen > cap(*f.ids) || newLen > cap(*f.own) ||
+		newLen > cap(pl.MinX) || newLen > cap(pl.MinY) ||
 		newLen > cap(pl.MaxX) || newLen > cap(pl.MaxY) {
 		return false
 	}
@@ -567,7 +597,7 @@ func (j *Joiner) applyEdits(f flatSegs, i int32, nw *geom.Rect) bool {
 		if e.ins {
 			p := int(e.pos) + shift
 			(*f.idx)[p] = i
-			pl.SetRect(p, *nw)
+			f.put(p, segPut{nw, id, e.own})
 		}
 		shift += e.step()
 	}
@@ -613,22 +643,28 @@ func blockEnd(edits []segEdit, k, oldLen int) int {
 	return oldLen
 }
 
-// moveBlock shifts entries [from, to) of idx and the planes by shift.
+// moveBlock shifts entries [from, to) of idx, the planes, the IDs and the
+// ownership bits by shift.
 func (f flatSegs) moveBlock(from, to, shift int) {
 	if from >= to {
 		return
 	}
-	idx, pl := *f.idx, f.planes
+	idx, ids, own, pl := *f.idx, *f.ids, *f.own, f.planes
 	copy(idx[from+shift:to+shift], idx[from:to])
+	copy(ids[from+shift:to+shift], ids[from:to])
+	copy(own[from+shift:to+shift], own[from:to])
 	copy(pl.MinX[from+shift:to+shift], pl.MinX[from:to])
 	copy(pl.MinY[from+shift:to+shift], pl.MinY[from:to])
 	copy(pl.MaxX[from+shift:to+shift], pl.MaxX[from:to])
 	copy(pl.MaxY[from+shift:to+shift], pl.MaxY[from:to])
 }
 
-// resize sets the length of idx and the planes within their capacity.
+// resize sets the length of idx, the planes, the IDs and the ownership bits
+// within their capacity.
 func (f flatSegs) resize(n int) {
 	*f.idx = (*f.idx)[:n]
+	*f.ids = (*f.ids)[:n]
+	*f.own = (*f.own)[:n]
 	pl := f.planes
 	pl.MinX, pl.MinY, pl.MaxX, pl.MaxY = pl.MinX[:n], pl.MinY[:n], pl.MaxX[:n], pl.MaxY[:n]
 }

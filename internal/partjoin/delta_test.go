@@ -39,9 +39,9 @@ func sameFloats(a, b []float64) bool {
 }
 
 // requireFreshState is the white-box exactness check of the delta tier: the
-// resident Joiner's sweep orders, segment boundaries, segment indices and
-// segment planes must be element for element what a fresh Joiner's cold
-// build over the same items leaves. It presumes the mutations left the data
+// resident Joiner's sweep orders, segment boundaries, segment indices,
+// segment planes, ID planes and ownership bits must be element for element
+// what a fresh Joiner's cold build over the same items leaves. It presumes the mutations left the data
 // MBR alone (a cold build derives its grid from it) and fails if not.
 func requireFreshState(t testing.TB, stage string, j *Joiner, r, s []rtree.Item, cfg Config) {
 	t.Helper()
@@ -94,6 +94,10 @@ func stateDiff(j, f *Joiner) (diff string, comparable, sched bool) {
 			return sd.name + " starts differ from a fresh build", true, false
 		case !slices.Equal(sd.got.idx, sd.ref.idx):
 			return sd.name + " idx differs from a fresh build", true, false
+		case !slices.Equal(sd.got.ids, sd.ref.ids):
+			return sd.name + " ID plane differs from a fresh build", true, false
+		case !slices.Equal(sd.got.own, sd.ref.own):
+			return sd.name + " ownership bits differ from a fresh build", true, false
 		case !sameFloats(gp.MinX, fp.MinX) || !sameFloats(gp.MinY, fp.MinY) ||
 			!sameFloats(gp.MaxX, fp.MaxX) || !sameFloats(gp.MaxY, fp.MaxY):
 			return sd.name + " segment planes differ from a fresh build", true, false
@@ -357,6 +361,99 @@ func TestDeltaIdentityOnly(t *testing.T) {
 	}
 	if !seen {
 		t.Fatal("no emitted pair carries the new ID")
+	}
+}
+
+// TestDeltaOwnershipAndIDs covers the delta step's upkeep of the ID plane
+// and the ownership bits, each change against brute force and a fresh
+// build's state: a rect that grows left into the previous tile column keeps
+// its slot in its old tile but loses ownX there; one that grows up into the
+// next row keeps its sweep key and loses ownY in its old tile; and an
+// ID-only change of a multi-tile rect rewrites its ID at every position
+// that holds it.
+func TestDeltaOwnershipAndIDs(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		r, s := deltaInputs(79, 400)
+		cfg := Config{Workers: workers, Grid: 5}
+		var j Joiner
+		j.Join(r, s, cfg)
+		tw, th := 1/j.invW, 1/j.invH
+		// pick returns, in a tile off the first column and the last row, the
+		// slot of the first R rect that starts in the tile's column, when
+		// that rect lies in the tile alone and can grow left across the
+		// column border while staying behind the entry before it (which
+		// starts further left): low is that entry's MinX, or half a tile
+		// left of the border.
+		pick := func() (tile, slot int, low float64) {
+			for tile := 0; tile < j.gx*j.gy; tile++ {
+				tx, ty := tile%j.gx, tile/j.gx
+				if tx == 0 || ty == j.gy-1 {
+					continue
+				}
+				border := j.minX + float64(tx)*tw
+				low := border - tw/2
+				for p := j.rPart.starts[tile]; p < j.rPart.starts[tile+1]; p++ {
+					rc := r[j.rPart.idx[p]].Rect
+					x0, y0 := j.tileOf(rc.MinX, rc.MinY)
+					if x0 < tx {
+						low = max(low, rc.MinX)
+						continue
+					}
+					x1, y1 := j.tileOf(rc.MaxX, rc.MaxY)
+					if x1 == tx && y0 == ty && y1 == ty && border-low > tw/100 {
+						return tile, int(p - j.rPart.starts[tile]), low
+					}
+					break
+				}
+			}
+			t.Fatal("test premise broken: no rect qualifies")
+			return 0, 0, 0
+		}
+		slotIdx := func(tile, slot int) *int32 { return &j.rPart.idx[int(j.rPart.starts[tile])+slot] }
+		step := func(stage string, i int32, tile, slot int, wantOwn uint8) {
+			t.Helper()
+			stage = fmt.Sprintf("w%d %s", workers, stage)
+			res := j.Join(r, s, cfg)
+			requireBrute(t, stage, res, r, s)
+			if res.Reuse != ReuseDelta || res.DeltaRects != 1 {
+				t.Fatalf("%s: tier %q with %d rects, want delta with 1", stage, res.Reuse, res.DeltaRects)
+			}
+			requireFreshState(t, stage, &j, r, s, cfg)
+			requireOwnership(t, stage, &j)
+			if *slotIdx(tile, slot) != i {
+				t.Fatalf("%s: the rect left its slot in tile %d", stage, tile)
+			}
+			if got := j.rPart.own[int(j.rPart.starts[tile])+slot]; got != wantOwn {
+				t.Fatalf("%s: ownership bits %02b in its old tile, want %02b", stage, got, wantOwn)
+			}
+		}
+
+		tile, slot, low := pick()
+		i := *slotIdx(tile, slot)
+		r[i].Rect.MinX = (low + j.minX + float64(tile%j.gx)*tw) / 2
+		step("grows left into the previous column", i, tile, slot, ownY)
+		grown := i
+
+		tile, slot, _ = pick()
+		i = *slotIdx(tile, slot)
+		r[i].Rect.MaxY = j.minY + float64(tile/j.gx+1)*th + th/4
+		step("grows up into the next row", i, tile, slot, ownX)
+
+		// Only the ID of the rect grown left, now in two tiles, changes.
+		if n := len(slices.DeleteFunc(slices.Clone(j.rPart.idx), func(k int32) bool { return k != grown })); n != 2 {
+			t.Fatalf("w%d: test premise broken: rect %d is in %d tiles", workers, grown, n)
+		}
+		r[grown].ID += 5000
+		res := j.Join(r, s, cfg)
+		stage := fmt.Sprintf("w%d ID-only change of a multi-tile rect", workers)
+		requireBrute(t, stage, res, r, s)
+		if res.Reuse != ReuseDelta || res.DeltaRects != 1 {
+			t.Fatalf("%s: tier %q with %d rects, want delta with 1", stage, res.Reuse, res.DeltaRects)
+		}
+		if diff, comparable := freshStateDiff(&j, r, s, cfg); !comparable || diff != "" {
+			t.Fatalf("%s: comparable %v, %s", stage, comparable, diff)
+		}
+		j.Close()
 	}
 }
 

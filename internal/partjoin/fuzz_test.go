@@ -205,7 +205,8 @@ func FuzzPartitionJoinRefined(f *testing.F) {
 // inverted rects and their way back), every round against brute force. Each
 // round is also held against a fresh Joiner's cold build wherever the two
 // grids coincide: whichever tier served it, the cache must then be that
-// build's, element for element.
+// build's, element for element — and, on every round, the segments'
+// ownership bits against the reference-point test on every hit.
 //
 // Payload: the four header bytes of fuzzJoinInput, a rect count, that many
 // four-byte rects (fuzzRefinedInput decodes those, threshold selector and
@@ -303,6 +304,7 @@ func FuzzPartitionJoinMutateSequence(f *testing.F) {
 			if diff, comparable := freshStateDiff(&j, r, s, cfg); comparable && diff != "" {
 				t.Fatalf("cfg %+v %s (%s): %s", cfg, stage, res.Reuse, diff)
 			}
+			requireOwnership(t, fmt.Sprintf("cfg %+v %s (%s)", cfg, stage, res.Reuse), &j)
 		}
 		check("cold")
 		for round := 0; round < 8+int(data[0])%5; round++ {

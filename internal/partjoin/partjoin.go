@@ -18,10 +18,11 @@
 //   - Each tile segment carries a coordinate-plane (SoA) copy of its
 //     rectangles in segment position order, so the per-tile sweep
 //     (geom.SweepPairsPlanesDenseRange, eight lanes per step on AVX2) walks
-//     dense float64 streams with no index indirection, and the emit takes
-//     each hit's reference point from the same planes; work units are
-//     scheduled largest-first over a parnative.Pool so stragglers start
-//     early.
+//     dense float64 streams with no index indirection. Beside the planes
+//     the segment holds each rect's entry ID and two ownership bits, so the
+//     emit decides and reports a hit from the positions the sweep just read;
+//     work units are scheduled largest-first over a parnative.Pool so
+//     stragglers start early.
 //   - A hot tile — one whose estimated sweep cost approaches a worker's
 //     fair share — is split into several units by its sweep, not its data:
 //     each unit runs a contiguous range of the tile sweep's merge events,
@@ -29,7 +30,11 @@
 //     tile's comparisons and find exactly its pairs (see split.go).
 //   - A pair intersecting in several tiles is reported exactly once, by
 //     the reference-point method: only the tile containing the top-left
-//     corner of the intersection of the two MBRs reports it.
+//     corner of the intersection of the two MBRs reports it. The test runs
+//     on the ownership bits the scatter wrote — whether the rect's tile
+//     range starts in the tile's column and ends in its row — and needs
+//     one OR of two bytes per hit (ownedHit has the proof that this is the
+//     corner's tile).
 //
 // A Joiner is reusable, and aggressively so: after a warm-up run the whole
 // join performs zero heap allocations, and a re-join over unchanged inputs
@@ -123,7 +128,7 @@ type Result struct {
 	RefinedTiles int
 	Subtiles     int
 	// Duplicates is the number of cross-tile duplicate pairs suppressed by
-	// the reference-point test.
+	// the reference-point test (on the segments' ownership bits, ownedHit).
 	Duplicates int
 	// Comparisons is the number of rectangle pairs tested across all tiles.
 	Comparisons int
@@ -205,17 +210,70 @@ const batchMax = 8
 type gridSide struct {
 	counts   []int32 // workers×tiles count matrix, then scatter cursors
 	starts   []int32 // tiles+1 segment boundaries into idx
-	idx      []int32 // rect indices grouped by tile
+	idx      []int32 // rect indices grouped by tile (read by the delta step only)
 	disorder []uint8 // per-worker flag: chunk out of order or codes stale
 
-	// planes is the coordinate-plane copy of the tile segments, in segment
-	// position space: planes rectangle p is rects[idx[p]]. Replicating the
-	// coordinates here is what makes the per-tile sweep stride-free — both
-	// sides of every tile are contiguous, sweep-sorted runs of the four
-	// plane arrays. Filled by the scatter; the delta step edits it in place
-	// together with idx.
+	// planes, ids and own are the tile segments' join data, in segment
+	// position space: position p holds rect idx[p]'s coordinates, its entry
+	// ID and its ownership bits in the tile whose segment holds p.
+	// Replicating them here is what makes the per-tile join stride-free —
+	// both sides of every tile are contiguous, sweep-sorted runs of the
+	// plane arrays, and a hit is decided and emitted from the positions the
+	// sweep just read. Filled by the scatter; the delta step edits them in
+	// place together with idx.
 	planes geom.Planes
+	ids    []rtree.EntryID
+	own    []uint8
 }
+
+// Ownership bits of a rect in a tile (tx, ty) it is assigned to, whose tile
+// range starts in column x0 and ends in row y1: ownX when x0 == tx, ownY
+// when y1 == ty. See ownedHit.
+const (
+	ownX uint8 = 1 << iota
+	ownY
+)
+
+// ownBits returns the ownership bits of a rect with tile range columns
+// x0.. and rows ..y1 in tile (tx, ty).
+func ownBits(x0, y1, tx, ty int) uint8 {
+	var b uint8
+	if x0 == tx {
+		b |= ownX
+	}
+	if y1 == ty {
+		b |= ownY
+	}
+	return b
+}
+
+// ownedHit is the reference-point test on ownership bits: tile (tx, ty)
+// reports an intersecting pair iff it holds the top-left corner
+// (max(rMinX, sMinX), min(rMaxY, sMaxY)) of the pair's intersection, and
+// that is the case iff rOwn|sOwn has both bits.
+//
+// The proof rests on tileOf being monotone in each coordinate: the corner's
+// column is tileOf(max(rMinX, sMinX)) = max(x0r, x0s), where x0 is the
+// column of a rect's MinX, and its row is tileOf(min(rMaxY, sMaxY)) =
+// min(y1r, y1s), where y1 is the row of a rect's MaxY. Both rects are
+// assigned to (tx, ty), so x0r, x0s ≤ tx and y1r, y1s ≥ ty; hence the
+// corner's column is tx iff x0r == tx or x0s == tx, and its row is ty iff
+// y1r == ty or y1s == ty — exactly "ownX is set in one of the two" and
+// "ownY is set in one of the two".
+//
+// tileOf is monotone wherever a hit can reach it. Its scaled offset
+// (x-minX)·inv, the truncation and clampTile are each monotone as long as
+// the conversion does not overflow: on a finite data MBR every coordinate
+// of the build lies inside it, so the offset lies in [0, g], and the delta
+// step declines rects whose offset would pass deltaTileLimit. A rect with
+// an infinite coordinate intersects nothing unless its partner reaches that
+// infinity too, and then the data MBR is infinite along that axis: safeInv
+// gives inv = 0, the offset is 0 below some x and NaN from there on (where
+// x-minX is infinite), and whatever tile the NaN converts to is ≥ 0, so the
+// mapping stays monotone — on amd64 and arm64 every rect lands in tile 0
+// along that axis. No NaN coordinate reaches the planes, and the EmptyRect
+// mirrorForm puts in its place intersects nothing.
+func ownedHit(rOwn, sOwn uint8) bool { return rOwn|sOwn == ownX|ownY }
 
 // unsorted reports whether any worker's count pass found its chunk out of
 // sweep order (flags set by countChunk, cleared by reset).
@@ -237,6 +295,31 @@ type workerState struct {
 	mask   []uint64
 
 	dups, comps, parts int64
+}
+
+// tileSeg is one side's segment of a tile: its plane view (what the sweep
+// reads) and, at the same positions, the entry IDs and ownership bits the
+// emit reads.
+type tileSeg struct {
+	planes geom.Planes
+	ids    []rtree.EntryID
+	own    []uint8
+}
+
+// seg returns the segment [lo, hi) of g's position space.
+func (g *gridSide) seg(lo, hi int) tileSeg {
+	return tileSeg{g.planes.View(lo, hi), g.ids[lo:hi], g.own[lo:hi]}
+}
+
+// emit reports the intersecting pair at positions (rp, sp) of the unit's
+// segments iff the current tile owns it (ownedHit). The sweep has just read
+// both positions, so the two bit loads and the two ID loads stream.
+func (ws *workerState) emit(r, s *tileSeg, rp, sp int32) {
+	if !ownedHit(r.own[rp], s.own[sp]) {
+		ws.dups++
+		return
+	}
+	ws.cands.Push(join.Candidate{R: r.ids[rp], S: s.ids[sp]})
 }
 
 // Joiner holds the reusable state of the partition-based join: SoA mirrors
@@ -780,18 +863,19 @@ func (j *Joiner) sortSides(w int) {
 }
 
 // bucketSide is the view the two counting-sort passes walk: a side's
-// counting state, mirror, global sweep order and cached tile codes.
+// counting state, mirrors, global sweep order and cached tile codes.
 type bucketSide struct {
 	part  *gridSide
 	rects []geom.Rect
+	ids   []rtree.EntryID
 	ord   []int32
 	codes []uint64
 }
 
 func (j *Joiner) bucketSides() [2]bucketSide {
 	return [2]bucketSide{
-		{&j.rPart, j.rRects, j.rOrd, j.rTile},
-		{&j.sPart, j.sRects, j.sOrd, j.sTile},
+		{&j.rPart, j.rRects, j.rIDs, j.rOrd, j.rTile},
+		{&j.sPart, j.sRects, j.sIDs, j.sOrd, j.sTile},
 	}
 }
 
@@ -855,27 +939,28 @@ func (j *Joiner) countChunk(w int) {
 
 // scatterChunk is the counting sort's second pass: one walk of each side's
 // sweep order over this worker's chunks writes every rect's index into the
-// tile segments reserved by the prefix sum AND its coordinates into the
-// segment planes — the rectangle is loaded once for both. The per-(worker,
-// tile) cursor cells make the scatter race-free, and because chunks cover
-// ascending sweep positions and the prefix sum is worker-major, every tile
-// segment comes out sorted in sweep order — geom.SweepPairsPlanesDense's
-// precondition — without any per-tile sort.
+// tile segments reserved by the prefix sum AND its coordinates, entry ID
+// and ownership bits into the segment planes — the rectangle is loaded once
+// for all of them, and the bits come from the tile range the count pass
+// packed. The per-(worker, tile) cursor cells make the scatter race-free,
+// and because chunks cover ascending sweep positions and the prefix sum is
+// worker-major, every tile segment comes out sorted in sweep order —
+// geom.SweepPairsPlanesDense's precondition — without any per-tile sort.
 func (j *Joiner) scatterChunk(w int) {
 	tiles := j.gx * j.gy
 	for _, side := range j.bucketSides() {
 		cur := side.part.counts[w*tiles : (w+1)*tiles]
-		idx := side.part.idx
+		idx, ids, own := side.part.idx, side.part.ids, side.part.own
 		planes := &side.part.planes
 		lo, hi := j.chunkRange(len(side.ord), w)
 		for pos := lo; pos < hi; pos++ {
 			i := side.ord[pos]
 			x0, y0, x1, y1 := unpackTiles(side.codes[pos])
-			r := side.rects[i]
+			r, id := side.rects[i], side.ids[i]
 			if x0 == x1 && y0 == y1 { // the common single-tile rect
 				c := y0*j.gx + x0
 				p := cur[c]
-				idx[p] = i
+				idx[p], ids[p], own[p] = i, id, ownX|ownY
 				planes.SetRect(int(p), r)
 				cur[c] = p + 1
 				continue
@@ -884,7 +969,7 @@ func (j *Joiner) scatterChunk(w int) {
 				base := ty * j.gx
 				for tx := x0; tx <= x1; tx++ {
 					p := cur[base+tx]
-					idx[p] = i
+					idx[p], ids[p], own[p] = i, id, ownBits(x0, y1, tx, ty)
 					planes.SetRect(int(p), r)
 					cur[base+tx] = p + 1
 				}
@@ -995,31 +1080,29 @@ func (j *Joiner) joinTiles(w int) {
 
 // joinTileBatch is the small-unit path: every rect of the smaller side is
 // batch-tested against the larger side's contiguous plane segment with
-// the vectorized bitmask kernel. Like the sweep path it takes every rect it
-// tests or emits from the unit's plane views.
-func (j *Joiner) joinTileBatch(ws *workerState, rSeg, sSeg []int32, rView, sView *geom.Planes, tx, ty int) int {
-	small, large, smallView, largeView := rSeg, sSeg, rView, sView
-	rSmall := true
-	if len(sSeg) < len(rSeg) {
-		small, large, smallView, largeView = sSeg, rSeg, sView, rView
-		rSmall = false
+// the vectorized bitmask kernel. Like the sweep path it tests and emits
+// from the unit's segments alone.
+func joinTileBatch(ws *workerState, r, s *tileSeg) int {
+	small, large := r, s
+	if s.planes.Len() < r.planes.Len() {
+		small, large = s, r
 	}
-	w := geom.MaskWords(len(large))
+	n := large.planes.Len()
+	w := geom.MaskWords(n)
 	if cap(ws.mask) < w {
 		ws.mask = make([]uint64, w, w*2)
 	}
 	ws.mask = ws.mask[:w]
 	comps := 0
-	for k, si := range small {
-		q := smallView.RectAt(k)
-		geom.IntersectBatchPlanes(q, largeView, ws.mask)
-		comps += len(large)
-		for i, li := range large {
+	for k := range small.planes.Len() {
+		geom.IntersectBatchPlanes(small.planes.RectAt(k), &large.planes, ws.mask)
+		comps += n
+		for i := range n {
 			if ws.mask[i>>6]>>(uint(i)&63)&1 != 0 {
-				if rSmall {
-					j.emit(ws, si, li, q.MinX, q.MaxY, largeView.MinX[i], largeView.MaxY[i], tx, ty)
+				if small == r {
+					ws.emit(r, s, int32(k), int32(i))
 				} else {
-					j.emit(ws, li, si, largeView.MinX[i], largeView.MaxY[i], q.MinX, q.MaxY, tx, ty)
+					ws.emit(r, s, int32(i), int32(k))
 				}
 			}
 		}
@@ -1028,36 +1111,12 @@ func (j *Joiner) joinTileBatch(ws *workerState, rSeg, sSeg []int32, rView, sView
 	return comps
 }
 
-// emit reports the intersecting pair (rIdx, sIdx) iff the current tile
-// owns it: the reference-point method keeps the pair only in the tile
-// containing the top-left corner of the intersection of the two MBRs.
-// That corner lies inside both rects, hence inside one of the tiles both
-// were assigned to, so every pair is reported exactly once (a split tile's
-// units each run their own events, and one event finds each pair). The
-// callers pass the two rects' MinX and MaxY from the unit's plane views:
-// they hold the same mirrored rects as j.rRects and j.sRects, in the
-// order the sweep just read, where the mirrors would be a random load.
-func (j *Joiner) emit(ws *workerState, rIdx, sIdx int32, rMinX, rMaxY, sMinX, sMaxY float64, tx, ty int) {
-	px := rMinX // left edge of the intersection
-	if sMinX > px {
-		px = sMinX
-	}
-	py := rMaxY // top edge of the intersection
-	if sMaxY < py {
-		py = sMaxY
-	}
-	ox, oy := j.tileOf(px, py)
-	if ox != tx || oy != ty {
-		ws.dups++
-		return
-	}
-	ws.cands.Push(join.Candidate{R: j.rIDs[rIdx], S: j.sIDs[sIdx]})
-}
-
 // tileOf maps a point to its tile coordinates. The mapping is monotone in
-// each coordinate and shared by rect assignment and the reference-point
-// test, which is what makes the dedup exact: clamping sends the data MBR's
-// max edge (and any stray non-finite value) into the border tiles.
+// each coordinate, and rect assignment is its only caller: the count pass
+// derives each rect's tile range from it, the scatter the ownership bits
+// from that range, so the reference-point test (ownedHit) is exact without
+// calling it again. Clamping sends the data MBR's max edge (and any stray
+// non-finite value) into the border tiles.
 func (j *Joiner) tileOf(x, y float64) (int, int) {
 	return clampTile(int((x-j.minX)*j.invW), j.gx), clampTile(int((y-j.minY)*j.invH), j.gy)
 }
@@ -1160,7 +1219,10 @@ func (g *gridSide) reset(workers, tiles int) {
 }
 
 // prefixSum turns the count matrix into scatter cursors and fills the tile
-// segment boundaries, sizing idx for the scatter pass.
+// segment boundaries, sizing idx, ids, own and the planes for the scatter
+// pass. A first or grown allocation gets tail headroom: the delta step
+// inserts into the flat layout in place and declines when an array would
+// have to grow.
 func (g *gridSide) prefixSum(workers, tiles int) {
 	total := int32(0)
 	for t := 0; t < tiles; t++ {
@@ -1172,23 +1234,23 @@ func (g *gridSide) prefixSum(workers, tiles int) {
 		}
 	}
 	g.starts[tiles] = total
-	if cap(g.idx) < int(total) {
-		g.idx = make([]int32, total, total+total/4)
-	} else {
-		g.idx = g.idx[:total]
+	n := int(total)
+	room := n + n/16 + 16
+	g.idx = growRoom(g.idx, n, room)
+	g.ids = growRoom(g.ids, n, room)
+	g.own = growRoom(g.own, n, room)
+	if cap(g.planes.MinX) < n {
+		g.planes.Reset(room)
 	}
-	resetPlanes(&g.planes, int(total))
+	g.planes.Reset(n)
 }
 
-// resetPlanes sizes position-space planes for n entries. A first or grown
-// allocation gets tail headroom, as idx and the arenas have: the delta step
-// inserts into the flat layouts in place and declines when an array would
-// have to grow.
-func resetPlanes(p *geom.Planes, n int) {
-	if cap(p.MinX) < n {
-		p.Reset(n + n/16 + 16)
+// growRoom sizes s to n, allocating room (≥ n) when it must grow.
+func growRoom[T any](s []T, n, room int) []T {
+	if cap(s) < n {
+		return make([]T, n, room)
 	}
-	p.Reset(n)
+	return s[:n]
 }
 
 // tileOrder sorts j.units (and the parallel j.ucost) by descending cost,

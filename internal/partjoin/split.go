@@ -164,35 +164,31 @@ func (j *Joiner) tileParts(t int32) (int32, bool) {
 // side that small). It returns the comparison count.
 func (j *Joiner) joinUnit(ws *workerState, u workUnit) int {
 	t := int(u.tile)
-	rLo, rHi := int(j.rPart.starts[t]), int(j.rPart.starts[t+1])
-	sLo, sHi := int(j.sPart.starts[t]), int(j.sPart.starts[t+1])
-	rSeg := j.rPart.idx[rLo:rHi]
-	sSeg := j.sPart.idx[sLo:sHi]
-	rView := j.rPart.planes.View(rLo, rHi)
-	sView := j.sPart.planes.View(sLo, sHi)
-	tx, ty := t%j.gx, t/j.gx
+	r := j.rPart.seg(int(j.rPart.starts[t]), int(j.rPart.starts[t+1]))
+	s := j.sPart.seg(int(j.sPart.starts[t]), int(j.sPart.starts[t+1]))
+	rn, sn := r.planes.Len(), s.planes.Len()
 	// Tiny-side units: batch-testing each small-side rect against the
 	// larger side's plane segment beats the sweep's bookkeeping.
-	if len(rSeg) <= batchMax || len(sSeg) <= batchMax {
+	if rn <= batchMax || sn <= batchMax {
 		if u.part > 0 {
 			return 0
 		}
-		return j.joinTileBatch(ws, rSeg, sSeg, &rView, &sView, tx, ty)
+		return joinTileBatch(ws, &r, &s)
 	}
 	// Segments are already in sweep order (see scatterChunk).
-	n := int64(len(rSeg) + len(sSeg))
+	n := int64(rn + sn)
 	p0 := int(n * int64(u.part) / int64(u.parts))
 	p1 := int(n * int64(u.part+1) / int64(u.parts))
-	i0, j0 := geom.MergeSplit(rView.MinX, sView.MinX, p0)
+	i0, j0 := geom.MergeSplit(r.planes.MinX, s.planes.MinX, p0)
 	comps := 0
 	for p0 < p1 {
 		p := min(p0+sweepBatch, p1)
-		i1, j1 := geom.MergeSplit(rView.MinX, sView.MinX, p)
+		i1, j1 := geom.MergeSplit(r.planes.MinX, s.planes.MinX, p)
 		var c int
-		ws.hits, c = geom.SweepPairsPlanesDenseRange(&rView, &sView, i0, i1, j0, j1, ws.hits[:0])
+		ws.hits, c = geom.SweepPairsPlanesDenseRange(&r.planes, &s.planes, i0, i1, j0, j1, ws.hits[:0])
 		comps += c
 		for _, h := range ws.hits {
-			j.emit(ws, rSeg[h.R], sSeg[h.S], rView.MinX[h.R], rView.MaxY[h.R], sView.MinX[h.S], sView.MaxY[h.S], tx, ty)
+			ws.emit(&r, &s, h.R, h.S)
 		}
 		p0, i0, j0 = p, i1, j1
 	}
