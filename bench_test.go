@@ -369,7 +369,7 @@ func BenchmarkPartitionJoinSkewedRefined(b *testing.B) {
 }
 
 // BenchmarkNativeTreeJoin is the tree-based comparison point: the same
-// workload joined by the work-stealing native executor over prebuilt
+// workload joined by the native tree executor over prebuilt
 // R*-trees (tree construction excluded, like the partition benchmark
 // excludes nothing — it has no build phase).
 func BenchmarkNativeTreeJoin(b *testing.B) {

@@ -728,18 +728,16 @@ func runNative(out io.Writer, r, s *rtree.Tree, workers int, obs *observability,
 	fmt.Fprintf(out, "candidates:   %d\n", len(res.Candidates))
 	fmt.Fprintf(out, "wall time:    %v\n", wall.Round(time.Microsecond))
 	fmt.Fprintf(out, "pairs/worker: %v\n", res.PerWorker)
-	fmt.Fprintf(out, "steals:       %d\n", res.Steals)
 	if intro != nil {
 		frec := flight.Record{
 			WallNS: wall.Nanoseconds(),
 			Engine: "tree",
 			NR:     r.Len(), NS: s.Len(),
-			Candidates: len(res.Candidates),
-			Tasks:      res.Tasks, Steals: res.Steals, StealAttempts: res.StealAttempts,
-			PhaseNS:      res.PhaseNS,
-			WorkerPairs:  toInt64s(res.PerWorker),
-			WorkerSteals: toInt64s(res.PerWorkerSteals),
-			Health:       intro.health.End(wall.Nanoseconds(), res.Workers),
+			Candidates:  len(res.Candidates),
+			Tasks:       res.Tasks,
+			PhaseNS:     res.PhaseNS,
+			WorkerPairs: toInt64s(res.PerWorker),
+			Health:      intro.health.End(wall.Nanoseconds(), res.Workers),
 		}
 		intro.record(out, obs.reg, &frec)
 	}

@@ -74,8 +74,7 @@ func explainShape(w io.Writer, rec *Record) {
 			fmt.Fprintf(w, "reuse: tier=%s delta_rects=%d\n", rec.Reuse, rec.DeltaRects)
 		}
 	case "tree":
-		fmt.Fprintf(w, "tree: tasks=%d steals=%d attempts=%d\n",
-			rec.Tasks, rec.Steals, rec.StealAttempts)
+		fmt.Fprintf(w, "tree: tasks=%d\n", rec.Tasks)
 	}
 }
 
@@ -163,11 +162,7 @@ func explainWorkers(w io.Writer, rec *Record) {
 	fmt.Fprintf(w, "workers (pairs): min=%.0f max=%.0f mean=%.1f skew=%.2f\n",
 		sum.Min, sum.Max, sum.Mean, sum.Skew())
 	for i, p := range rec.WorkerPairs {
-		fmt.Fprintf(w, "  W%-3d %s %d", i, bar(float64(p)/float64(maxPairs), 24), p)
-		if i < len(rec.WorkerSteals) && rec.WorkerSteals[i] > 0 {
-			fmt.Fprintf(w, "  (steals %d)", rec.WorkerSteals[i])
-		}
-		fmt.Fprintf(w, "\n")
+		fmt.Fprintf(w, "  W%-3d %s %d\n", i, bar(float64(p)/float64(maxPairs), 24), p)
 	}
 }
 

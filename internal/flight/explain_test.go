@@ -29,7 +29,7 @@ func TestExplainPartitionReport(t *testing.T) {
 		"phases (measured",
 		"sweep", "prep",
 		"workers (pairs):",
-		"W0", "(steals 1)",
+		"W0",
 		"top work units", "tile (3,4) cost=500  split",
 		"tile cost heat (24x24 grid -> 2x2 cells",
 	} {
@@ -58,10 +58,9 @@ func TestExplainTreeReport(t *testing.T) {
 		Seq: 1, WallNS: 2e6, Engine: "tree",
 		Plan: Plan{Source: "forced", Engine: "tree", Workers: 4},
 		NR:   500, NS: 600,
-		Candidates: 123,
-		Tasks:      40, Steals: 3, StealAttempts: 9,
-		WorkerPairs:  []int64{30, 40, 20, 33},
-		WorkerSteals: []int64{1, 0, 2, 0},
+		Candidates:  123,
+		Tasks:       40,
+		WorkerPairs: []int64{30, 40, 20, 33},
 	}
 	rec.PhaseNS[timeline.PhasePrep] = 1e5
 	rec.PhaseNS[timeline.PhasePartition] = 2e5
@@ -73,9 +72,9 @@ func TestExplainTreeReport(t *testing.T) {
 	for _, want := range []string{
 		"engine=tree",
 		"plan (forced): engine=tree workers=4",
-		"tree: tasks=40 steals=3 attempts=9",
+		"tree: tasks=40\n",
 		"sweep", "merge",
-		"(steals 2)",
+		"  W1  ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q\n%s", want, out)

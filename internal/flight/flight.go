@@ -1,7 +1,7 @@
 // Package flight is the always-on flight recorder of the wall-clock join
 // engines: a bounded ring buffer holding the last N join executions — the
-// plan that drove each one, per-phase wall timings, per-worker pair and
-// steal counts, and (from the partition engine) the tile-cost top-K and
+// plan that drove each one, per-phase wall timings, per-worker pair
+// counts, and (from the partition engine) the tile-cost top-K and
 // heat grid. Where internal/metrics aggregates over a process
 // lifetime and internal/timeline records one run in full span detail, this
 // package answers the operational question in between: "why was *this*
@@ -91,19 +91,16 @@ type Record struct {
 	DeltaRects int            `json:"delta_rects,omitempty"`
 
 	// Tree-engine shape (zero for the partition engine).
-	Tasks         int `json:"tasks,omitempty"`
-	Steals        int `json:"steals,omitempty"`
-	StealAttempts int `json:"steal_attempts,omitempty"`
+	Tasks int `json:"tasks,omitempty"`
 
 	// PhaseNS is the engine's per-phase attribution, indexed by the
 	// timeline.Phase* constants: every bucket is that phase's wall time on
 	// the joining goroutine, so the buckets sum to at most WallNS.
 	PhaseNS [timeline.NumPhases]int64 `json:"phase_ns"`
 
-	// Per-worker figures: candidate pairs emitted, and (tree engine)
-	// steals performed as the thief.
-	WorkerPairs  []int64 `json:"worker_pairs,omitempty"`
-	WorkerSteals []int64 `json:"worker_steals,omitempty"`
+	// Per-worker figures: the work each worker ran (the engine's
+	// Result.PerWorker).
+	WorkerPairs []int64 `json:"worker_pairs,omitempty"`
 
 	// Tile-cost introspection (partition engine only).
 	TopTiles []partjoin.TileCost `json:"top_tiles,omitempty"`
@@ -160,12 +157,11 @@ func (r *Recorder) Add(rec *Record) uint64 {
 
 	// Detach the slot's buffers, copy the scalar fields, then refill the
 	// buffers from rec — reusing their capacity across ring laps.
-	pairs, steals := slot.WorkerPairs[:0], slot.WorkerSteals[:0]
+	pairs := slot.WorkerPairs[:0]
 	tops, heat := slot.TopTiles[:0], slot.Heat[:0]
 	*slot = *rec
 	slot.Seq = r.seq
 	slot.WorkerPairs = append(pairs, rec.WorkerPairs...)
-	slot.WorkerSteals = append(steals, rec.WorkerSteals...)
 	slot.TopTiles = append(tops, rec.TopTiles...)
 	slot.Heat = append(heat, rec.Heat...)
 	seq := r.seq
@@ -230,7 +226,6 @@ func (r *Recorder) Snapshot() []Record {
 func deepCopy(rec *Record) Record {
 	out := *rec
 	out.WorkerPairs = append([]int64(nil), rec.WorkerPairs...)
-	out.WorkerSteals = append([]int64(nil), rec.WorkerSteals...)
 	out.TopTiles = append([]partjoin.TileCost(nil), rec.TopTiles...)
 	out.Heat = append([]int64(nil), rec.Heat...)
 	return out

@@ -22,10 +22,9 @@ func sampleRecord(i int) Record {
 		NR: 1000 * (i + 1), NS: 2000,
 		Candidates: 300 + i, Duplicates: 10,
 		GX: 24, GY: 24, Partitions: 100 + i,
-		WorkerPairs:  []int64{80, 90, 70, int64(60 + i)},
-		WorkerSteals: []int64{0, 1, 0, 2},
-		TopTiles:     []partjoin.TileCost{{TX: 3, TY: 4, Refined: true, Cost: int64(500 + i)}},
-		HeatW:        2, HeatH: 2,
+		WorkerPairs: []int64{80, 90, 70, int64(60 + i)},
+		TopTiles:    []partjoin.TileCost{{TX: 3, TY: 4, Refined: true, Cost: int64(500 + i)}},
+		HeatW:       2, HeatH: 2,
 		Heat: []int64{1, 2, 3, int64(4 + i)},
 	}
 	rec.PhaseNS[timeline.PhaseSweep] = int64(8e5)

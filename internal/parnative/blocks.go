@@ -46,10 +46,6 @@ func wholeUnits(pairs []join.NodePair) []unit {
 	return out
 }
 
-// isBlockPair reports whether the in-memory native join joins p as a block
-// pair: both sides are level-1 nodes or leaf roots.
-func isBlockPair(p join.NodePair) bool { return p.MaxLevel() <= 1 }
-
 // blockPair returns the blocks of a block pair.
 func blockPair(src join.Source, p join.NodePair) (a, b *rtree.Block) {
 	return src.Node(join.SideR, p.RPage, p.RLevel).Block(), src.Node(join.SideS, p.SPage, p.SLevel).Block()
@@ -79,28 +75,25 @@ func survivors(blk *rtree.Block, q geom.Rect) int64 {
 	return int64(math.Ceil(n))
 }
 
-// splitTasks turns the created tasks into units. The split derives from the
+// splitTasks turns the created block pairs into units, in their order, a
+// split pair's parts adjacent in part order. The split derives from the
 // task budget alone, never from the worker count, so a fixed budget gives
 // the same units at every worker count: a block pair whose estimated cost
-// exceeds the budget's fair share of the tasks' total is cut into parts of
+// exceeds the budget's fair share of the pairs' total is cut into parts of
 // about half that share, capped at its event count.
 func splitTasks(src join.Source, tasks []join.NodePair, budget int) []unit {
 	var total int64
 	for _, p := range tasks {
-		if isBlockPair(p) {
-			total += pairCost(blockPair(src, p))
-		}
+		total += pairCost(blockPair(src, p))
 	}
 	share := total / int64(max(budget, 1))
 	units := make([]unit, 0, len(tasks))
 	for _, p := range tasks {
 		parts := int64(1)
-		if isBlockPair(p) {
-			a, b := blockPair(src, p)
-			if c := pairCost(a, b); share > 0 && c > share {
-				half := max(1, share/2)
-				parts = min((c+half-1)/half, int64(a.Len()+b.Len()))
-			}
+		a, b := blockPair(src, p)
+		if c := pairCost(a, b); share > 0 && c > share {
+			half := max(1, share/2)
+			parts = min((c+half-1)/half, int64(a.Len()+b.Len()))
 		}
 		for k := int64(0); k < parts; k++ {
 			units = append(units, unit{NodePair: p, part: int32(k), parts: int32(parts)})

@@ -1,19 +1,22 @@
 // Package parnative executes the parallel spatial join with real goroutines
 // on the host machine. Where package parjoin reproduces the paper's
 // measurements in simulated virtual time, this package delivers the actual
-// result set with task parallelism: task creation follows §3.1, and the
-// created tasks are balanced across workers with per-worker deques plus
-// work-stealing whose victim selection mirrors the paper's §3.3 task
-// reassignment heuristic (help the worker with the largest remaining
-// (level, tasks) work load). Each worker expands directory node pairs with
-// the zero-allocation sequential kernel, joins the bottom level of in-memory
-// trees as dense blocks (blocks.go), and emits candidates in batches.
+// result set with task parallelism: task creation follows §3.1 down to the
+// pairs of level-1 nodes, and the workers claim the created units in
+// plane-sweep order off one shared atomic cursor — the paper's dynamic task
+// assignment, without reassignment. In memory every unit is a block pair, or
+// a part of one, joined as dense blocks (blocks.go); from page files every
+// unit is a level-1 node pair whose leaf pairs the claiming worker expands
+// on its own stack with the node-pair kernel. Workers emit candidates in
+// batches.
 package parnative
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spjoin/internal/join"
@@ -28,8 +31,10 @@ import (
 type Config struct {
 	// Workers is the number of goroutines (default: GOMAXPROCS).
 	Workers int
-	// TaskFactor requests at least TaskFactor*Workers tasks from task
-	// creation, like the simulated executor (default 3).
+	// TaskFactor sets the split share of the in-memory join: a block pair
+	// whose estimated cost exceeds 1/(TaskFactor*Workers) of all block
+	// pairs' cost is cut into parts (default 3). Task creation itself always
+	// runs down to the level-1 pairs.
 	TaskFactor int
 	// Refiner, when set, is the refinement step: it receives every filter
 	// candidate and keeps only those passing the exact join predicate.
@@ -42,15 +47,15 @@ type Config struct {
 	// expansion loop is not slowed by shared counters.
 	Metrics *metrics.Registry
 	// Timeline, when set, records wall-clock spans (cpu-sweep per unit,
-	// refine-wait, queue-idle, reassign) — the lighter native mirror
-	// of the simulator's virtual-time profiler. Size it with
-	// timeline.NewWallRecorder over the resolved worker count; each worker
-	// writes only its own track, so recording needs no locks.
+	// refine-wait) — the lighter native mirror of the simulator's
+	// virtual-time profiler. Size it with timeline.NewWallRecorder over the
+	// resolved worker count; each worker writes only its own track, so
+	// recording needs no locks.
 	Timeline *timeline.Recorder
-	// Progress, when set, receives live progress: the initial task count
-	// is published when the schedule exists, every unit (an expanded node
-	// pair or a part of a block pair) reports one unit done, and children
-	// entering the deques grow the total — so done converges on total
+	// Progress, when set, receives live progress: the unit count is
+	// published when the schedule exists, every unit (a part of a block
+	// pair, or a paged node pair) reports one unit done, and the leaf pairs
+	// a paged worker expands grow the total — so done converges on total
 	// exactly as the join drains. Observation-only: a nil slot costs one
 	// nil-check per unit.
 	Progress *runtimeobs.Progress
@@ -60,22 +65,19 @@ type Config struct {
 type Result struct {
 	// Candidates is the filter-step output.
 	Candidates []join.Candidate
-	// Tasks is the number of created tasks (m): the units task creation
-	// scheduled, a block pair cut into parts counting once per part.
+	// Tasks is the number of created tasks (m): the units on the cursor, a
+	// block pair cut into parts counting once per part.
 	Tasks int
 	// Workers is the number of goroutines actually used.
 	Workers int
 	// PerWorker counts the units each worker ran (diagnostic for
-	// load-balance inspection). The sum is the total units run, which is
-	// at least Tasks: every task is itself a unit, and deeper pairs are
-	// scheduled individually so they can be stolen.
+	// load-balance inspection). In memory the sum is Tasks; paged it adds
+	// the leaf pairs the workers expanded from their units.
 	PerWorker []int
-	// Steals counts how often an idle worker took work from a loaded one;
-	// StealAttempts additionally counts the failed tries (empty victims,
-	// lost races). PerWorkerSteals splits Steals by the thief.
-	Steals          int
-	StealAttempts   int
-	PerWorkerSteals []int
+	// Steals and StealAttempts are always 0: workers claim units off one
+	// cursor and never take work from each other.
+	Steals        int
+	StealAttempts int
 	// FalseHits counts candidates the Refiner rejected (0 without one).
 	FalseHits int
 	// PhaseNS is the wall time spent in each pipeline phase, indexed by the
@@ -112,9 +114,9 @@ func Join(r, s *rtree.Tree, cfg Config) Result {
 // real page files and every node access goes through their (concurrency-
 // safe) buffer pools. It is Join over a paged source: each worker drives
 // its own, and the first read error (I/O, checksum, or a node at the wrong
-// level) aborts the whole join at the next scheduling point. The page file
-// has no block format, so every node pair, leaf pairs included, is expanded
-// with the node-pair kernel.
+// level) aborts the whole join: every worker stops at its next unit. The
+// page file has no block format, so every node pair, leaf pairs included,
+// is expanded with the node-pair kernel.
 func JoinPaged(r, s *rtree.PagedTree, cfg Config) (Result, error) {
 	return run(cfg, nil, func() (join.NodePair, bool, error) {
 		return join.PagedRootPair(r, s)
@@ -124,13 +126,21 @@ func JoinPaged(r, s *rtree.PagedTree, cfg Config) (Result, error) {
 }
 
 // run is the native tree join behind Join and JoinPaged. A non-nil blockMax
-// says the source's level-1 nodes and leaf roots carry blocks, so pairs of
-// them are joined as block units instead of expanded; once root has run it
-// holds the longest block of either side. root prepares the trees and
-// returns their root pair (false: nothing to join); its time is the prep
-// phase. newSource gives task creation and each worker its own node source
-// plus that source's error check (nil for a source that cannot fail); a
-// worker whose check fails aborts the join.
+// says the source's level-1 nodes and leaf roots carry blocks, so every unit
+// is joined as a block pair; once root has run it holds the longest block of
+// either side. root prepares the trees and returns their root pair (false:
+// nothing to join); its time is the prep phase. newSource gives task
+// creation and each worker its own node source plus that source's error
+// check (nil for a source that cannot fail).
+//
+// The schedule is one list of units in plane-sweep order, complete before
+// any worker starts, and one atomic cursor over it: a worker takes the next
+// unclaimed unit, so idle workers drain the tail with no stealing and no
+// sleeping. A paged worker first drains its own stack of the leaf pairs its
+// last unit expanded to. A failed error check, or a panic in a worker (in a
+// Refiner, say), sets the abort flag, and every worker stops at its next
+// unit; run then returns the error, or re-panics with the first panic's
+// value on the caller's goroutine.
 func run(cfg Config, blockMax *[2]int, root func() (join.NodePair, bool, error),
 	newSource func() (join.Source, func() error)) (Result, error) {
 	if cfg.Workers <= 0 {
@@ -146,11 +156,7 @@ func run(cfg Config, blockMax *[2]int, root func() (join.NodePair, bool, error),
 				got, cfg.Workers))
 		}
 	}
-	res := Result{
-		Workers:         cfg.Workers,
-		PerWorker:       make([]int, cfg.Workers),
-		PerWorkerSteals: make([]int, cfg.Workers),
-	}
+	res := Result{Workers: cfg.Workers, PerWorker: make([]int, cfg.Workers)}
 	t0 := time.Now()
 	epoch := t0
 	rootPair, ok, err := root()
@@ -162,12 +168,12 @@ func run(cfg Config, blockMax *[2]int, root func() (join.NodePair, bool, error),
 	var tasks []unit
 	if ok {
 		src, check := newSource()
-		budget := cfg.TaskFactor * cfg.Workers
+		// No minimum: every pair above level 1 is expanded, in plane-sweep
+		// order, so no unit has children a worker would have to share.
+		pairs, _, _ := join.CreateTasks(src, rootPair, join.Options{}, math.MaxInt, 1)
 		if blocks {
-			pairs, _, _ := join.CreateTasks(src, rootPair, join.Options{}, budget, 1)
-			tasks = splitTasks(src, pairs, budget)
+			tasks = splitTasks(src, pairs, cfg.TaskFactor*cfg.Workers)
 		} else {
-			pairs, _, _ := join.CreateTasks(src, rootPair, join.Options{}, budget, 0)
 			tasks = wholeUnits(pairs)
 		}
 		if check != nil {
@@ -189,8 +195,8 @@ func run(cfg Config, blockMax *[2]int, root func() (join.NodePair, bool, error),
 	res.PhaseNS[timeline.PhasePrep] = t1.Sub(t0).Nanoseconds()
 	res.PhaseNS[timeline.PhasePartition] = t2.Sub(t1).Nanoseconds()
 	// Live progress: one unit at unit cost each (the tree walk has no
-	// per-unit cost estimate); children entering the deques grow the total,
-	// so done meets total exactly at the drain.
+	// per-unit cost estimate); the leaf pairs a paged worker expands grow
+	// the total, so done meets total exactly at the drain.
 	prog := cfg.Progress
 	prog.Start()
 	defer prog.Finish()
@@ -206,11 +212,12 @@ func run(cfg Config, blockMax *[2]int, root func() (join.NodePair, bool, error),
 	out := make([]join.CandidateBuf, cfg.Workers)
 	falseHits := make([]int, cfg.Workers)
 	workerErrs := make([]error, cfg.Workers)
-	sched := newStealScheduler(cfg.Workers, tasks)
-	sched.met = met
-	sched.perSteals = res.PerWorkerSteals
-	if rec != nil {
-		sched.rec, sched.epoch = rec, epoch
+	// The workers' shared state: the cursor (the index of the next
+	// unclaimed unit), the abort flag, and the first worker panic's value.
+	var sched struct {
+		next              atomic.Int64
+		aborted, panicked atomic.Bool
+		panicVal          any
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
@@ -218,9 +225,17 @@ func run(cfg Config, blockMax *[2]int, root func() (join.NodePair, bool, error),
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					if sched.panicked.CompareAndSwap(false, true) {
+						sched.panicVal = p
+					}
+					sched.aborted.Store(true)
+				}
+			}()
 			if rec != nil {
-				// The whole worker loop is one sweep-phase span; expansion
-				// and idle spans nest inside it.
+				// The whole worker loop is one sweep-phase span; the unit
+				// spans nest inside it.
 				rec.BeginSpan(w, wallSince(epoch), timeline.KindPhase,
 					sim.SpanArgs{A: timeline.PhaseSweep})
 			}
@@ -230,11 +245,19 @@ func run(cfg Config, blockMax *[2]int, root func() (join.NodePair, bool, error),
 			if blocks {
 				bs = newBlockScratch(blockMax[0], blockMax[1])
 			}
+			// stack holds the leaf pairs of a paged worker's last unit, the
+			// next in plane-sweep order on top.
+			var stack []join.NodePair
 			// Hot-path counts stay in locals; flushed once on exit.
 			var pairs, comps, candTotal int64
-			for {
-				u, ok := sched.next(w)
-				if !ok {
+			for !sched.aborted.Load() {
+				var u unit
+				if n := len(stack); n > 0 {
+					u = unit{NodePair: stack[n-1], parts: 1}
+					stack = stack[:n-1]
+				} else if i := sched.next.Add(1) - 1; i < int64(len(tasks)) {
+					u = tasks[i]
+				} else {
 					break
 				}
 				res.PerWorker[w]++
@@ -246,24 +269,30 @@ func run(cfg Config, blockMax *[2]int, root func() (join.NodePair, bool, error),
 					t0 = wallSince(epoch)
 				}
 				before := out[w].Len()
-				var children []join.NodePair
 				var comparisons int
-				if blocks && isBlockPair(u.NodePair) {
+				if blocks {
 					a, b := blockPair(src, u.NodePair)
 					comparisons = bs.joinBlocks(a, b, u.part, u.parts, &out[w])
 				} else {
 					nr := src.Node(join.SideR, u.RPage, u.RLevel)
 					ns := src.Node(join.SideS, u.SPage, u.SLevel)
 					var cands []join.Candidate
+					var children []join.NodePair
 					cands, children, comparisons = sc.Expand(nr, ns, join.Options{})
 					if check != nil {
 						if err := check(); err != nil {
 							workerErrs[w] = err
-							sched.abort()
+							sched.aborted.Store(true)
 							break
 						}
 					}
 					out[w].Append(cands)
+					for i := len(children) - 1; i >= 0; i-- {
+						stack = append(stack, children[i])
+					}
+					if n := len(children); n > 0 {
+						prog.AddTotal(int64(n), int64(n))
+					}
 				}
 				if rec != nil {
 					rec.Complete(w, t0, wallSince(epoch), timeline.KindCPUSweep, sim.SpanArgs{
@@ -286,11 +315,7 @@ func run(cfg Config, blockMax *[2]int, root func() (join.NodePair, bool, error),
 							sim.SpanArgs{A: int64(found)})
 					}
 				}
-				if n := len(children); n > 0 {
-					prog.AddTotal(int64(n), int64(n))
-				}
 				prog.UnitDone(1)
-				sched.complete(w, children)
 			}
 			met.flushWorker(w, pairs, comps, candTotal, int64(falseHits[w]))
 			if rec != nil {
@@ -299,10 +324,11 @@ func run(cfg Config, blockMax *[2]int, root func() (join.NodePair, bool, error),
 		}()
 	}
 	wg.Wait()
+	if sched.panicked.Load() {
+		panic(sched.panicVal)
+	}
 	t3 := time.Now()
 	res.PhaseNS[timeline.PhaseSweep] = t3.Sub(t2).Nanoseconds()
-	res.Steals = int(sched.steals.Load())
-	res.StealAttempts = int(sched.attempts.Load())
 	for _, err := range workerErrs {
 		if err != nil {
 			return res, fmt.Errorf("parnative: traversal: %w", err)

@@ -3,6 +3,7 @@ package parnative
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -162,10 +163,9 @@ func TestDefaultsApplied(t *testing.T) {
 	for _, n := range res.PerWorker {
 		total += n
 	}
-	// PerWorker counts expanded node pairs; every task is at least one pair
-	// and deeper pairs are scheduled individually.
-	if total < res.Tasks {
-		t.Fatalf("per-worker pair counts sum to %d, want >= %d tasks", total, res.Tasks)
+	// PerWorker counts the units run; in memory every unit is a task.
+	if total != res.Tasks {
+		t.Fatalf("per-worker unit counts sum to %d, want %d tasks", total, res.Tasks)
 	}
 }
 
@@ -193,28 +193,6 @@ func TestSortedMatchesSequentialExactly(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestStealingMovesWork drives a skewed task distribution hard enough that
-// stealing must kick in at least once across attempts: with many workers and
-// few initial tasks, most workers start empty and can only obtain work by
-// stealing from the loaded deques.
-func TestStealingMovesWork(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs >= 2 CPUs")
-	}
-	streets, mixed := tiger.Maps(0.3, 42)
-	r := rtree.BulkLoadSTR(rtree.DefaultParams(), streets, 0.73)
-	s := rtree.BulkLoadSTR(rtree.DefaultParams(), mixed, 0.73)
-	for attempt := 0; attempt < 5; attempt++ {
-		// TaskFactor 1 leaves the initial distribution coarse, so load
-		// imbalance (and therefore stealing) is likely.
-		res := Join(r, s, Config{Workers: 8, TaskFactor: 1})
-		if res.Steals > 0 {
-			return
-		}
-	}
-	t.Error("no steal occurred in 5 skewed runs; work-stealing appears inert")
 }
 
 func TestWorkersShareTasks(t *testing.T) {
@@ -420,36 +398,122 @@ func TestJoinPagedWithRefiner(t *testing.T) {
 	}
 }
 
-// TestStealAccounting checks the Result's steal invariants on both the
-// in-memory and the paged executor: PerWorkerSteals has one slot per
-// worker and splits Steals by thief, and every steal was an attempt.
-func TestStealAccounting(t *testing.T) {
+// schedule returns the units on the cursor of r ⋈ s, and how many units a
+// paged join runs: those pairs at level ≤ 1 plus the leaf pairs they
+// expand to.
+func schedule(r, s *rtree.Tree) (tasks []join.NodePair, paged int) {
+	src := join.DirectSource{R: r, S: s}
+	root, _ := join.RootPair(r, s)
+	tasks, _, _ = join.CreateTasks(src, root, join.Options{}, math.MaxInt, 1)
+	leaves, _, _ := join.CreateTasks(src, root, join.Options{}, math.MaxInt, 0)
+	paged = len(tasks) + len(leaves)
+	for _, p := range tasks {
+		if p.MaxLevel() == 0 {
+			paged-- // a leaf pair on the cursor is no task's child
+		}
+	}
+	return tasks, paged
+}
+
+// TestUnitAccounting checks that every unit runs exactly once on both
+// entry points: the per-worker unit counts sum to Tasks in memory, and to
+// Tasks plus the expanded leaf pairs when paged; nothing is stolen.
+func TestUnitAccounting(t *testing.T) {
 	r, s := testTrees(t)
+	tasks, paged := schedule(r, s)
 	for _, e := range engines(t, r, s, 16) {
 		for _, workers := range []int{1, 4, 8} {
 			t.Run(fmt.Sprintf("%s/w%d", e.name, workers), func(t *testing.T) {
 				res := e.run(t, Config{Workers: workers})
-				if len(res.PerWorkerSteals) != res.Workers {
-					t.Fatalf("len(PerWorkerSteals) = %d, want %d", len(res.PerWorkerSteals), res.Workers)
+				if len(res.PerWorker) != res.Workers {
+					t.Fatalf("len(PerWorker) = %d, want %d", len(res.PerWorker), res.Workers)
 				}
 				sum := 0
-				for _, n := range res.PerWorkerSteals {
+				for _, n := range res.PerWorker {
 					sum += n
 				}
-				if sum != res.Steals {
-					t.Fatalf("sum(PerWorkerSteals) = %d, Steals = %d", sum, res.Steals)
+				want := res.Tasks
+				if e.name == "JoinPaged" {
+					if res.Tasks != len(tasks) {
+						t.Fatalf("Tasks = %d, want the %d pairs at level <= 1", res.Tasks, len(tasks))
+					}
+					want = paged
 				}
-				if res.Steals > res.StealAttempts {
-					t.Fatalf("Steals = %d > StealAttempts = %d", res.Steals, res.StealAttempts)
+				if sum != want {
+					t.Fatalf("sum(PerWorker) = %d, want %d units", sum, want)
+				}
+				if res.Steals != 0 || res.StealAttempts != 0 {
+					t.Fatalf("Steals = %d, StealAttempts = %d, want 0", res.Steals, res.StealAttempts)
 				}
 			})
 		}
 	}
 }
 
+// TestScheduleIsPlaneSweepOrder pins the order of the cursor: the units are
+// task creation's block pairs in plane-sweep order, a split pair's parts
+// adjacent, so that consecutive units share a block. One worker runs them
+// in exactly that order; at four, each worker's units are a subsequence.
+func TestScheduleIsPlaneSweepOrder(t *testing.T) {
+	r, s := bigRectTrees(t)
+	tasks, _ := schedule(r, s)
+	const budget = 64
+	units := splitTasks(join.DirectSource{R: r, S: s}, tasks, budget)
+	if len(units) <= len(tasks) {
+		t.Fatalf("%d units for %d block pairs, want some split — test premise broken", len(units), len(tasks))
+	}
+	index := make(map[[2]int64]int, len(tasks))
+	for i, p := range tasks {
+		index[[2]int64{int64(p.RPage), int64(p.SPage)}] = i
+	}
+	k := 0
+	for i, p := range tasks {
+		if units[k].NodePair != p || units[k].part != 0 {
+			t.Fatalf("unit %d is %+v, want part 0 of pair %d %+v", k, units[k], i, p)
+		}
+		for part := int32(0); part < units[k].parts; part++ {
+			if u := units[k+int(part)]; u.NodePair != p || u.part != part {
+				t.Fatalf("unit %d is %+v, want part %d of pair %d", k+int(part), u, part, i)
+			}
+		}
+		k += int(units[k].parts)
+	}
+	if k != len(units) {
+		t.Fatalf("%d units past the last pair", len(units)-k)
+	}
+	for _, workers := range []int{1, 4} {
+		rec := timeline.NewWallRecorder(workers)
+		res := Join(r, s, Config{Workers: workers, TaskFactor: budget / workers, Timeline: rec})
+		if res.Tasks != len(units) {
+			t.Fatalf("workers=%d: %d tasks, want %d", workers, res.Tasks, len(units))
+		}
+		ran := 0
+		for w, proc := range rec.Procs() {
+			last := -1
+			for _, sp := range proc.Spans {
+				if sp.Kind != timeline.KindCPUSweep {
+					continue
+				}
+				i, ok := index[[2]int64{sp.Args.A, sp.Args.B}]
+				if !ok || i < last {
+					t.Fatalf("workers=%d: worker %d ran pair %d after pair %d", workers, w, i, last)
+				}
+				if workers == 1 && (units[ran].RPage != tasks[i].RPage || units[ran].SPage != tasks[i].SPage) {
+					t.Fatalf("unit %d ran pair %d, want %+v", ran, i, units[ran].NodePair)
+				}
+				last = i
+				ran++
+			}
+		}
+		if ran != len(units) {
+			t.Fatalf("workers=%d: %d unit spans, want %d", workers, ran, len(units))
+		}
+	}
+}
+
 // TestJoinPhaseTimings pins the tree executor's PhaseNS buckets on both
 // entry points: prep, partition (task creation), sweep and merge are
-// always filled, and PerWorkerSteals splits the steal total by the thief.
+// always filled.
 func TestJoinPhaseTimings(t *testing.T) {
 	r, s := testTrees(t)
 	for _, e := range engines(t, r, s, 16) {
@@ -466,16 +530,6 @@ func TestJoinPhaseTimings(t *testing.T) {
 					t.Errorf("phase %s filled (%dns); the tree executor never runs it",
 						timeline.PhaseName(p), res.PhaseNS[p])
 				}
-			}
-			if len(res.PerWorkerSteals) != res.Workers {
-				t.Fatalf("PerWorkerSteals has %d slots, want %d", len(res.PerWorkerSteals), res.Workers)
-			}
-			sum := 0
-			for _, n := range res.PerWorkerSteals {
-				sum += n
-			}
-			if sum != res.Steals {
-				t.Errorf("PerWorkerSteals sums to %d, want Steals=%d", sum, res.Steals)
 			}
 		})
 	}

@@ -7,9 +7,9 @@ import (
 )
 
 // TestJoinProgress pins the tree executor's progress contract on both
-// entry points: every expanded node pair is one unit, children grow the
-// total as they enter the deques, and at the drain done == total == the
-// sum of PerWorker.
+// entry points: every unit run is one unit done, the leaf pairs a paged
+// worker expands grow the total, and at the drain done == total == the sum
+// of PerWorker.
 func TestJoinProgress(t *testing.T) {
 	r, s := testTrees(t)
 	for _, e := range engines(t, r, s, 16) {

@@ -6,8 +6,10 @@ import (
 	"spjoin/internal/join"
 )
 
-// Stress the complete() publish-before-count window: many workers, tiny
-// tasks, repeated runs, comparing candidate counts against sequential.
+// Stress the end of the cursor: many workers, tiny tasks, repeated runs,
+// comparing candidate counts against sequential — a unit claimed twice or
+// never, or a worker stopping before the cursor passes the end, shows as a
+// wrong count.
 func TestStressPrematureTermination(t *testing.T) {
 	r, s := testTrees(t)
 	want := len(join.Sequential(r, s, join.Options{}))

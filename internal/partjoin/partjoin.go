@@ -21,7 +21,7 @@
 //     dense float64 streams with no index indirection. Beside the planes
 //     the segment holds each rect's entry ID and two ownership bits, so the
 //     emit decides and reports a hit from the positions the sweep just read;
-//     work units are scheduled largest-first over a parnative.Pool so
+//     work units are scheduled largest-first over a Pool (pool.go) so
 //     stragglers start early.
 //   - A hot tile — one whose estimated sweep cost approaches a worker's
 //     fair share — is split into several units by its sweep, not its data:
@@ -56,7 +56,6 @@ import (
 	"spjoin/internal/geom"
 	"spjoin/internal/join"
 	"spjoin/internal/metrics"
-	"spjoin/internal/parnative"
 	"spjoin/internal/rtree"
 	"spjoin/internal/runtimeobs"
 	"spjoin/internal/sim"
@@ -189,8 +188,8 @@ func Join(r, s []rtree.Item, cfg Config) Result {
 	return j.Join(r, s, cfg)
 }
 
-// phase identifiers: the Joiner runs its parallel phases over one
-// parnative.Pool, dispatching on j.phase in RunWorker.
+// phase identifiers: the Joiner runs its parallel phases over one Pool,
+// dispatching on j.phase in RunWorker.
 const (
 	phaseMirror      = iota // copy items into SoA mirrors, union chunk MBRs
 	phaseMirrorCheck        // compare items against mirrors, list the changes
@@ -324,10 +323,10 @@ func (ws *workerState) emit(r, s *tileSeg, rp, sp int32) {
 
 // Joiner holds the reusable state of the partition-based join: SoA mirrors
 // of the inputs, the counting-sort buckets, per-worker scratch, and a
-// persistent parnative.Pool. A Joiner is for use by a single goroutine;
-// Close releases the pool's goroutines.
+// persistent Pool. A Joiner is for use by a single goroutine; Close releases
+// the pool's goroutines.
 type Joiner struct {
-	pool    *parnative.Pool
+	pool    *Pool
 	workers int
 	phase   int32
 
@@ -444,7 +443,7 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 		if j.pool != nil {
 			j.pool.Close()
 		}
-		j.pool = parnative.NewPool(workers)
+		j.pool = NewPool(workers)
 		j.workers = workers
 	}
 	j.rItems, j.sItems = r, s
@@ -723,9 +722,9 @@ func timelinePhase(phase int32) int {
 	}
 }
 
-// RunWorker implements parnative.PoolTask: dispatch the current phase,
-// bracketing it with a per-worker phase span when a timeline is attached
-// (tile sweep spans then nest inside the join-phase span).
+// RunWorker implements PoolTask: dispatch the current phase, bracketing it
+// with a per-worker phase span when a timeline is attached (tile sweep
+// spans then nest inside the join-phase span).
 func (j *Joiner) RunWorker(w int) {
 	if j.rec != nil {
 		j.rec.BeginSpan(w, wallSince(j.epoch), timeline.KindPhase,

@@ -28,8 +28,8 @@ const (
 	// EnginePartition is the grid-partitioned native engine
 	// (internal/partjoin), the default for small-rectangle workloads.
 	EnginePartition Engine = iota
-	// EngineTree bulk-loads R*-trees and runs the work-stealing native
-	// tree join (internal/parnative).
+	// EngineTree bulk-loads R*-trees and runs the native tree join
+	// (internal/parnative), its units claimed off one cursor.
 	EngineTree
 )
 

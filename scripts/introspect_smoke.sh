@@ -30,7 +30,7 @@ go run ./cmd/tracecheck "$OUT/wall_partition.json"
 grep 'plan (forced): engine=partition' "$OUT/explain_partition.txt"
 grep 'workers (pairs):' "$OUT/explain_partition.txt"
 
-# Native tree run: steals and the sweep-dominated waterfall.
+# Native tree run: the task count and the sweep-dominated waterfall.
 go run ./cmd/spjoin -scale 0.05 -seed 42 -native -procs 4 \
     -explain -timeline "$OUT/wall_tree.json" > "$OUT/explain_tree.txt"
 go run ./cmd/tracecheck "$OUT/wall_tree.json"

@@ -155,7 +155,8 @@ func BuildFeatures(fs []Feature) *Tree { return Build(tiger.Items(fs)) }
 // filter step over the R*-trees followed by the exact-geometry refinement,
 // both executed by the same worker that found each candidate (as in the
 // paper). It returns the exact result pairs plus the number of false hits
-// the refinement eliminated.
+// the refinement eliminated. A panic in shapeR or shapeS stops every worker
+// and is raised again on the caller's goroutine, where it can be recovered.
 func JoinRefined(r, s *Tree, shapeR, shapeS func(ID) Shape, workers int) (answers []Candidate, falseHits int) {
 	res := parnative.Join(r, s, parnative.Config{
 		Workers: workers,

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"spjoin/internal/join"
 	"spjoin/internal/parnative"
 )
 
@@ -129,6 +131,41 @@ func TestSampleFeaturesAndJoinRefined(t *testing.T) {
 		if !streets[a.R].Shape.Intersects(mixed[a.S].Shape) {
 			t.Fatalf("answer %d/%d fails the exact test", a.R, a.S)
 		}
+	}
+}
+
+// TestJoinRefinedPanicReachesCaller makes one shape panic inside a worker:
+// the caller's recover sees the panic value, and the next joins over the
+// same trees are exact.
+func TestJoinRefinedPanicReachesCaller(t *testing.T) {
+	streets, mixed := SampleFeatures(0.01, 42)
+	r, s := BuildFeatures(streets), BuildFeatures(mixed)
+	cands := JoinParallel(r, s, 4)
+	bad := cands[len(cands)/2].R
+	want := fmt.Sprintf("no shape for %d", bad)
+	shapeS := func(id ID) Shape { return mixed[id].Shape }
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		JoinRefined(r, s, func(id ID) Shape {
+			if id == bad {
+				panic(want)
+			}
+			return streets[id].Shape
+		}, shapeS, 4)
+		return nil
+	}()
+	if got != want {
+		t.Fatalf("recovered %v, want %q", got, want)
+	}
+	seq := Join(r, s)
+	join.SortCandidates(seq)
+	if par := JoinParallel(r, s, 4); !slices.Equal(par, seq) {
+		t.Fatalf("join after the panic: %d pairs, Sequential %d", len(par), len(seq))
+	}
+	answers, falseHits := JoinRefined(r, s, func(id ID) Shape { return streets[id].Shape }, shapeS, 4)
+	if len(answers)+falseHits != len(seq) {
+		t.Fatalf("refined join after the panic: %d answers + %d false hits, want %d candidates",
+			len(answers), falseHits, len(seq))
 	}
 }
 
