@@ -603,12 +603,13 @@ func loadCSV(path string) ([]rtree.Item, error) {
 	return mapio.Read(f)
 }
 
-func runPartition(out io.Writer, r, s []rtree.Item, workers, grid int, refine int64, obs *observability, rec *timeline.Recorder, intro *introspection) {
+// runPartition runs one partition join, prints its report, hands its
+// record to intro (which exports it to obs.reg) and returns its Result.
+func runPartition(out io.Writer, r, s []rtree.Item, workers, grid int, refine int64, obs *observability, rec *timeline.Recorder, intro *introspection) partjoin.Result {
 	cfg := partjoin.Config{
 		Workers:         workers,
 		Grid:            grid,
 		RefineThreshold: refine,
-		Metrics:         obs.reg,
 		Timeline:        rec,
 	}
 	if intro != nil {
@@ -630,7 +631,7 @@ func runPartition(out io.Writer, r, s []rtree.Item, workers, grid int, refine in
 	fmt.Fprintf(out, "pairs/worker: %v\n", res.PerWorker)
 	if obs.reg != nil {
 		fmt.Fprintln(out)
-		renderPartitionSummary(out, obs.reg.Snapshot(), intro)
+		renderPartitionSummary(out, &res, intro)
 	}
 	if intro != nil {
 		frec := flight.Record{
@@ -650,6 +651,7 @@ func runPartition(out io.Writer, r, s []rtree.Item, workers, grid int, refine in
 		}
 		intro.record(out, obs.reg, &frec)
 	}
+	return res
 }
 
 // toInt64s widens a per-worker count slice for the flight record.
@@ -664,11 +666,12 @@ func toInt64s(in []int) []int64 {
 	return out
 }
 
-// renderPartitionSummary prints the curated partjoin.* counter view: the
-// headline counters plus the per-worker pair distribution (min/mean/max
-// and max/mean skew, the load-balance measure the paper tracks), and —
-// when a plan was captured — the planner's decision and driving stats.
-func renderPartitionSummary(out io.Writer, snap metrics.Snapshot, intro *introspection) {
+// renderPartitionSummary prints the curated view of one partition join's
+// Result: the headline figures plus the per-worker pair distribution
+// (min/mean/max and max/mean skew, the load-balance measure the paper
+// tracks), and — when a plan was captured — the planner's decision and
+// driving stats.
+func renderPartitionSummary(out io.Writer, res *partjoin.Result, intro *introspection) {
 	t := stats.NewTable("Partition engine metrics (partjoin.*)", "measure", "value")
 	t.AddRow("filter kernel", geom.KernelName())
 	if intro != nil && intro.planRec.Engine != "" {
@@ -683,25 +686,15 @@ func renderPartitionSummary(out io.Writer, snap metrics.Snapshot, intro *introsp
 			t.AddRow("plan selectivity", fmt.Sprintf("%.3g", p.Selectivity))
 		}
 	}
-	for _, row := range []struct{ label, counter string }{
-		{"grid tiles", "partjoin.grid_tiles"},
-		{"non-empty partitions", "partjoin.partitions"},
-		{"split tiles", "partjoin.refined_tiles"},
-		{"units of split tiles", "partjoin.subtiles"},
-		{"comparisons", "partjoin.comparisons"},
-		{"candidates", "partjoin.candidates"},
-		{"duplicates suppressed", "partjoin.duplicates_suppressed"},
-		{"wall [ms]", "partjoin.wall_ms"},
-	} {
-		if v, ok := snap.Counters[row.counter]; ok {
-			t.AddRow(row.label, v)
-		}
-	}
-	var pairs []float64
-	for name, v := range snap.Counters {
-		if strings.HasPrefix(name, "partjoin.worker.") && strings.HasSuffix(name, ".pairs") {
-			pairs = append(pairs, float64(v))
-		}
+	t.AddRow("non-empty partitions", res.Partitions)
+	t.AddRow("split tiles", res.RefinedTiles)
+	t.AddRow("units of split tiles", res.Subtiles)
+	t.AddRow("comparisons", res.Comparisons)
+	t.AddRow("candidates", len(res.Candidates))
+	t.AddRow("duplicates suppressed", res.Duplicates)
+	pairs := make([]float64, len(res.PerWorker))
+	for w, n := range res.PerWorker {
+		pairs[w] = float64(n)
 	}
 	if sum := stats.Summarize(pairs); sum.N > 0 {
 		t.AddRow("pairs/worker min/mean/max", fmt.Sprintf("%.0f / %.1f / %.0f", sum.Min, sum.Mean, sum.Max))
@@ -710,10 +703,10 @@ func renderPartitionSummary(out io.Writer, snap metrics.Snapshot, intro *introsp
 	t.Render(out)
 }
 
-func runNative(out io.Writer, r, s *rtree.Tree, workers int, obs *observability, rec *timeline.Recorder, intro *introspection) {
+// runNative is runPartition for the native R*-tree join.
+func runNative(out io.Writer, r, s *rtree.Tree, workers int, obs *observability, rec *timeline.Recorder, intro *introspection) parnative.Result {
 	cfg := parnative.Config{
 		Workers:  workers,
-		Metrics:  obs.reg,
 		Timeline: rec,
 	}
 	if intro != nil {
@@ -733,12 +726,15 @@ func runNative(out io.Writer, r, s *rtree.Tree, workers int, obs *observability,
 			WallNS: wall.Nanoseconds(),
 			Engine: "tree",
 			NR:     r.Len(), NS: s.Len(),
-			Candidates:  len(res.Candidates),
-			Tasks:       res.Tasks,
-			PhaseNS:     res.PhaseNS,
-			WorkerPairs: toInt64s(res.PerWorker),
-			Health:      intro.health.End(wall.Nanoseconds(), res.Workers),
+			Candidates:    len(res.Candidates),
+			Comparisons:   res.Comparisons,
+			Tasks:         res.Tasks,
+			PairsExpanded: res.PairsExpanded,
+			PhaseNS:       res.PhaseNS,
+			WorkerPairs:   toInt64s(res.PerWorker),
+			Health:        intro.health.End(wall.Nanoseconds(), res.Workers),
 		}
 		intro.record(out, obs.reg, &frec)
 	}
+	return res
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -13,11 +15,13 @@ import (
 	"spjoin/internal/flight"
 	"spjoin/internal/geom"
 	"spjoin/internal/metrics"
+	"spjoin/internal/partjoin"
+	"spjoin/internal/rtree"
 	"spjoin/internal/tiger"
 )
 
 // TestPartitionCLIOutput pins the -engine partition summary: the curated
-// partjoin.* table (headline counters plus the per-worker pair
+// table of the Result (headline figures plus the per-worker pair
 // distribution) must appear in the command output when -metrics is on.
 func TestPartitionCLIOutput(t *testing.T) {
 	streets, mixed := tiger.Maps(0.01, 42)
@@ -51,10 +55,8 @@ func TestKernelSummaryRow(t *testing.T) {
 	if err := geom.SetKernel("purego"); err != nil {
 		t.Fatal(err)
 	}
-	reg := metrics.NewRegistry()
-	reg.Counter("partjoin.partitions").Add(1)
 	var out bytes.Buffer
-	renderPartitionSummary(&out, reg.Snapshot(), nil)
+	renderPartitionSummary(&out, &partjoin.Result{Partitions: 1}, nil)
 	if !strings.Contains(out.String(), "purego") {
 		t.Fatalf("summary missing forced kernel path:\n%s", out.String())
 	}
@@ -75,12 +77,8 @@ func TestPartitionCLIOutputNoRegistry(t *testing.T) {
 }
 
 func TestRenderPartitionSummarySkew(t *testing.T) {
-	reg := metrics.NewRegistry()
-	reg.Counter("partjoin.partitions").Add(7)
-	reg.Counter("partjoin.worker.0.pairs").Add(100)
-	reg.Counter("partjoin.worker.1.pairs").Add(300)
 	var out bytes.Buffer
-	renderPartitionSummary(&out, reg.Snapshot(), nil)
+	renderPartitionSummary(&out, &partjoin.Result{Partitions: 7, PerWorker: []int{100, 300}}, nil)
 	// mean 200, max 300 -> skew 1.50.
 	if !strings.Contains(out.String(), "100 / 200.0 / 300") || !strings.Contains(out.String(), "1.50") {
 		t.Fatalf("distribution rows wrong:\n%s", out.String())
@@ -274,4 +272,90 @@ func TestExplainSVGOutput(t *testing.T) {
 	if !strings.Contains(out.String(), "heatmap:") {
 		t.Fatalf("output does not mention the heatmap path:\n%s", out.String())
 	}
+}
+
+// engineSeries returns every counter and gauge of snap named under prefix.
+func engineSeries(snap metrics.Snapshot, prefix string) map[string]float64 {
+	got := make(map[string]float64)
+	for name, v := range snap.Counters {
+		if strings.HasPrefix(name, prefix) {
+			got[name] = float64(v)
+		}
+	}
+	for name, v := range snap.Gauges {
+		if strings.HasPrefix(name, prefix) {
+			got[name] = v
+		}
+	}
+	return got
+}
+
+// requireSeries compares the engine series of a run's registry with the
+// figures its Result and record give: same names, same values.
+func requireSeries(t *testing.T, got, want map[string]float64) {
+	t.Helper()
+	for name, v := range want {
+		if g, ok := got[name]; !ok || g != v {
+			t.Errorf("%s = %v (present %v), want %v", name, g, ok, v)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("unexpected series %s = %v", name, got[name])
+		}
+	}
+}
+
+// TestEngineMetricsFromResult pins the engine content of -metrics: after a
+// partition run and a native tree run, every partjoin.* and native.* series
+// in the registry is a figure of that join's Result (the wall gauge is the
+// driver's wall time on the recorded join).
+func TestEngineMetricsFromResult(t *testing.T) {
+	streets, mixed := tiger.Maps(0.02, 42)
+
+	obs := &observability{reg: metrics.NewRegistry()}
+	intro := &introspection{flights: flight.NewRecorder(2)}
+	pres := runPartition(io.Discard, streets, mixed, 3, 0, 0, obs, nil, intro)
+	prec, _ := intro.flights.Last()
+	want := map[string]float64{
+		"partjoin.partitions":            float64(pres.Partitions),
+		"partjoin.duplicates_suppressed": float64(pres.Duplicates),
+		"partjoin.comparisons":           float64(pres.Comparisons),
+		"partjoin.candidates":            float64(len(pres.Candidates)),
+		"partjoin.refined_tiles":         float64(pres.RefinedTiles),
+		"partjoin.subtiles":              float64(pres.Subtiles),
+		"partjoin.grid_tiles":            float64(pres.GX * pres.GY),
+		"partjoin.wall_ms":               float64(prec.WallNS) / 1e6,
+	}
+	for w, n := range pres.PerWorker {
+		want[fmt.Sprintf("partjoin.worker.%d.pairs", w)] = float64(n)
+	}
+	if pres.Comparisons == 0 || len(pres.Candidates) == 0 || len(pres.PerWorker) != 3 {
+		t.Fatalf("partition run did no work: %+v", pres)
+	}
+	requireSeries(t, engineSeries(obs.reg.Snapshot(), "partjoin."), want)
+
+	r := rtree.BulkLoadSTRParallel(rtree.DefaultParams(), streets, 0.73, 0)
+	s := rtree.BulkLoadSTRParallel(rtree.DefaultParams(), mixed, 0.73, 0)
+	obs = &observability{reg: metrics.NewRegistry()}
+	nres := runNative(io.Discard, r, s, 2, obs, nil, intro)
+	nrec, _ := intro.flights.Last()
+	want = map[string]float64{
+		"native.join.pairs_expanded": float64(nres.PairsExpanded),
+		"native.join.comparisons":    float64(nres.Comparisons),
+		"native.join.candidates":     float64(len(nres.Candidates) + nres.FalseHits),
+		"native.tasks.created":       float64(nres.Tasks),
+		"native.wall_ms":             float64(nrec.WallNS) / 1e6,
+	}
+	for w, n := range nres.PerWorker {
+		want[fmt.Sprintf("native.worker.%d.pairs", w)] = float64(n)
+	}
+	if nres.PairsExpanded == 0 || nres.Comparisons == 0 || len(nres.Candidates) == 0 {
+		t.Fatalf("tree run did no work: %+v", nres)
+	}
+	if nrec.Comparisons != nres.Comparisons || nrec.PairsExpanded != nres.PairsExpanded {
+		t.Errorf("record comparisons/pairs %d/%d, Result %d/%d",
+			nrec.Comparisons, nrec.PairsExpanded, nres.Comparisons, nres.PairsExpanded)
+	}
+	requireSeries(t, engineSeries(obs.reg.Snapshot(), "native."), want)
 }

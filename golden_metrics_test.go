@@ -187,7 +187,7 @@ func TestGoldenMetricsPinned(t *testing.T) {
 }
 
 // TestGoldenMetricsAcrossWorkers runs the native executor at worker counts
-// 1/2/4/8 with a constant task-creation budget and asserts the Registry
+// 1/2/4/8 with a constant task-creation budget and asserts the Result
 // reports identical scheduling-independent figures at every count — the
 // same pairs expanded, comparisons and candidates, with the candidate count
 // matching the simulated golden figure. Work distribution may differ; the
@@ -197,17 +197,14 @@ func TestGoldenMetricsAcrossWorkers(t *testing.T) {
 	type figures struct{ pairs, comparisons, candidates int64 }
 	var base figures
 	for i, workers := range []int{1, 2, 4, 8} {
-		reg := metrics.NewRegistry()
 		res := parnative.Join(w.R, w.S, parnative.Config{
 			Workers:    workers,
 			TaskFactor: goldenTaskBudget / workers,
-			Metrics:    reg,
 		})
-		snap := reg.Snapshot()
 		got := figures{
-			pairs:       snap.Counters["native.join.pairs_expanded"],
-			comparisons: snap.Counters["native.join.comparisons"],
-			candidates:  snap.Counters["native.join.candidates"],
+			pairs:       int64(res.PairsExpanded),
+			comparisons: int64(res.Comparisons),
+			candidates:  int64(len(res.Candidates) + res.FalseHits),
 		}
 		if got.candidates != int64(len(res.Candidates)) {
 			t.Fatalf("workers=%d: registry candidates %d, result %d",

@@ -135,12 +135,54 @@ func TestObserveExportsMetrics(t *testing.T) {
 	if got := reg.Gauge("plan.grid").Load(); got != 24 {
 		t.Fatalf("plan.grid overwritten by planless record: %v", got)
 	}
+	// The engine counters total the partition records (two of sample 0, one
+	// of sample 1); the gauges hold the last one's figures.
+	for name, want := range map[string]int64{
+		"partjoin.partitions":            2*100 + 101,
+		"partjoin.candidates":            2*300 + 301,
+		"partjoin.duplicates_suppressed": 3 * 10,
+		"partjoin.worker.3.pairs":        2*60 + 61,
+	} {
+		if got := reg.Counter(name).Load(); got != want {
+			t.Errorf("%s=%d, want %d", name, got, want)
+		}
+	}
+	if got := reg.Gauge("partjoin.grid_tiles").Load(); got != 24*24 {
+		t.Errorf("partjoin.grid_tiles=%v", got)
+	}
+	if got := reg.Gauge("partjoin.wall_ms").Load(); got != 2 {
+		t.Errorf("partjoin.wall_ms=%v, want the last record's 2", got)
+	}
+	// A tree record feeds the native.* series and leaves partjoin.* alone.
+	tree := Record{
+		WallNS: 3e6, Engine: "tree",
+		Candidates: 56, Comparisons: 4000, Tasks: 12, PairsExpanded: 10,
+		WorkerPairs: []int64{7, 5},
+	}
+	Observe(reg, &tree)
+	for name, want := range map[string]int64{
+		"native.join.pairs_expanded": 10,
+		"native.join.comparisons":    4000,
+		"native.join.candidates":     56,
+		"native.tasks.created":       12,
+		"native.worker.0.pairs":      7,
+		"native.worker.1.pairs":      5,
+		"partjoin.partitions":        2*100 + 101,
+	} {
+		if got := reg.Counter(name).Load(); got != want {
+			t.Errorf("%s=%d, want %d", name, got, want)
+		}
+	}
+	if got := reg.Gauge("native.wall_ms").Load(); got != 3 {
+		t.Errorf("native.wall_ms=%v, want 3", got)
+	}
 	// The export must survive a Prometheus render (name sanitization).
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
-	for _, want := range []string{"flight_joins", "flight_phase_us_sweep", "plan_grid"} {
+	for _, want := range []string{"flight_joins", "flight_phase_us_sweep", "plan_grid",
+		"partjoin_comparisons", "native_join_pairs_expanded"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("prometheus output missing %q", want)
 		}

@@ -19,7 +19,8 @@
 //     engine's Result and the planner's Decision and hands it over.
 //
 // The EXPLAIN ANALYZE renderer over one Record lives in explain.go; the
-// OpenMetrics phase-latency export in metrics.go.
+// metrics-registry export (engine counters, phase latencies, plan gauges)
+// in metrics.go.
 package flight
 
 import (
@@ -90,8 +91,10 @@ type Record struct {
 	Reuse      partjoin.Reuse `json:"reuse,omitempty"`
 	DeltaRects int            `json:"delta_rects,omitempty"`
 
-	// Tree-engine shape (zero for the partition engine).
-	Tasks int `json:"tasks,omitempty"`
+	// Tree-engine shape (zero for the partition engine): the units on the
+	// cursor, and the node pairs they joined.
+	Tasks         int `json:"tasks,omitempty"`
+	PairsExpanded int `json:"pairs_expanded,omitempty"`
 
 	// PhaseNS is the engine's per-phase attribution, indexed by the
 	// timeline.Phase* constants: every bucket is that phase's wall time on

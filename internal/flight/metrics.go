@@ -1,6 +1,9 @@
 package flight
 
 import (
+	"fmt"
+
+	"spjoin/internal/join"
 	"spjoin/internal/metrics"
 	"spjoin/internal/timeline"
 )
@@ -10,15 +13,17 @@ import (
 // corpus-scale join phase and a toy test alike.
 var phaseBounds = []int64{50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000, 250000, 500000, 1000000}
 
-// Observe exports one captured execution to the metrics registry:
-// per-phase latency histograms (flight.phase_us.<phase>), the join
-// counter, and gauges mirroring the most recent plan so an OpenMetrics
-// scrape shows what the planner last decided and why. Nil-safe on reg.
+// Observe exports one captured execution to the metrics registry: the
+// engine's per-join counters (observeEngine), per-phase latency histograms
+// (flight.phase_us.<phase>), the join counter, and gauges mirroring the
+// most recent plan so an OpenMetrics scrape shows what the planner last
+// decided and why. Nil-safe on reg.
 func Observe(reg *metrics.Registry, rec *Record) {
 	if reg == nil || rec == nil {
 		return
 	}
 	reg.Counter("flight.joins").Inc()
+	observeEngine(reg, rec)
 	reg.Histogram("flight.wall_us", phaseBounds).Observe(rec.WallNS / 1000)
 	for p := 0; p < timeline.NumPhases; p++ {
 		if ns := rec.PhaseNS[p]; ns > 0 {
@@ -56,4 +61,40 @@ func Observe(reg *metrics.Registry, rec *Record) {
 	reg.Gauge("plan.skew").Set(rec.Plan.Skew)
 	reg.Gauge("plan.replication").Set(rec.Plan.Rep)
 	reg.Gauge("plan.selectivity").Set(rec.Plan.Selectivity)
+}
+
+// observeEngine adds the record's filter-step figures to the counters of
+// the engine that ran — partjoin.* for the partition engine, native.* for
+// the tree engine — so over a process the counters total every recorded
+// join. The engines write no registry; these series are read off the
+// record the driver built from the engine's Result. The wall gauge holds
+// the last join's WallNS, the per-worker counters the Result's PerWorker
+// (candidates emitted in the partition engine, units run in the tree
+// engine).
+func observeEngine(reg *metrics.Registry, rec *Record) {
+	var prefix string
+	switch rec.Engine {
+	case "partition":
+		prefix = "partjoin"
+		reg.Counter("partjoin.partitions").Add(int64(rec.Partitions))
+		reg.Counter("partjoin.duplicates_suppressed").Add(int64(rec.Duplicates))
+		reg.Counter("partjoin.comparisons").Add(int64(rec.Comparisons))
+		reg.Counter("partjoin.candidates").Add(int64(rec.Candidates))
+		reg.Counter("partjoin.refined_tiles").Add(int64(rec.RefinedTiles))
+		reg.Counter("partjoin.subtiles").Add(int64(rec.Subtiles))
+		reg.Gauge("partjoin.grid_tiles").Set(float64(rec.GX * rec.GY))
+	case "tree":
+		prefix = "native"
+		m := join.NewMetrics(reg, "native.join")
+		m.Pairs.Add(int64(rec.PairsExpanded))
+		m.Comparisons.Add(int64(rec.Comparisons))
+		m.Candidates.Add(int64(rec.Candidates))
+		reg.Counter("native.tasks.created").Add(int64(rec.Tasks))
+	default:
+		return
+	}
+	reg.Gauge(prefix + ".wall_ms").Set(float64(rec.WallNS) / 1e6)
+	for w, n := range rec.WorkerPairs {
+		reg.Counter(fmt.Sprintf("%s.worker.%d.pairs", prefix, w)).Add(n)
+	}
 }

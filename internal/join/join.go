@@ -126,10 +126,12 @@ func growMask(m []uint64, n int) []uint64 {
 // The returned slices are views into the scratch, valid until the next
 // Expand call; callers must copy what they keep.
 //
-// The kernel reads each node through its sweep cache (rtree.Node.SweepView):
-// the SoA rect view, the MinX-sorted entry order, and the MBR are computed
-// once per node at build/load time, so steady-state expansion neither sorts
-// nor copies entry rectangles. Restricting a set of entries that is already
+// The kernel reads each node through its sweep cache (rtree.Node.PlanesView):
+// the coordinate planes, the MinX-sorted entry order, and the MBR are
+// computed once per node (by the bulk loaders, PrepareBlocks or
+// PrepareSweep, else on first use), so steady-state expansion neither sorts
+// nor copies entry rectangles. A paged node is decoded afresh on every
+// read, so its cache is built on each expansion. Restricting a set of entries that is already
 // in sweep order yields the restricted set in sweep order, which is what
 // lets the cached order replace the per-visit sort of the original code.
 func (sc *Scratch) Expand(nr, ns *rtree.Node, opts Options) (cands []Candidate, pairs []NodePair, comparisons int) {
@@ -156,32 +158,31 @@ func (sc *Scratch) Expand(nr, ns *rtree.Node, opts Options) (cands []Candidate, 
 // (directory).
 func (sc *Scratch) expandEqual(nr, ns *rtree.Node, opts Options, leaf bool) int {
 	comparisons := 0
-	rRects, rOrder, rMBR := nr.SweepView()
-	sRects, sOrder, sMBR := ns.SweepView()
-	rPlanes, _, _ := nr.PlanesView()
-	sPlanes, _, _ := ns.PlanesView()
+	rPlanes, rOrder, rMBR := nr.PlanesView()
+	sPlanes, sOrder, sMBR := ns.PlanesView()
+	rn, sn := rPlanes.Len(), sPlanes.Len()
 
 	if opts.NestedLoops {
 		// Ablation baseline: quadratic enumeration in entry order (which
 		// also destroys the plane-sweep page order).
 		rIdx, sIdx := sc.rIdx[:0], sc.sIdx[:0]
 		if opts.DisableRestriction {
-			for i := range rRects {
+			for i := 0; i < rn; i++ {
 				rIdx = append(rIdx, int32(i))
 			}
-			for j := range sRects {
+			for j := 0; j < sn; j++ {
 				sIdx = append(sIdx, int32(j))
 			}
 		} else {
 			inter := rMBR.Intersection(sMBR)
-			comparisons += len(rRects) + len(sRects)
-			for i := range rRects {
-				if rRects[i].Intersects(inter) {
+			comparisons += rn + sn
+			for i := 0; i < rn; i++ {
+				if rPlanes.RectAt(i).Intersects(inter) {
 					rIdx = append(rIdx, int32(i))
 				}
 			}
-			for j := range sRects {
-				if sRects[j].Intersects(inter) {
+			for j := 0; j < sn; j++ {
+				if sPlanes.RectAt(j).Intersects(inter) {
 					sIdx = append(sIdx, int32(j))
 				}
 			}
@@ -191,7 +192,7 @@ func (sc *Scratch) expandEqual(nr, ns *rtree.Node, opts Options, leaf bool) int 
 		for _, i := range rIdx {
 			for _, j := range sIdx {
 				comparisons++
-				if rRects[i].Intersects(sRects[j]) {
+				if rPlanes.RectAt(int(i)).Intersects(sPlanes.RectAt(int(j))) {
 					hits = append(hits, geom.IndexPair{R: i, S: j})
 				}
 			}
@@ -213,9 +214,9 @@ func (sc *Scratch) expandEqual(nr, ns *rtree.Node, opts Options, leaf bool) int 
 		sIdx = append(sIdx, sOrder...)
 	} else {
 		inter := rMBR.Intersection(sMBR)
-		comparisons += len(rRects) + len(sRects)
-		sc.rMask = growMask(sc.rMask, len(rRects))
-		sc.sMask = growMask(sc.sMask, len(sRects))
+		comparisons += rn + sn
+		sc.rMask = growMask(sc.rMask, rn)
+		sc.sMask = growMask(sc.sMask, sn)
 		geom.IntersectBatchPlanes(inter, rPlanes, sc.rMask)
 		geom.IntersectBatchPlanes(inter, sPlanes, sc.sMask)
 		for _, i := range rOrder {
@@ -262,13 +263,14 @@ func (sc *Scratch) emit(nr, ns *rtree.Node, leaf bool) {
 // the other subtree's MBR, in ascending MinX (sweep order). rDeeper says
 // which side descends.
 func (sc *Scratch) expandOneSided(deep, other *rtree.Node, opts Options, rDeeper bool) int {
-	rects, order, _ := deep.SweepView()
-	_, _, otherMBR := other.SweepView()
-	comparisons := len(rects)
+	planes, order, _ := deep.PlanesView()
+	_, _, otherMBR := other.PlanesView()
+	n := planes.Len()
+	comparisons := n
 	if opts.NestedLoops {
 		// Entry order instead of sweep order.
-		for i := range rects {
-			if rects[i].Intersects(otherMBR) {
+		for i := 0; i < n; i++ {
+			if planes.RectAt(i).Intersects(otherMBR) {
 				sc.emitOneSided(deep, other, int32(i), rDeeper)
 			}
 		}
@@ -277,8 +279,7 @@ func (sc *Scratch) expandOneSided(deep, other *rtree.Node, opts Options, rDeeper
 	// Batch-test the whole node against the other subtree's MBR through the
 	// vectorized planes kernel, then walk the cached order against the
 	// bitmask (sweep order, same predicate).
-	planes, _, _ := deep.PlanesView()
-	sc.rMask = growMask(sc.rMask, len(rects))
+	sc.rMask = growMask(sc.rMask, n)
 	geom.IntersectBatchPlanes(otherMBR, planes, sc.rMask)
 	for _, i := range order {
 		if sc.rMask[i>>6]>>(uint(i)&63)&1 != 0 {

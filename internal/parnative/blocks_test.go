@@ -9,7 +9,6 @@ import (
 
 	"spjoin/internal/geom"
 	"spjoin/internal/join"
-	"spjoin/internal/metrics"
 	"spjoin/internal/rtree"
 )
 
@@ -227,11 +226,8 @@ func TestJoinBlocksAfterMutations(t *testing.T) {
 // nativeFigures runs Join and returns its counters, task count and sorted
 // candidates.
 func nativeFigures(r, s *rtree.Tree, cfg Config) (pairs, comparisons, candidates int64, tasks int, cands []join.Candidate) {
-	reg := metrics.NewRegistry()
-	cfg.Metrics = reg
 	res := Join(r, s, cfg)
-	c := reg.Snapshot().Counters
-	return c["native.join.pairs_expanded"], c["native.join.comparisons"], c["native.join.candidates"],
+	return int64(res.PairsExpanded), int64(res.Comparisons), int64(len(res.Candidates) + res.FalseHits),
 		res.Tasks, sorted(res.Candidates)
 }
 

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"spjoin/internal/join"
-	"spjoin/internal/metrics"
 	"spjoin/internal/rtree"
 	"spjoin/internal/runtimeobs"
 	"spjoin/internal/sim"
@@ -42,10 +41,6 @@ type Config struct {
 	// refinement runs in parallel too. The Refiner must be safe for
 	// concurrent use (pure functions over immutable geometry are).
 	Refiner func(join.Candidate) bool
-	// Metrics, when set, receives the run's counters under the "native."
-	// prefix. Workers accumulate locally and flush on exit, so the hot
-	// expansion loop is not slowed by shared counters.
-	Metrics *metrics.Registry
 	// Timeline, when set, records wall-clock spans (cpu-sweep per unit,
 	// refine-wait) — the lighter native mirror of the simulator's
 	// virtual-time profiler. Size it with timeline.NewWallRecorder over the
@@ -78,8 +73,16 @@ type Result struct {
 	// cursor and never take work from each other.
 	Steals        int
 	StealAttempts int
-	// FalseHits counts candidates the Refiner rejected (0 without one).
+	// FalseHits counts candidates the Refiner rejected (0 without one), so
+	// the filter step found len(Candidates) + FalseHits pairs.
 	FalseHits int
+	// PairsExpanded counts the node pairs joined: every block pair once,
+	// however many parts it was cut into, and paged, every unit and leaf
+	// pair. Comparisons counts the rectangle comparisons they made (the
+	// paper's CPU cost driver). Both are scheduling-independent: the same
+	// at every worker count.
+	PairsExpanded int
+	Comparisons   int
 	// PhaseNS is the wall time spent in each pipeline phase, indexed by the
 	// timeline.Phase* constants. The tree executor fills the subset that
 	// applies: prep (PrepareBlocks, or the root reads of paged trees),
@@ -205,12 +208,9 @@ func run(cfg Config, blockMax *[2]int, root func() (join.NodePair, bool, error),
 		return res, nil
 	}
 
-	var met *nativeMetrics
-	if cfg.Metrics != nil {
-		met = newNativeMetrics(cfg.Metrics, cfg.Workers)
-	}
 	out := make([]join.CandidateBuf, cfg.Workers)
-	falseHits := make([]int, cfg.Workers)
+	// tally holds each worker's counts, written once as it exits.
+	tally := make([]struct{ pairs, comps, falseHits int }, cfg.Workers)
 	workerErrs := make([]error, cfg.Workers)
 	// The workers' shared state: the cursor (the index of the next
 	// unclaimed unit), the abort flag, and the first worker panic's value.
@@ -248,8 +248,8 @@ func run(cfg Config, blockMax *[2]int, root func() (join.NodePair, bool, error),
 			// stack holds the leaf pairs of a paged worker's last unit, the
 			// next in plane-sweep order on top.
 			var stack []join.NodePair
-			// Hot-path counts stay in locals; flushed once on exit.
-			var pairs, comps, candTotal int64
+			// Hot-path counts stay in locals; tallied once on exit.
+			var pairs, comps, falseHits int
 			for !sched.aborted.Load() {
 				var u unit
 				if n := len(stack); n > 0 {
@@ -299,9 +299,8 @@ func run(cfg Config, blockMax *[2]int, root func() (join.NodePair, bool, error),
 						A: int64(u.RPage), B: int64(u.SPage), C: int64(u.MaxLevel()), D: int64(comparisons),
 					})
 				}
-				comps += int64(comparisons)
+				comps += comparisons
 				found := out[w].Len() - before
-				candTotal += int64(found)
 				if cfg.Refiner != nil && found > 0 {
 					// The unit's candidates are refined in place, behind its
 					// sweep, like a node pair's.
@@ -309,7 +308,7 @@ func run(cfg Config, blockMax *[2]int, root func() (join.NodePair, bool, error),
 					if rec != nil {
 						r0 = wallSince(epoch)
 					}
-					falseHits[w] += out[w].Filter(before, cfg.Refiner)
+					falseHits += out[w].Filter(before, cfg.Refiner)
 					if rec != nil {
 						rec.Complete(w, r0, wallSince(epoch), timeline.KindRefineWait,
 							sim.SpanArgs{A: int64(found)})
@@ -317,7 +316,7 @@ func run(cfg Config, blockMax *[2]int, root func() (join.NodePair, bool, error),
 				}
 				prog.UnitDone(1)
 			}
-			met.flushWorker(w, pairs, comps, candTotal, int64(falseHits[w]))
+			tally[w].pairs, tally[w].comps, tally[w].falseHits = pairs, comps, falseHits
 			if rec != nil {
 				rec.EndSpan(w, wallSince(epoch), sim.SpanArgs{}, false)
 			}
@@ -335,8 +334,10 @@ func run(cfg Config, blockMax *[2]int, root func() (join.NodePair, bool, error),
 		}
 	}
 
-	for _, fh := range falseHits {
-		res.FalseHits += fh
+	for _, t := range tally {
+		res.PairsExpanded += t.pairs
+		res.Comparisons += t.comps
+		res.FalseHits += t.falseHits
 	}
 	res.Candidates = gather(out)
 	res.PhaseNS[timeline.PhaseMerge] = time.Since(t3).Nanoseconds()
@@ -344,7 +345,6 @@ func run(cfg Config, blockMax *[2]int, root func() (join.NodePair, bool, error),
 		rec.Complete(0, wallAt(t3, epoch), wallSince(epoch), timeline.KindPhase,
 			sim.SpanArgs{A: timeline.PhaseMerge})
 	}
-	met.finish(&res)
 	return res, nil
 }
 

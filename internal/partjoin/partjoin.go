@@ -55,7 +55,6 @@ import (
 
 	"spjoin/internal/geom"
 	"spjoin/internal/join"
-	"spjoin/internal/metrics"
 	"spjoin/internal/rtree"
 	"spjoin/internal/runtimeobs"
 	"spjoin/internal/sim"
@@ -75,9 +74,6 @@ type Config struct {
 	// value) turns it off, and a positive value is the explicit per-tile
 	// sweep-cost bound above which a tile's sweep is split into units.
 	RefineThreshold int64
-	// Metrics, when set, receives the run's counters under the "partjoin."
-	// prefix (partitions joined, duplicates suppressed, per-worker pairs).
-	Metrics *metrics.Registry
 	// Timeline, when set, records one wall-clock cpu-sweep span per tile
 	// join plus one phase span per worker per pool phase. Size it with
 	// timeline.NewWallRecorder over the resolved worker count (Join panics
@@ -285,8 +281,9 @@ func (g *gridSide) unsorted(workers int) bool {
 	return false
 }
 
-// workerState is the per-worker scratch and local counters; counters are
-// flushed once after the join phase so the hot loop stays uncontended.
+// workerState is the per-worker scratch and local counters; the counters
+// are summed into the Result once after the join phase, so the hot loop
+// stays uncontended.
 type workerState struct {
 	cands  join.CandidateBuf
 	outOff int // start of this worker's slice of out (phaseGather)
@@ -399,7 +396,6 @@ type Joiner struct {
 	out       []join.Candidate
 	perWorker []int
 
-	met   *partMetrics
 	rec   *timeline.Recorder
 	epoch time.Time
 
@@ -449,10 +445,6 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 	j.rItems, j.sItems = r, s
 	j.prog = cfg.Progress
 	j.prog.Start()
-	j.met = nil
-	if cfg.Metrics != nil {
-		j.met = newPartMetrics(cfg.Metrics, workers)
-	}
 	j.rec = cfg.Timeline
 	if j.rec != nil {
 		j.epoch = time.Now()
@@ -612,7 +604,6 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 		res.Duplicates += int(ws.dups)
 		res.Comparisons += int(ws.comps)
 		res.Partitions += int(ws.parts)
-		j.met.flushWorker(w, int64(pairs), ws.dups, ws.comps, ws.parts)
 	}
 	j.out = growCands(j.out, total)
 	if total <= join.CandidateBlock {
@@ -637,7 +628,6 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 	}
 	res.PhaseNS = j.phaseNS
 	j.fillIntrospection(&res)
-	j.met.finish(&res)
 	j.prog.Finish()
 	return res
 }

@@ -37,7 +37,7 @@ func sortedPairs(j *Joiner, r, s []rtree.Item, cfg Config) ([]pairKey, Result) {
 func requireUnsplitWork(t testing.TB, stage string, res Result, r, s []rtree.Item, cfg Config) {
 	t.Helper()
 	cfg.RefineThreshold = RefineDisabled
-	cfg.Progress, cfg.Timeline, cfg.Metrics = nil, nil, nil
+	cfg.Progress, cfg.Timeline = nil, nil
 	want := Join(r, s, cfg)
 	if want.RefinedTiles != 0 || want.Subtiles != 0 {
 		t.Fatalf("%s: the split is off, yet %d tiles split into %d units", stage, want.RefinedTiles, want.Subtiles)

@@ -148,7 +148,7 @@ func TestNaNEntriesSortLast(t *testing.T) {
 		if n.Level > 0 {
 			return
 		}
-		_, order, _ := n.SweepView()
+		_, order, _ := n.PlanesView()
 		seen := false
 		for _, o := range order {
 			if hasNaN(n.Entries[o].Rect) {

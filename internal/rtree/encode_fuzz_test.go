@@ -105,14 +105,14 @@ func FuzzEncodeDecode(f *testing.F) {
 			}
 			// The decoded tree must present identical join views: same
 			// rects, same plane-sweep order, same MBR.
-			oRects, oOrder, oMBR := orig.SweepView()
-			dRects, dOrder, dMBR := got.SweepView()
-			if oMBR != dMBR || len(oRects) != len(dRects) || len(oOrder) != len(dOrder) {
+			oPlanes, oOrder, oMBR := orig.PlanesView()
+			dPlanes, dOrder, dMBR := got.PlanesView()
+			if oMBR != dMBR || oPlanes.Len() != dPlanes.Len() || len(oOrder) != len(dOrder) {
 				t.Fatalf("page %d: sweep view shape changed", page)
 			}
-			for i := range oRects {
-				if oRects[i] != dRects[i] {
-					t.Fatalf("page %d: sweep rect %d changed: %v -> %v", page, i, oRects[i], dRects[i])
+			for i := 0; i < oPlanes.Len(); i++ {
+				if o, d := oPlanes.RectAt(i), dPlanes.RectAt(i); o != d {
+					t.Fatalf("page %d: sweep rect %d changed: %v -> %v", page, i, o, d)
 				}
 				if oOrder[i] != dOrder[i] {
 					t.Fatalf("page %d: sweep order %d changed: %d -> %d", page, i, oOrder[i], dOrder[i])

@@ -140,10 +140,6 @@ func decodeNodePage(page storage.PageID, buf []byte) (*Node, error) {
 		e.Obj = EntryID(int32(binary.LittleEndian.Uint32(buf[off+36:])))
 		off += pageEntrySize
 	}
-	// Decoded nodes are private to the caller and read-only; building the
-	// sweep cache at load time keeps the join kernel sort-free out-of-core
-	// too.
-	n.ensureSweep()
 	return n, nil
 }
 

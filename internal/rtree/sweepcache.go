@@ -12,7 +12,7 @@ import (
 // (the paper builds its trees and joins them read-only), yet each node
 // participates in many node-pair expansions during a join. The join kernel
 // therefore needs, over and over, the same three derived views of a node:
-// a structure-of-arrays copy of the entry rectangles, the entry order
+// a coordinate-plane (SoA) copy of the entry rectangles, the entry order
 // sorted by lower x-value (the plane-sweep order of §2.2), and the node's
 // MBR. The cache computes them once per node, so the kernel never sorts or
 // copies entry rects on the hot path. The bulk loaders and PrepareBlocks
@@ -25,19 +25,15 @@ import (
 // list (insert, split, reinsertion, deletion, MBR adjustment) drops the
 // node's cache, and the next join rebuilds it.
 type sweepCache struct {
-	// rects[i] is Entries[i].Rect — contiguous, so the sweep's inner loop
-	// walks 32-byte rects instead of 48-byte entries.
-	rects []geom.Rect
 	// order holds the entry indices sorted by (MinX, MinY, index), with the
 	// entries that have a NaN coordinate (which intersect nothing) last, in
 	// index order.
 	order []int32
 	// mbr is the union of all entry rects.
 	mbr geom.Rect
-	// planes is the coordinate-plane (SoA) view of rects, in entry order —
-	// what the vectorized filter kernels consume. Entry order (not sweep
-	// order) keeps visit orders and bitmask index spaces identical to the
-	// rect view.
+	// planes holds the entry rects as coordinate planes (SoA), in entry
+	// order — what the vectorized filter kernels consume. Entry order (not
+	// sweep order) keeps bitmask index spaces identical to Entries.
 	planes geom.Planes
 }
 
@@ -49,15 +45,15 @@ func (n *Node) ensureSweep() *sweepCache {
 	if n.sweep != nil {
 		return n.sweep
 	}
+	rects := make([]geom.Rect, len(n.Entries))
 	c := &sweepCache{
-		rects: make([]geom.Rect, len(n.Entries)),
 		order: make([]int32, len(n.Entries)),
 		mbr:   geom.EmptyRect(),
 	}
 	nan := 0
 	for i := range n.Entries {
 		r := n.Entries[i].Rect
-		c.rects[i] = r
+		rects[i] = r
 		c.mbr = c.mbr.Union(r)
 		if hasNaN(r) {
 			nan++
@@ -67,8 +63,8 @@ func (n *Node) ensureSweep() *sweepCache {
 	// others could come out unordered; such an entry matches nothing, so it
 	// waits behind the sorted ones.
 	k, tail := 0, len(n.Entries)-nan
-	for i := range c.rects {
-		if hasNaN(c.rects[i]) {
+	for i := range rects {
+		if hasNaN(rects[i]) {
 			c.order[tail] = int32(i)
 			tail++
 		} else {
@@ -76,25 +72,17 @@ func (n *Node) ensureSweep() *sweepCache {
 			k++
 		}
 	}
-	geom.SortOrderByMinX(c.rects, c.order[:k])
-	c.planes.FromRects(c.rects)
+	geom.SortOrderByMinX(rects, c.order[:k])
+	c.planes.FromRects(rects)
 	n.sweep = c
 	return c
 }
 
-// SweepView returns the node's cached join views: the entry rectangles as a
-// contiguous slice (aligned with Entries), the entry order sorted by
-// ascending (MinX, MinY, index), and the node's MBR. The returned slices
+// PlanesView returns the node's cached join views: the entry rectangles as
+// coordinate planes (aligned with Entries), the entry order sorted by
+// ascending (MinX, MinY, index), and the node's MBR. The returned views
 // are shared — callers must not modify them. The cache is built on first
 // use; see ensureSweep for the concurrency contract.
-func (n *Node) SweepView() (rects []geom.Rect, order []int32, mbr geom.Rect) {
-	c := n.ensureSweep()
-	return c.rects, c.order, c.mbr
-}
-
-// PlanesView returns the node's cached coordinate-plane view (aligned
-// with Entries), the MinX-sorted entry order, and the node MBR. Shared, read-only; same build/concurrency
-// contract as SweepView.
 func (n *Node) PlanesView() (planes *geom.Planes, order []int32, mbr geom.Rect) {
 	c := n.ensureSweep()
 	return &c.planes, c.order, c.mbr
@@ -121,19 +109,19 @@ func (n *Node) checkSweepCache() error {
 	if c == nil {
 		return nil
 	}
-	if len(c.rects) != len(n.Entries) || len(c.order) != len(n.Entries) {
+	if c.planes.Len() != len(n.Entries) || len(c.order) != len(n.Entries) {
 		return fmt.Errorf("rtree: page %d sweep cache holds %d rects for %d entries (stale cache)",
-			n.Page, len(c.rects), len(n.Entries))
+			n.Page, c.planes.Len(), len(n.Entries))
 	}
 	for i := range n.Entries {
-		if !rectBitsEqual(c.rects[i], n.Entries[i].Rect) {
-			return fmt.Errorf("rtree: page %d sweep cache rect %d = %v, entry has %v (stale cache)",
-				n.Page, i, c.rects[i], n.Entries[i].Rect)
+		if !rectBitsEqual(c.planes.RectAt(i), n.Entries[i].Rect) {
+			return fmt.Errorf("rtree: page %d sweep cache plane %d = %v, entry has %v (stale cache)",
+				n.Page, i, c.planes.RectAt(i), n.Entries[i].Rect)
 		}
 	}
 	for i := 1; i < len(c.order); i++ {
 		ia, ib := int(c.order[i-1]), int(c.order[i])
-		a, b := c.rects[ia], c.rects[ib]
+		a, b := c.planes.RectAt(ia), c.planes.RectAt(ib)
 		var ok bool
 		switch {
 		case hasNaN(b):
@@ -145,16 +133,6 @@ func (n *Node) checkSweepCache() error {
 		}
 		if !ok {
 			return fmt.Errorf("rtree: page %d sweep order broken at %d (stale cache)", n.Page, i)
-		}
-	}
-	if c.planes.Len() != len(n.Entries) {
-		return fmt.Errorf("rtree: page %d sweep cache planes hold %d rects for %d entries (stale cache)",
-			n.Page, c.planes.Len(), len(n.Entries))
-	}
-	for i := range n.Entries {
-		if !rectBitsEqual(c.planes.RectAt(i), n.Entries[i].Rect) {
-			return fmt.Errorf("rtree: page %d sweep cache plane %d = %v, entry has %v (stale cache)",
-				n.Page, i, c.planes.RectAt(i), n.Entries[i].Rect)
 		}
 	}
 	return nil
@@ -183,7 +161,7 @@ func rectOrderOK(a, b geom.Rect, ia, ib int) bool {
 // PrepareSweep precomputes the sweep cache of every live node, leaves
 // included. Call it once before running node-pair expansions
 // (join.Scratch.Expand, the simulator) on a tree from multiple goroutines:
-// afterwards SweepView only reads, so concurrent joins need no
+// afterwards PlanesView only reads, so concurrent joins need no
 // synchronization on the tree. The native join needs PrepareBlocks instead,
 // which builds no leaf cache.
 func (t *Tree) PrepareSweep() {

@@ -10,18 +10,18 @@ import (
 // entries: same rects, order sorted by the (MinX, MinY, index) total order.
 func sweepViewMatchesEntries(t *testing.T, n *Node) {
 	t.Helper()
-	rects, order, mbr := n.SweepView()
-	if len(rects) != len(n.Entries) || len(order) != len(n.Entries) {
+	planes, order, mbr := n.PlanesView()
+	if planes.Len() != len(n.Entries) || len(order) != len(n.Entries) {
 		t.Fatalf("page %d: view sizes %d/%d, want %d",
-			n.Page, len(rects), len(order), len(n.Entries))
+			n.Page, planes.Len(), len(order), len(n.Entries))
 	}
 	for i, e := range n.Entries {
-		if rects[i] != e.Rect {
-			t.Fatalf("page %d: cached rect %d = %v, want %v", n.Page, i, rects[i], e.Rect)
+		if got := planes.RectAt(i); got != e.Rect {
+			t.Fatalf("page %d: cached rect %d = %v, want %v", n.Page, i, got, e.Rect)
 		}
 	}
 	for k := 1; k < len(order); k++ {
-		a, b := rects[order[k-1]], rects[order[k]]
+		a, b := planes.RectAt(int(order[k-1])), planes.RectAt(int(order[k]))
 		if !rectLessByMinX(a, b, int(order[k-1]), int(order[k])) {
 			t.Fatalf("page %d: cached order not sorted at %d", n.Page, k)
 		}

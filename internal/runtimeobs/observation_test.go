@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"spjoin/internal/join"
-	"spjoin/internal/metrics"
 	"spjoin/internal/partjoin"
 	"spjoin/internal/rtree"
 	"spjoin/internal/runtimeobs"
@@ -30,11 +29,7 @@ func joinOnce(tb testing.TB, r, s []rtree.Item, sample bool) ([]int64, map[strin
 	tb.Helper()
 	var j partjoin.Joiner
 	defer j.Close()
-	reg := metrics.NewRegistry()
-	cfg := partjoin.Config{
-		Workers: 4, RefineThreshold: 1,
-		Metrics: reg,
-	}
+	cfg := partjoin.Config{Workers: 4, RefineThreshold: 1}
 	var sampler *runtimeobs.Sampler
 	if sample {
 		sampler = runtimeobs.NewSampler()
@@ -50,9 +45,13 @@ func joinOnce(tb testing.TB, r, s []rtree.Item, sample bool) ([]int64, map[strin
 	for _, c := range res.Candidates {
 		pairs = append(pairs, int64(c.R), int64(c.S))
 	}
-	counters := make(map[string]int64)
-	for _, name := range goldenCounters {
-		counters[name] = reg.Counter(name).Load()
+	counters := map[string]int64{
+		"partjoin.partitions":            int64(res.Partitions),
+		"partjoin.duplicates_suppressed": int64(res.Duplicates),
+		"partjoin.comparisons":           int64(res.Comparisons),
+		"partjoin.candidates":            int64(len(res.Candidates)),
+		"partjoin.refined_tiles":         int64(res.RefinedTiles),
+		"partjoin.subtiles":              int64(res.Subtiles),
 	}
 	return pairs, counters, health
 }

@@ -23,19 +23,26 @@ grep 'phases (measured' "$OUT/explain_auto.txt"
 grep 'tile cost heat' "$OUT/explain_auto.txt"
 grep -q '^<svg xmlns=' "$OUT/heat_auto.svg"
 
-# Forced partition run at a fixed grid, with the clustered seed.
+# Forced partition run at a fixed grid, with the clustered seed. The
+# -metrics snapshot carries the engine counters the flight record exports.
 go run ./cmd/spjoin -scale 0.05 -seed 7 -engine partition -procs 4 -grid 24 \
-    -explain -timeline "$OUT/wall_partition.json" > "$OUT/explain_partition.txt"
+    -explain -timeline "$OUT/wall_partition.json" \
+    -metrics "$OUT/metrics_partition.json" > "$OUT/explain_partition.txt"
 go run ./cmd/tracecheck "$OUT/wall_partition.json"
 grep 'plan (forced): engine=partition' "$OUT/explain_partition.txt"
 grep 'workers (pairs):' "$OUT/explain_partition.txt"
+grep '"partjoin.comparisons"' "$OUT/metrics_partition.json"
 
-# Native tree run: the task count and the sweep-dominated waterfall.
+# Native tree run: the task count, the comparisons and the sweep-dominated
+# waterfall, and the native.* counters in the -metrics snapshot.
 go run ./cmd/spjoin -scale 0.05 -seed 42 -native -procs 4 \
-    -explain -timeline "$OUT/wall_tree.json" > "$OUT/explain_tree.txt"
+    -explain -timeline "$OUT/wall_tree.json" \
+    -metrics "$OUT/metrics_tree.json" > "$OUT/explain_tree.txt"
 go run ./cmd/tracecheck "$OUT/wall_tree.json"
 grep 'engine=tree' "$OUT/explain_tree.txt"
 grep 'tree: tasks=' "$OUT/explain_tree.txt"
+grep 'comparisons=' "$OUT/explain_tree.txt"
+grep '"native.join.pairs_expanded"' "$OUT/metrics_tree.json"
 
 # Slowlog path: a 1ns threshold fires on any join.
 go run ./cmd/spjoin -scale 0.02 -seed 42 -engine partition -slowlog 1ns \
